@@ -14,9 +14,6 @@ wash out in the end-to-end workload bench:
 * ``cqe_storm``        — bursty CQE production against a batched
                          ``poll_batch`` consumer (one wakeup per
                          burst, sync re-poll drains the rest)
-* ``timer_cancel_churn``— arm-then-cancel guard timers through the
-                         coalescing :class:`TimerWheel` (tombstone
-                         cancellation, one tick per bucket)
 
 Each runs ``REPRO_BENCH_REPEATS`` times (default 3), keeps the
 fastest pass, and merges a ``kernel`` section into
@@ -30,7 +27,7 @@ import json
 import os
 import time
 
-from repro.sim import AllOf, AnyOf, Environment, FilterStore, Store, TimerWheel
+from repro.sim import AllOf, AnyOf, Environment, FilterStore, Store
 
 from test_bench_host_perf import OUT_PATH, REPEATS, merge_report
 
@@ -126,40 +123,12 @@ def bench_cqe_storm():
     return env.events_processed + drained[0]
 
 
-def _noop():
-    pass
-
-
-def _cancel_churn(env: Environment, wheel: TimerWheel,
-                  rounds: int, width: int):
-    for _ in range(rounds):
-        handles = [wheel.schedule(50.0 + (i % 7), _noop)
-                   for i in range(width)]
-        # The dominant real pattern: the guarded operation wins the
-        # race, so almost every timer is cancelled before firing.
-        for handle in handles[:-1]:
-            wheel.cancel(handle)
-        yield wheel.sleep(60.0)
-
-
-def bench_timer_cancel_churn():
-    # Retransmit-guard churn: arm a burst of deadlines, cancel all but
-    # one.  Tombstoned timers never touch the heap (the fast path
-    # under test), so armed timers count as serviced model events.
-    env = Environment()
-    wheel = TimerWheel(env, granularity_us=8.0)
-    env.process(_cancel_churn(env, wheel, 2_500, 32), name="churn")
-    env.run()
-    return env.events_processed + wheel.scheduled
-
-
 MICROBENCHES = {
     "event_churn": bench_event_churn,
     "timeout_storm": bench_timeout_storm,
     "process_ping_pong": bench_process_ping_pong,
     "condition_fanin": bench_condition_fanin,
     "cqe_storm": bench_cqe_storm,
-    "timer_cancel_churn": bench_timer_cancel_churn,
 }
 
 

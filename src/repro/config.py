@@ -21,7 +21,6 @@ __all__ = [
     "CostModel",
     "NodeSpec",
     "ClusterSpec",
-    "SimConfig",
     "DEFAULT_COST_MODEL",
     "USEC",
     "MSEC",
@@ -291,38 +290,6 @@ class ClusterSpec:
 
     def client_spec(self) -> NodeSpec:
         return NodeSpec(name="client", has_dpu=False)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Kernel-level knobs, applied process-wide via :meth:`apply`.
-
-    ``scheduler`` selects the event queue implementation every
-    subsequently built :class:`~repro.sim.Environment` uses:
-
-    * ``"heap"`` (default) — the flat binary heap; exact and fastest
-      for the reference mixes.
-    * ``"calendar"`` — the bucketed calendar queue
-      (:class:`~repro.sim.CalendarQueue`); same event order bit-for-bit
-      (monotone bucketing preserves the FIFO tie-break), cheaper pops
-      under very wide pending-timer windows.
-
-    ``bucket_us`` is the calendar bucket width; irrelevant under
-    ``"heap"``.  Environment variables ``REPRO_SIM_SCHEDULER`` /
-    ``REPRO_SIM_BUCKET_US`` provide the same control without code
-    changes (CI uses them to run whole experiment gates under the
-    calendar scheduler).
-    """
-
-    scheduler: str = "heap"
-    bucket_us: float = 32.0
-
-    def apply(self) -> "SimConfig":
-        """Install these knobs as the process-wide defaults."""
-        from .sim import set_default_scheduler
-
-        set_default_scheduler(self.scheduler, bucket_us=self.bucket_us)
-        return self
 
 
 #: Shared default instance used when an experiment does not override it.

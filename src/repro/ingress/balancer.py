@@ -58,10 +58,6 @@ class IngressLoadBalancer:
         #: with a positive period, a health-check loop ejects unhealthy
         #: instances and moves their connections to survivors (0 = off)
         self.health_check_period_us = health_check_period_us
-        #: optional :class:`~repro.sim.TimerWheel`: when set before
-        #: :meth:`start`, the health loop rides a coalesced periodic
-        #: tick instead of a dedicated process + exact heap timer
-        self.timer_wheel = None
         self.failovers = 0
         self.dropped = 0
 
@@ -70,11 +66,7 @@ class IngressLoadBalancer:
             instance.siblings = list(self.instances)
             instance.start()
         if self.health_check_period_us > 0:
-            if self.timer_wheel is not None:
-                self.timer_wheel.periodic(self.health_check_period_us,
-                                          self._health_sweep)
-            else:
-                self.env.process(self._health_loop(), name="lb-health")
+            self.env.process(self._health_loop(), name="lb-health")
 
     def _live(self) -> List[PalladiumIngress]:
         return [i for i in self.instances if i.healthy]
@@ -92,19 +84,15 @@ class IngressLoadBalancer:
         connections over the survivors (stable hashing)."""
         while True:
             yield self.env.timeout(self.health_check_period_us)
-            self._health_sweep()
-
-    def _health_sweep(self) -> None:
-        """One health-check pass (loop body / wheel tick)."""
-        self.prune_closed()
-        live = self._live()
-        if len(live) == len(self.instances) or not live:
-            return
-        for conn_id, (owner, conn) in list(self._owner.items()):
-            if not owner.healthy:
-                heir = live[rss_queue(conn_id, len(live))]
-                self._owner[conn_id] = (heir, conn)
-                self._count_failover()
+            self.prune_closed()
+            live = self._live()
+            if len(live) == len(self.instances) or not live:
+                continue
+            for conn_id, (owner, conn) in list(self._owner.items()):
+                if not owner.healthy:
+                    heir = live[rss_queue(conn_id, len(live))]
+                    self._owner[conn_id] = (heir, conn)
+                    self._count_failover()
 
     def connect(self) -> ClientConnection:
         """Pin a new connection to an instance (stable L4 hashing)."""

@@ -484,9 +484,6 @@ class TieredIngress:
         #: request -> tenant label for flow-table quotas (single shared
         #: tenant when not provided)
         self.tenant_of = tenant_of or (lambda request: "default")
-        #: optional :class:`~repro.sim.TimerWheel`: when set before
-        #: :meth:`start`, health checks ride a coalesced periodic tick
-        self.timer_wheel = None
         self.failovers = 0
         self.dropped = 0
 
@@ -495,11 +492,7 @@ class TieredIngress:
             instance.siblings = list(self.instances)
             instance.start()
         if self.health_check_period_us > 0:
-            if self.timer_wheel is not None:
-                self.timer_wheel.periodic(self.health_check_period_us,
-                                          self._sweep)
-            else:
-                self.env.process(self._health_loop(), name="tier-health")
+            self.env.process(self._health_loop(), name="tier-health")
 
     # -- health / failover ----------------------------------------------------
     def _health_loop(self):

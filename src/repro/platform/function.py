@@ -372,23 +372,11 @@ class FunctionInstance:
             if tel is not None:
                 tel.tracer.end_span(span, status="error")
             raise
-        deadline_us = getattr(self.iolib.runtime, "invoke_timeout_us", None)
+        deadline_us = self.iolib.runtime.invoke_timeout_us
         if deadline_us is None:
             reply_desc = yield event
         else:
-            # Invoke guard timer: coalesced through the node's wheel
-            # when one is enabled (replies beat the deadline in the
-            # common case, tombstoning it for free), exact otherwise.
-            wheel = getattr(self.iolib.runtime, "timer_wheel", None)
-            if wheel is None:
-                deadline = self.env.timeout(deadline_us)
-                yield AnyOf(self.env, [event, deadline])
-            else:
-                deadline = self.env.event()
-                guard = wheel.schedule(deadline_us, deadline.succeed)
-                yield AnyOf(self.env, [event, deadline])
-                if event.triggered:
-                    wheel.cancel(guard)
+            yield AnyOf(self.env, [event, self.env.timeout(deadline_us)])
             if not event.triggered:
                 # Give up: a late response finds no pending entry and
                 # is recycled by the dispatcher.

@@ -22,7 +22,7 @@ from ..dne.routing import IntraNodeRoutes, RouteError
 from ..hw import Node
 from ..memory import Buffer, BufferDescriptor, MemoryPool, PoolExhausted
 from ..net import SockMap
-from ..sim import AnyOf, Environment, Store, TimerWheel
+from ..sim import AnyOf, Environment, Store
 
 __all__ = ["NodeRuntime", "IoLibrary", "KernelTcpFallback", "SendError",
            "InvokeTimeout"]
@@ -75,24 +75,6 @@ class NodeRuntime:
         #: when set, :meth:`FunctionInstance.invoke` gives up (raises
         #: :class:`InvokeTimeout`) after this many microseconds
         self.invoke_timeout_us: Optional[float] = None
-        #: opt-in coalescing wheel for the node's guard timers
-        #: (retransmit + invoke deadlines).  ``None`` keeps the exact
-        #: per-timer heap path — the wheel quantizes deadlines to its
-        #: bucket edge, which is observable, so nothing enables it by
-        #: default (see :mod:`repro.sim.wheel`).
-        self.timer_wheel: Optional[TimerWheel] = None
-
-    def enable_timer_wheel(self, granularity_us: float = 8.0) -> "TimerWheel":
-        """Route this node's guard timers through a coalescing wheel.
-
-        Deadlines then fire up to ``granularity_us`` late but share one
-        kernel event per bucket, and a deadline beaten by its ack is a
-        tombstone write instead of a dead heap entry.
-        """
-        if self.timer_wheel is None:
-            self.timer_wheel = TimerWheel(self.env,
-                                          granularity_us=granularity_us)
-        return self.timer_wheel
 
     def add_pool(self, tenant: str, pool: MemoryPool) -> None:
         self.pools[tenant] = pool
@@ -209,20 +191,7 @@ class IoLibrary:
             yield from self.send_buffer(src_agent, dst_fn, buffer, payload, size,
                                         current,
                                         extra_cpu_us=self.cost.mempool_op_us)
-            # Retransmit guard: exact heap timer by default; through the
-            # node's coalescing wheel when enabled, where the common
-            # ack-beats-deadline case cancels by tombstone instead of
-            # leaving a dead heap entry.
-            wheel = self.runtime.timer_wheel
-            if wheel is None:
-                deadline = self.env.timeout(timeout_us)
-                yield AnyOf(self.env, [ack, deadline])
-            else:
-                deadline = self.env.event()
-                guard = wheel.schedule(timeout_us, deadline.succeed)
-                yield AnyOf(self.env, [ack, deadline])
-                if ack.triggered:
-                    wheel.cancel(guard)
+            yield AnyOf(self.env, [ack, self.env.timeout(timeout_us)])
             if ack.triggered and ack.value:
                 return
             attempts += 1

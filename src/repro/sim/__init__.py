@@ -3,32 +3,27 @@
 from .core import (
     AllOf,
     AnyOf,
-    CalendarQueue,
     Environment,
     Event,
     Interrupt,
     Process,
     SimulationError,
     Timeout,
-    set_default_scheduler,
 )
 from .monitor import LatencyStats, RateMeter, TimeSeries, UtilizationTracker
 from .resources import FilterStore, Request, Resource, Store
 from .rng import FAULT_STREAM, RngRegistry
 from .trace import TraceRecord, Tracer
-from .wheel import PeriodicTimer, TimerHandle, TimerWheel
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Environment",
     "Event",
     "FAULT_STREAM",
     "FilterStore",
     "Interrupt",
     "LatencyStats",
-    "PeriodicTimer",
     "Process",
     "RateMeter",
     "Request",
@@ -38,10 +33,7 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
-    "TimerHandle",
-    "TimerWheel",
     "TraceRecord",
     "Tracer",
     "UtilizationTracker",
-    "set_default_scheduler",
 ]

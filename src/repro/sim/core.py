@@ -22,12 +22,12 @@ Determinism: events scheduled for the same instant fire in FIFO order
 of scheduling (ties are broken by a monotonically increasing sequence
 number), so repeated runs with the same seed produce identical traces.
 
-Fast path (see docs/PERFORMANCE.md): the :meth:`Environment.run` loop
-pops ready-queue entries — plain ``(time, priority, eid, event)``
-tuples — and runs callbacks inline rather than paying a ``step()`` +
-``_run_callbacks()`` call per event; trigger sites push through the
-environment's bound ``_push`` (a :func:`heapq.heappush` partial for
-the default scheduler).  Steady-state event churn recycles
+Fast path (see docs/PERFORMANCE.md): the ready queue is one flat
+binary heap of plain ``(time, priority, eid, event)`` tuples, and one
+run loop pops it and runs callbacks inline rather than paying a
+``step()`` + ``_run_callbacks()`` call per event; trigger sites push
+through the environment's bound ``_push`` (a :func:`heapq.heappush`
+partial over the heap).  Steady-state event churn recycles
 :class:`Timeout`, completed-event, and :meth:`Environment.defer`
 objects through per-class free lists, so the hot path does no
 allocation beyond the queue tuple itself.  Recycling is guarded by
@@ -38,23 +38,11 @@ retains an event (for ``.value``, ``AnyOf`` membership, a later
 scheduling order: ``eid`` assignment and queue ordering are identical
 to the reference kernel, so event counts and traces are byte-for-byte
 reproducible.
-
-Schedulers: the ready queue is pluggable per :class:`Environment`
-(``Environment(scheduler="heap" | "calendar")``).  The default is the
-flat binary heap above.  The *calendar queue* variant
-(:class:`CalendarQueue`) partitions time into fixed-width buckets —
-a min-heap of integer bucket ids over small per-bucket heaps — so
-timeout-heavy workloads pay mostly cheap ``int`` comparisons on tiny
-heaps instead of ``float``-tuple comparisons on one large heap.  Both
-schedulers order entries by exactly the same ``(time, priority,
-eid)`` key, including the same-timestamp FIFO tie-break, so they are
-observably equivalent (proven by the hypothesis property tests in
-``tests/test_sim_calendar.py`` and by the byte-identical seed gates).
 """
 
 from __future__ import annotations
 
-import os
+import math
 import sys
 from functools import partial
 from heapq import heappop, heappush
@@ -69,8 +57,6 @@ __all__ = [
     "SimulationError",
     "AnyOf",
     "AllOf",
-    "CalendarQueue",
-    "set_default_scheduler",
 ]
 
 #: Normal event priority.  Lower values fire earlier at the same time.
@@ -479,122 +465,15 @@ class AllOf(Condition):
         return self._count == len(self._events)
 
 
-class CalendarQueue:
-    """Bucketed ready queue: a min-heap of bucket ids over small heaps.
-
-    Entries are the same ``(time, priority, eid, event)`` tuples the
-    flat heap uses.  Each entry lands in bucket ``int(time * scale)``
-    (``scale = 1 / bucket_us``); ``_order`` is a min-heap holding the
-    id of every non-empty bucket exactly once.  Because the bucket
-    function is monotone in time and same-time entries always share a
-    bucket, popping the smallest tuple from the smallest bucket yields
-    entries in exactly the global heap's ``(time, priority, eid)``
-    order — including the same-timestamp FIFO tie-break.  The win in
-    the timeout-heavy regime: per-bucket heaps stay tiny (often a
-    handful of entries), so sift costs shrink and most outer-heap
-    comparisons are cheap ``int`` compares.
-    """
-
-    __slots__ = ("_buckets", "_order", "_scale", "_len", "bucket_us")
-
-    def __init__(self, bucket_us: float = 32.0):
-        if bucket_us <= 0:
-            raise ValueError(f"bucket_us must be positive: {bucket_us}")
-        self.bucket_us = bucket_us
-        self._scale = 1.0 / bucket_us
-        self._buckets: dict = {}
-        self._order: List[int] = []
-        self._len = 0
-
-    def push(self, entry: tuple) -> None:
-        bid = int(entry[0] * self._scale)
-        bucket = self._buckets.get(bid)
-        if bucket is None:
-            self._buckets[bid] = [entry]
-            heappush(self._order, bid)
-        else:
-            heappush(bucket, entry)
-        self._len += 1
-
-    def pop(self) -> tuple:
-        bid = self._order[0]
-        bucket = self._buckets[bid]
-        entry = heappop(bucket)
-        if not bucket:
-            heappop(self._order)
-            del self._buckets[bid]
-        self._len -= 1
-        return entry
-
-    def peek(self) -> float:
-        """Time of the earliest entry, or ``inf`` if empty."""
-        if not self._len:
-            return float("inf")
-        return self._buckets[self._order[0]][0][0]
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __bool__(self) -> bool:
-        return self._len > 0
-
-
-#: Process-wide scheduler defaults used when ``Environment`` is built
-#: without explicit arguments.  ``REPRO_SIM_SCHEDULER`` /
-#: ``REPRO_SIM_BUCKET_US`` let CI run the full experiment suite under
-#: the calendar queue without touching experiment code; in-process
-#: callers use :func:`set_default_scheduler` (or
-#: ``repro.config.SimConfig``).
-_default_scheduler = os.environ.get("REPRO_SIM_SCHEDULER", "heap")
-_default_bucket_us = float(os.environ.get("REPRO_SIM_BUCKET_US", "32.0"))
-
-
-def set_default_scheduler(scheduler: str,
-                          bucket_us: Optional[float] = None) -> None:
-    """Set the scheduler used by Environments created without one.
-
-    Affects only Environments constructed afterwards; existing ones
-    keep their queue.  ``scheduler`` is ``"heap"`` or ``"calendar"``.
-    """
-    global _default_scheduler, _default_bucket_us
-    if scheduler not in ("heap", "calendar"):
-        raise ValueError(f"unknown scheduler: {scheduler!r}")
-    _default_scheduler = scheduler
-    if bucket_us is not None:
-        if bucket_us <= 0:
-            raise ValueError(f"bucket_us must be positive: {bucket_us}")
-        _default_bucket_us = bucket_us
-
-
 class Environment:
-    """The simulation environment: clock, ready queue, and run loop.
+    """The simulation environment: clock, ready queue, and run loop."""
 
-    ``scheduler`` selects the ready-queue implementation: ``"heap"``
-    (default; flat binary heap of 4-tuples) or ``"calendar"``
-    (:class:`CalendarQueue`, bucket width ``bucket_us``).  Both produce
-    identical event orderings; see the module docstring.
-    """
-
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None,
-                 bucket_us: Optional[float] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List[Any] = []
-        if scheduler is None:
-            scheduler = _default_scheduler
-        if bucket_us is None:
-            bucket_us = _default_bucket_us
-        if scheduler == "heap":
-            self._cal: Optional[CalendarQueue] = None
-            #: bound push for trigger sites; one partial beats an
-            #: attribute walk + global lookup at every push site
-            self._push: Callable[[tuple], None] = partial(heappush, self._queue)
-        elif scheduler == "calendar":
-            self._cal = CalendarQueue(bucket_us)
-            self._push = self._cal.push
-        else:
-            raise ValueError(f"unknown scheduler: {scheduler!r}")
-        self.scheduler = scheduler
+        #: bound push for trigger sites; one partial beats an
+        #: attribute walk + global lookup at every push site
+        self._push: Callable[[tuple], None] = partial(heappush, self._queue)
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: events popped and dispatched so far (native counter; the
@@ -726,20 +605,13 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._cal is not None:
-            return self._cal.peek()
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event."""
-        if self._cal is not None:
-            if not self._cal:
-                raise SimulationError("no more events")
-            when, _priority, _eid, event = self._cal.pop()
-        else:
-            if not self._queue:
-                raise SimulationError("no more events")
-            when, _priority, _eid, event = heappop(self._queue)
+        if not self._queue:
+            raise SimulationError("no more events")
+        when, _priority, _eid, event = heappop(self._queue)
         self._now = when
         self.events_processed += 1
         event._run_callbacks()
@@ -747,15 +619,19 @@ class Environment:
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run to exhaustion), a number (run up
-        to that simulated time), or an :class:`Event` (run until it
-        fires, returning its value).
+        ``until`` may be ``None`` (run to exhaustion), a finite number
+        (run up to and including that simulated time), or an
+        :class:`Event` of this environment (run until it fires,
+        returning its value).
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
         if until is None:
             pass
         elif isinstance(until, Event):
+            if until.env is not self:
+                raise SimulationError(
+                    "run(until=...) got an event from another environment")
             stop_event = until
             if stop_event._processed:
                 if stop_event._ok:
@@ -763,15 +639,12 @@ class Environment:
                 raise stop_event._value
         else:
             stop_time = float(until)
+            if not math.isfinite(stop_time):
+                raise ValueError(f"until must be a finite time, got {until!r}")
             if stop_time < self._now:
                 raise ValueError(f"until ({stop_time}) is in the past (now={self._now})")
 
-        if self._cal is not None:
-            self._run_calendar(stop_event, stop_time)
-        elif stop_event is not None:
-            self._run_heap_event(stop_event, stop_time)
-        else:
-            self._run_heap(stop_time)
+        self._run(stop_event, stop_time)
 
         if stop_event is not None:
             if not stop_event._processed:
@@ -785,7 +658,7 @@ class Environment:
             self._now = stop_time
         return None
 
-    def _run_heap(self, stop_time: float) -> None:
+    def _run(self, stop_event: Optional[Event], stop_time: float) -> None:
         # Tight inlined loop: one heap pop + direct callback dispatch
         # per event (the ``step()`` API remains for single-stepping).
         # Almost every fired event has exactly one callback (a process
@@ -795,6 +668,8 @@ class Environment:
         refs = _getrefcount
         timeout_pool = self._timeout_pool
         processed = 0
+        # An unbounded run skips the head compare: ~2% of dispatch
+        # cost on timer-heavy mixes.
         bounded = stop_time != float("inf")
         try:
             while queue:
@@ -825,105 +700,11 @@ class Environment:
                                 timeout_pool.append(event)
                         else:
                             self._recycle(event)
+                    if event is stop_event:
+                        return
                 else:
                     # Only _Deferred entries are scheduled without a
                     # callbacks list; dispatch via their override.
                     event._run_callbacks()
-        finally:
-            self.events_processed += processed
-
-    def _run_heap_event(self, stop_event: Event, stop_time: float) -> None:
-        queue = self._queue
-        pop = heappop
-        refs = _getrefcount
-        timeout_pool = self._timeout_pool
-        processed = 0
-        try:
-            while queue:
-                if queue[0][0] > stop_time:
-                    break
-                when, _priority, _eid, event = pop(queue)
-                self._now = when
-                processed += 1
-                cbs = event.callbacks
-                if cbs is not None:
-                    event.callbacks = None
-                    event._processed = True
-                    if len(cbs) == 1:
-                        cbs[0](event)
-                    else:
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok:
-                        if not event.defused:
-                            raise event._value
-                    elif event._poolable and refs(event) == 2:
-                        if event.__class__ is Timeout:
-                            if len(timeout_pool) < _POOL_CAP:
-                                event._value = None
-                                event.defused = False
-                                timeout_pool.append(event)
-                        else:
-                            self._recycle(event)
-                else:
-                    event._run_callbacks()
-                if stop_event._processed:
-                    return
-        finally:
-            self.events_processed += processed
-
-    def _run_calendar(self, stop_event: Optional[Event],
-                      stop_time: float) -> None:
-        # Same dispatch body as the heap loops, popping from the
-        # calendar queue.  The current bucket's heap is drained with
-        # direct heappop calls between outer-heap touches.
-        cal = self._cal
-        assert cal is not None
-        buckets = cal._buckets
-        order = cal._order
-        pop = heappop
-        refs = _getrefcount
-        timeout_pool = self._timeout_pool
-        processed = 0
-        try:
-            while cal._len:
-                bid = order[0]
-                bucket = buckets[bid]
-                entry = bucket[0]
-                when = entry[0]
-                if when > stop_time:
-                    break
-                pop(bucket)
-                if not bucket:
-                    pop(order)
-                    del buckets[bid]
-                cal._len -= 1
-                event = entry[3]
-                self._now = when
-                processed += 1
-                cbs = event.callbacks
-                if cbs is not None:
-                    event.callbacks = None
-                    event._processed = True
-                    if len(cbs) == 1:
-                        cbs[0](event)
-                    else:
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok:
-                        if not event.defused:
-                            raise event._value
-                    elif event._poolable and refs(event) == 2:
-                        if event.__class__ is Timeout:
-                            if len(timeout_pool) < _POOL_CAP:
-                                event._value = None
-                                event.defused = False
-                                timeout_pool.append(event)
-                        else:
-                            self._recycle(event)
-                else:
-                    event._run_callbacks()
-                if stop_event is not None and stop_event._processed:
-                    return
         finally:
             self.events_processed += processed

@@ -306,6 +306,35 @@ def test_reliable_send_succeeds_without_retransmission():
     assert plat.functions["server"].handled == 1
 
 
+def test_reliable_send_guard_fires_inert_after_the_ack():
+    env, plat = make_platform()
+    client = plat.deploy(FunctionSpec("client", "t1", work_us=0), "worker0")
+    plat.deploy(FunctionSpec("server", "t1", handler=_sink, work_us=0),
+                "worker1")
+    plat.start()
+    timeout_us = 20_000.0
+    snapshots = []
+
+    def snapshot():
+        return client.iolib.retransmissions, client.iolib.send_failures
+
+    def body():
+        yield from client.iolib.send("fn:client", "server", "ping", 64,
+                                     Message(tenant="t1"),
+                                     timeout_us=timeout_us)
+        snapshots.append(snapshot())
+        # The guard was armed before the ack, so it has fired (with
+        # nobody listening) by the end of this sleep.
+        yield env.timeout(timeout_us)
+        snapshots.append(snapshot())
+
+    drive(env, body)
+    assert len(snapshots) == 2
+    assert snapshots[0] == snapshots[1] == (0, 0)
+    # one delivery: the late guard sent no duplicate
+    assert plat.functions["server"].handled == 1
+
+
 def test_reliable_send_retry_exhaustion_is_tenant_visible():
     """An unroutable destination nacks every attempt -> SendError."""
     env, plat = make_platform()
@@ -355,6 +384,65 @@ def test_invoke_times_out_against_crashed_node_without_recovery():
     assert client.invoke_timeouts == 1
     # the in-flight buffer was flushed and recycled home
     assert pool.free_count == baseline["free"]
+
+
+def test_invoke_deadline_fires_exactly_at_the_timeout():
+    env, plat = make_platform()
+    client = plat.deploy(FunctionSpec("client", "t1", work_us=0), "worker0")
+    plat.deploy(FunctionSpec("server", "t1", work_us=0), "worker1")
+    deadline_us = 10_000.0
+    plat.runtimes["worker0"].invoke_timeout_us = deadline_us
+    plat.start()
+    sent, caught = [], []
+    send = client.iolib.send
+
+    def timed_send(*args, **kwargs):
+        yield from send(*args, **kwargs)
+        sent.append(env.now)
+
+    client.iolib.send = timed_send
+
+    def body():
+        plat.crash_node("worker1", recovery=False)
+        try:
+            yield from client.invoke("server", "ping", 64)
+        except InvokeTimeout:
+            caught.append(env.now)
+
+    drive(env, body, warmup=40_000)
+    # The guard is armed once the request is handed off and is not
+    # rounded to any timer granularity.
+    assert len(sent) == len(caught) == 1
+    assert caught[0] == sent[0] + deadline_us
+    assert client.invoke_timeouts == 1
+
+
+def test_invoke_reply_beats_the_guard_timeout():
+    env, plat = make_platform()
+    client = plat.deploy(FunctionSpec("client", "t1", work_us=0), "worker0")
+    server = plat.deploy(FunctionSpec("server", "t1", work_us=0), "worker1")
+    deadline_us = 50_000.0
+    plat.runtimes["worker0"].invoke_timeout_us = deadline_us
+    plat.start()
+    replies, snapshots = [], []
+
+    def snapshot():
+        return client.invoke_timeouts, len(client._pending), server.handled
+
+    def body():
+        reply = yield from client.invoke("server", "ping", 64)
+        replies.append(reply.payload)
+        snapshots.append(snapshot())
+        # The guard was armed before the reply, so it has fired (with
+        # nobody listening) by the end of this sleep.
+        yield env.timeout(deadline_us)
+        snapshots.append(snapshot())
+
+    drive(env, body, warmup=40_000)
+    assert len(replies) == 1
+    assert client.invoke_timeouts == 0
+    assert len(snapshots) == 2
+    assert snapshots[0] == snapshots[1] == (0, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the discrete-event kernel (repro.sim.core)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
@@ -79,6 +81,23 @@ def test_same_time_events_fifo():
         env.process(proc(tag))
     env.run()
     assert order == list("abcd")
+
+
+# Tiny delay pool so same-timestamp ties dominate the generated streams.
+@given(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.5, 2.5, 2.5, 32.0, 100.0]),
+                max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_same_timestamp_ties_resolve_identically(delays):
+    # Ties break on scheduling order alone, so the firing order is the
+    # stable sort of the delays, run after run.
+    env = Environment()
+    fired = []
+    for i, delay in enumerate(delays):
+        env.timeout(delay).callbacks.append(
+            lambda _ev, i=i: fired.append(i))
+    env.run()
+    assert fired == sorted(range(len(delays)), key=lambda i: delays[i])
+    assert env.events_processed == len(delays)
 
 
 def test_manual_event_succeed():
@@ -238,6 +257,77 @@ def test_run_until_event_never_fires():
     env = Environment()
     with pytest.raises(SimulationError):
         env.run(until=env.event())
+
+
+def test_run_until_event_stops_right_after_its_callbacks():
+    env = Environment()
+    stop = env.timeout(5, value="stop")
+    sibling = env.timeout(5, value="sibling")
+    seen = []
+    stop.callbacks.append(lambda event: seen.append(event.value))
+    assert env.run(until=stop) == "stop"
+    assert seen == ["stop"]
+    # the same-instant sibling is still queued, not dispatched
+    assert not sibling.processed
+    assert env.now == 5.0
+    assert env.peek() == env.now
+    assert env.events_processed == 1
+
+
+def test_run_until_failed_event_raises():
+    env = Environment()
+    stop = env.event()
+
+    def failer():
+        yield env.timeout(3)
+        stop.fail(RuntimeError("nope"))
+
+    env.process(failer())
+    with pytest.raises(RuntimeError, match="nope"):
+        env.run(until=stop)
+    assert env.now == 3.0
+
+
+def test_run_until_processed_event_returns_without_dispatching():
+    env = Environment()
+    stop = env.timeout(1, value="done")
+    env.timeout(2)
+    env.run(until=stop)
+    dispatched = env.events_processed
+    assert env.run(until=stop) == "done"
+    assert env.events_processed == dispatched
+    assert env.now == 1.0
+    assert env.peek() == 2.0
+
+
+def test_run_until_time_includes_events_at_the_boundary():
+    env = Environment()
+    fired = []
+    for delay in (5.0, 10.0, 10.0, 10.5, 15.0):
+        env.defer(delay, lambda delay=delay: fired.append(delay))
+    env.run(until=10.0)
+    assert fired == [5.0, 10.0, 10.0]
+    assert env.events_processed == 3
+    assert env.now == 10.0
+    assert env.peek() == 10.5
+
+
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+def test_run_until_non_finite_time_rejected(until):
+    env = Environment()
+    env.timeout(1)
+    with pytest.raises(ValueError, match="finite"):
+        env.run(until=until)
+    assert env.now == 0.0
+    assert env.events_processed == 0
+
+
+def test_run_until_event_from_another_environment_rejected():
+    env, other = Environment(), Environment()
+    env.timeout(1)
+    with pytest.raises(SimulationError, match="another environment"):
+        env.run(until=other.event())
+    assert env.events_processed == 0
 
 
 def test_interrupt_waiting_process():
