@@ -6,7 +6,11 @@ laptop run at a few thousand users.  This frontend models client
 popularity skew describe an aggregate stream, and the per-flow state
 collapses into *flow buckets* — a bucket stands for thousands of
 clients whose flows share a popularity rank, so O(10^6) modeled
-clients cost O(buckets) memory and O(epochs × buckets) time.
+clients cost O(buckets) of model state and O(epochs × buckets) time.
+Latency samples do not grow with buckets either: a run of served
+items with equal ``(time, latency)`` is recorded as one sample with
+the summed count, so each gateway adds a handful of samples per epoch
+(one per enqueue epoch it serves from, per path).
 
 :class:`FlowAggregateModel` drives a
 :class:`repro.ingress.tier.GatewayTier` with those streams in fixed
@@ -208,7 +212,8 @@ class FlowAggregateModel:
         self.redirected = 0
         #: flow-table entries shipped to successors by failover sync
         self.flows_synced = 0
-        #: (completion time, latency_us, count) for weighted percentiles
+        #: (completion time, latency_us, count) for weighted percentiles;
+        #: adjacent samples never share (time, latency) — runs coalesce
         self.samples: List[Tuple[float, float, int]] = []
         #: completion counts per epoch start time (goodput timeline)
         self.completions_at: Dict[float, int] = {}
@@ -387,7 +392,14 @@ class FlowAggregateModel:
                         queue.pop()
 
     def _serve(self, now: float, live: List[str]) -> None:
+        """Serve each backlog FIFO from this epoch's budget.
+
+        A served item whose ``(time, latency)`` equals the last
+        sample's adds its count to that sample (exact for weighted
+        percentiles), so samples grow with epochs, not buckets.
+        """
         per_epoch = self.epoch_us / 1e6
+        samples = self.samples
         for name in live:
             for queue, carry, rps, service_us, cold in (
                 (self._hot_q[name], self._fast_carry, self.fastpath_rps,
@@ -406,7 +418,11 @@ class FlowAggregateModel:
                     budget -= served
                     done_here += served
                     latency = (now - head.enq_time) + service_us
-                    self.samples.append((now, latency, served))
+                    if (samples and samples[-1][0] == now
+                            and samples[-1][1] == latency):
+                        samples[-1] = (now, latency, samples[-1][2] + served)
+                    else:
+                        samples.append((now, latency, served))
                     if cold:
                         # the slow path installed the entry; the
                         # bucket is hot from the next epoch on (unless

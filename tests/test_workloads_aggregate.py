@@ -53,6 +53,50 @@ def test_weighted_percentile_nearest_rank():
     assert weighted_percentile([], 50.0) == 0.0
 
 
+def _coalesce(samples):
+    out = []
+    for t, value, weight in samples:
+        if out and out[-1][:2] == (t, value):
+            out[-1] = (t, value, out[-1][2] + weight)
+        else:
+            out.append((t, value, weight))
+    return out
+
+
+_TIMES = [0.0, 1_000.0, 2_000.0, 3_000.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(_TIMES),
+                            st.sampled_from([2.0, 18.0, 1_002.0, 2_018.0]),
+                            st.integers(min_value=1, max_value=40),
+                            st.integers(min_value=0, max_value=40)),
+                  max_size=30),
+    p=st.floats(min_value=0.0, max_value=100.0),
+    t0=st.sampled_from([None] + _TIMES),
+    t1=st.sampled_from([None] + _TIMES + [4_000.0]),
+)
+def test_property_weighted_percentile_is_exact_under_split_and_merge(
+        rows, p, t0, t1):
+    """Hypothesis: splitting a sample into same-(time, value) pieces,
+    or merging adjacent samples that share (time, value), never moves
+    any percentile in any window — so coalescing samples is exact."""
+    samples = [(t, value, weight) for t, value, weight, _cut in rows]
+    split = []
+    for t, value, weight, cut in rows:
+        if 0 < cut < weight:
+            split += [(t, value, cut), (t, value, weight - cut)]
+        else:
+            split.append((t, value, weight))
+    merged = _coalesce(samples)
+    assert _coalesce(split) == merged
+    for q in (p, 0.0, 50.0, 99.0, 100.0):
+        want = weighted_percentile(samples, q, t0, t1)
+        assert weighted_percentile(split, q, t0, t1) == want
+        assert weighted_percentile(merged, q, t0, t1) == want
+
+
 # ---------------------------------------------------------------------------
 # the fluid model: determinism, conservation, scale
 # ---------------------------------------------------------------------------
@@ -85,6 +129,34 @@ def test_model_drives_a_million_modeled_clients():
     assert m.completed > 0
     # the aggregate frontend keeps state tiny: buckets, not clients
     assert len(m.buckets) < 1_000
+
+
+def test_latency_samples_grow_with_epochs_not_buckets():
+    # 4,000 buckets on an uncongested tier: "web" arrives in every
+    # bucket every epoch, and "iot"'s Zipf tail first arrives (cold)
+    # spread over the early epochs, beside hot traffic.  Everything is
+    # served in the epoch it arrives, so a gateway records at most one
+    # sample per path per epoch
+    classes = [
+        ClientClass("web", "t-a", clients=20_000, rps_per_client=100.0,
+                    zipf_s=0.0, buckets=2_000),
+        ClientClass("iot", "t-b", clients=20_000, rps_per_client=50.0,
+                    zipf_s=1.0, buckets=2_000),
+    ]
+    m = FlowAggregateModel(classes, 4, fastpath_rps=1e8,
+                           slowpath_rps=1e8, max_cold_queue=10_000)
+    assert len(m.buckets) == 4_000
+    m.run(50_000.0)
+    assert m.completed == m.admitted > 50 * 2_000
+    assert len(m.samples) <= 2 * len(m.names) * m.epochs
+    # coalescing kept each request's own latency: hot hits waited
+    # hot_us, cold punts cold_us
+    weight = {}
+    for _t, latency, count in m.samples:
+        weight[latency] = weight.get(latency, 0) + count
+    counters = m.tier.counters()
+    assert weight == {m.hot_us: counters["flow_table_hits"],
+                      m.cold_us: counters["flow_table_punts"]}
 
 
 def test_goodput_scales_with_gateway_count():
@@ -186,3 +258,9 @@ def test_property_every_admitted_request_accounted_exactly_once(
     assert m.conserved()
     assert m.admitted == m.completed + m.rejected
     assert m.admitted >= 0 and m.completed >= 0 and m.rejected >= 0
+    # the latency samples carry every completion exactly once, in time
+    # order, with each run of equal (time, latency) coalesced
+    assert sum(count for _t, _lat, count in m.samples) == m.completed
+    times = [t for t, _lat, _count in m.samples]
+    assert times == sorted(times)
+    assert all(a[:2] != b[:2] for a, b in zip(m.samples, m.samples[1:]))
