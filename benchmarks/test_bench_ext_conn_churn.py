@@ -1,16 +1,13 @@
 """Extension bench: control-plane connection churn.
 
-Regenerates the ext_conn_churn experiment points and merges a
-``conn_churn`` section into ``BENCH_host_perf.json`` (read-modify-
-write: other sections are preserved).  The headline numbers are the
-TTFB a churning instance pays per provisioning policy (cold explicit
-handshake vs pre-warmed shadow pool vs shared active QP) and the
-spin-up throughput knee at the control-plane ops/sec ceiling.
+Regenerates the ext_conn_churn experiment points and prints them.
+The headline numbers are the TTFB a churning instance pays per
+provisioning policy (cold explicit handshake vs pre-warmed shadow
+pool vs shared active QP) and the spin-up throughput knee at the
+control-plane ops/sec ceiling.
 """
 
 import json
-
-from test_bench_host_perf import OUT_PATH, merge_report, timed
 
 from repro.experiments import run_ceiling_point, run_churn_point
 
@@ -19,29 +16,25 @@ def test_bench_ext_conn_churn(once):
     def workload():
         section = {}
         for scenario in ("cold", "warm-fixed", "shared"):
-            point, profile = timed(run_churn_point, scenario,
-                                   day_us=600_000.0, max_instances=400)
+            point = run_churn_point(scenario, day_us=600_000.0,
+                                    max_instances=400)
             section[scenario.replace("-", "_")] = {
                 "ttfb_p50_us": round(point["ttfb_p50_us"], 2),
                 "ttfb_p95_us": round(point["ttfb_p95_us"], 2),
                 "setups": int(point["setups"]),
                 "instances": int(point["instances"]),
-                **profile,
             }
         for mult in (0.5, 2.0):
-            point, profile = timed(run_ceiling_point, mult,
-                                   ops_per_sec=400.0)
+            point = run_ceiling_point(mult, ops_per_sec=400.0)
             section[f"ceiling_{mult:g}x"] = {
                 "offered_per_s": round(point["offered_per_s"], 1),
                 "completed_per_s": round(point["completed_per_s"], 1),
                 "ttfb_p50_us": round(point["ttfb_p50_us"], 1),
                 "cp_wait_ms": round(point["cp_wait_ms"], 1),
-                **profile,
             }
         return section
 
     section = once(workload)
-    report = merge_report({"conn_churn": section})
     print()
     print(json.dumps(section, indent=1, sort_keys=True))
     # the policy ladder: cold explicit handshake > pre-warmed shadow
@@ -58,4 +51,3 @@ def test_bench_ext_conn_churn(once):
     assert below["completed_per_s"] > 0.9 * below["offered_per_s"]
     assert above["completed_per_s"] < 0.6 * above["offered_per_s"]
     assert above["ttfb_p50_us"] > 5 * below["ttfb_p50_us"]
-    assert OUT_PATH.exists()

@@ -1,15 +1,11 @@
 """Extension bench: live migration vs kill-and-cold-start.
 
-Regenerates the ext_migration experiment points and merges a
-``migration`` section into ``BENCH_host_perf.json`` (read-modify-write:
-other sections are preserved).  The headline numbers are the
-freeze-to-thaw downtime per checkpoint state size and the cold-start
-TTFB it must stay strictly below.
+Regenerates the ext_migration experiment points and prints them.
+The headline numbers are the freeze-to-thaw downtime per checkpoint state
+size and the cold-start TTFB it must stay strictly below.
 """
 
 import json
-
-from test_bench_host_perf import OUT_PATH, merge_report, timed
 
 from repro.experiments import run_drain_point, run_migration_point
 
@@ -18,32 +14,27 @@ def test_bench_ext_migration(once):
     def workload():
         section = {}
         for kb in (64, 4096):
-            m, profile = timed(run_migration_point, kb, "migrate",
-                               clients=8)
+            m = run_migration_point(kb, "migrate", clients=8)
             section[f"migrate_{kb}kb"] = {
                 "downtime_us": round(m["downtime_us"], 1),
                 "blip_p99_us": round(m["blip_p99_us"], 1),
                 "redirected": int(m["redirected"]),
                 "client_errors": int(m["client_errors"]),
-                **profile,
             }
-        cold, profile = timed(run_migration_point, 64, "cold", clients=8)
+        cold = run_migration_point(64, "cold", clients=8)
         section["cold_start"] = {
             "downtime_us": round(cold["downtime_us"], 1),
             "client_errors": int(cold["client_errors"]),
-            **profile,
         }
-        drain, profile = timed(run_drain_point, clients=8)
+        drain = run_drain_point(clients=8)
         section["node_drain"] = {
             "drain_ms": round(drain["drain_ms"], 3),
             "migrated": int(drain["migrated"]),
             "client_errors": int(drain["client_errors"]),
-            **profile,
         }
         return section
 
     section = once(workload)
-    report = merge_report({"migration": section})
     print()
     print(json.dumps(section, indent=1, sort_keys=True))
     # live migration stays strictly below the cold-start TTFB at every
@@ -55,4 +46,3 @@ def test_bench_ext_migration(once):
             assert row["client_errors"] == 0
     assert section["cold_start"]["client_errors"] > 0
     assert section["node_drain"]["migrated"] == 2
-    assert OUT_PATH.exists()

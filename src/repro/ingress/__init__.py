@@ -10,7 +10,6 @@ from .tier import (
     FlowTable,
     GatewayShard,
     GatewayTier,
-    TieredIngress,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "PalladiumIngress",
     "ProxyIngress",
     "TcpWorkerAdapter",
-    "TieredIngress",
 ]

@@ -7,9 +7,10 @@ implements that extension: an L4-style balancer that spreads external
 connections over N independent gateway instances, so a scale event in
 one instance only pauses its share of connections.
 
-For the full hierarchical tier — consistent-hash spray, hot/cold flow
-tables, failover state sync — see :mod:`repro.ingress.tier`; this
-class remains the flat connection-spreader the seed experiments use.
+This is the one balancer over real gateway instances.  The
+hierarchical tier in :mod:`repro.ingress.tier` (consistent-hash spray,
+hot/cold flow tables, failover state sync) is driven only by the
+flow-aggregate model in :mod:`repro.workloads.aggregate`.
 """
 
 from __future__ import annotations

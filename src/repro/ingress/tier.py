@@ -25,27 +25,23 @@ This module is that tier, as three composable layers:
   to each flow's successor; misses during the sync window pay the
   cold-punt cost rather than erroring), and the tier metric counters.
 
-:class:`TieredIngress` wires the tier over real
-:class:`~repro.ingress.palladium.PalladiumIngress` instances with the
-same ``connect``/``submit`` surface as the plain balancer, so load
-generators drive it unchanged.  Everything here is opt-in: nothing in
-the seed experiments constructs a tier, and the plain
-:class:`~repro.ingress.balancer.IngressLoadBalancer` path is
-untouched.
+The tier is driven by :mod:`repro.workloads.aggregate`'s
+flow-aggregate model; over real gateway instances the one balancer is
+:class:`~repro.ingress.balancer.IngressLoadBalancer`.  Everything here
+is opt-in: nothing in the seed experiments constructs a tier.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "ConsistentHashRing",
     "FlowTable",
     "GatewayShard",
     "GatewayTier",
-    "TieredIngress",
 ]
 
 
@@ -445,158 +441,3 @@ class GatewayTier:
         ):
             child = metrics.counter(metric, help_text)
             child.inc(totals[key] - child.value())
-
-
-class TieredIngress:
-    """The tier over real gateway instances (drop-in balancer).
-
-    Exposes the same ``connect``/``submit``/``completed`` surface as
-    :class:`~repro.ingress.balancer.IngressLoadBalancer`, but every
-    spray decision goes through the tier's consistent-hash ring with
-    bounded-load overflow, and each connection is a flow in its owning
-    gateway's hot/cold table.  Gateway failure reuses the existing
-    health-check machinery: the health loop (or first touch) triggers
-    ring re-spray plus flow-table state sync to the successors.
-    """
-
-    def __init__(self, instances: List, *,
-                 health_check_period_us: float = 0.0,
-                 table_capacity: int = 65_536,
-                 tenant_quota: Optional[int] = None,
-                 capacity_factor: float = 1.25,
-                 sync_us: float = 2_000.0,
-                 tenant_of: Optional[Callable] = None):
-        if not instances:
-            raise ValueError("tier needs at least one ingress instance")
-        self.instances = list(instances)
-        self.env = instances[0].env
-        self._names = [f"gw{i}" for i in range(len(instances))]
-        self._by_name = dict(zip(self._names, self.instances))
-        self.tier = GatewayTier(
-            self._names, table_capacity=table_capacity,
-            tenant_quota=tenant_quota, capacity_factor=capacity_factor,
-            sync_us=sync_us,
-            backends=dict(zip(self._names, self.instances)))
-        #: conn_id -> (gateway name, connection) — bounded: entries are
-        #: evicted when the connection closes or its gateway fails
-        self._owner: Dict[int, Tuple[str, object]] = {}
-        self.health_check_period_us = health_check_period_us
-        #: request -> tenant label for flow-table quotas (single shared
-        #: tenant when not provided)
-        self.tenant_of = tenant_of or (lambda request: "default")
-        self.failovers = 0
-        self.dropped = 0
-
-    def start(self) -> None:
-        for instance in self.instances:
-            instance.siblings = list(self.instances)
-            instance.start()
-        if self.health_check_period_us > 0:
-            self.env.process(self._health_loop(), name="tier-health")
-
-    # -- health / failover ----------------------------------------------------
-    def _health_loop(self):
-        while True:
-            yield self.env.timeout(self.health_check_period_us)
-            self._sweep()
-
-    def _sweep(self) -> None:
-        for name, instance in self._by_name.items():
-            shard = self.tier.shards[name]
-            if not instance.healthy and shard.healthy:
-                self._fail(name)
-            elif instance.healthy and not shard.healthy:
-                self.tier.recover_gateway(name)
-
-    def _fail(self, name: str) -> None:
-        self.tier.fail_gateway(name, self.env.now)
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "gateway_failovers_total",
-                "Gateway failures absorbed by ring re-spray.").inc()
-        # Re-spray only the failed gateway's connections.
-        for conn_id, (owner, conn) in list(self._owner.items()):
-            if owner != name:
-                continue
-            if not self.tier.live_shards():
-                del self._owner[conn_id]
-                continue
-            heir = self.tier.ring.lookup(conn_id)
-            self._owner[conn_id] = (heir, conn)
-            self.failovers += 1
-
-    # -- client-facing API ----------------------------------------------------
-    def connect(self):
-        from .gateway import ClientConnection
-        conn_probe = ClientConnection(self.env)
-        live = {n for n, s in self.tier.shards.items() if s.healthy}
-        if not live:
-            raise RuntimeError("no live gateways in the tier")
-        shard = self.tier.assign(conn_probe.conn_id, bounded=True)
-        if not shard.healthy:  # bounded lookup only walks live members
-            shard = self.tier.shards[self.tier.ring.lookup(conn_probe.conn_id)]
-        instance = self._by_name[shard.name]
-        conn = instance.connect()
-        self._owner[conn.conn_id] = (shard.name, conn)
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "ingress_tier_spray_total",
-                "L1 spray decisions per gateway.",
-                labels=("gateway",)).labels(shard.name).inc()
-        self._maybe_prune()
-        return conn
-
-    def submit(self, conn, request) -> None:
-        entry = self._owner.get(conn.conn_id)
-        if entry is None:
-            self.dropped += 1
-            return
-        name, _conn = entry
-        instance = self._by_name[name]
-        if not instance.healthy:
-            self._sweep()
-            entry = self._owner.get(conn.conn_id)
-            if entry is None or not self.tier.live_shards():
-                self.dropped += 1
-                return
-            name, _conn = entry
-            instance = self._by_name[name]
-        shard = self.tier.shards[name]
-        tenant = self.tenant_of(request)
-        hot = self.tier.classify(shard, conn.conn_id, tenant, self.env.now)
-        tel = self.env.telemetry
-        if tel is not None:
-            if hot:
-                tel.metrics.counter(
-                    "flow_table_hits_total",
-                    "Fast-path (hot flow) hits across the tier.").inc()
-            else:
-                tel.metrics.counter(
-                    "flow_table_punts_total",
-                    "Slow-path punts (cold/new flows) across the tier.").inc()
-        instance.submit(conn, request)
-
-    def close(self, conn) -> None:
-        """Connection teardown: evict the flow and the owner entry."""
-        conn.open = False
-        entry = self._owner.pop(conn.conn_id, None)
-        if entry is not None:
-            self.tier.shards[entry[0]].table.evict(conn.conn_id)
-
-    def _maybe_prune(self, every: int = 256) -> None:
-        """Amortized sweep of closed connections (no timer needed)."""
-        if len(self._owner) % every:
-            return
-        for conn_id, (name, conn) in list(self._owner.items()):
-            if not conn.open:
-                del self._owner[conn_id]
-                self.tier.shards[name].table.evict(conn_id)
-
-    # -- aggregate metrics ----------------------------------------------------
-    def completed(self) -> int:
-        return sum(i.stats.completed for i in self.instances)
-
-    def accepted(self) -> int:
-        return sum(i.stats.accepted for i in self.instances)

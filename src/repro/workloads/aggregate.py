@@ -223,8 +223,8 @@ class FlowAggregateModel:
     @property
     def epochs(self) -> int:
         """Model epochs advanced so far (the fluid analogue of kernel
-        events — benchmarks report ``model_epochs_per_sec`` because a
-        fluid section processes *zero* discrete events)."""
+        events — ``bench/run.py`` reports ``workloads.epochs_per_host_s``
+        because a fluid run processes *zero* discrete events)."""
         return self._epoch_index
 
     # -- derived facts --------------------------------------------------------

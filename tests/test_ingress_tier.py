@@ -1,13 +1,11 @@
-"""The hierarchical ingress tier: ring, flow tables, failover, wiring."""
+"""The hierarchical ingress tier: ring, flow tables, failover, metrics."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ingress import (
     ConsistentHashRing,
     FlowTable,
     GatewayTier,
-    TieredIngress,
 )
 from repro.sim import Environment
 from repro.telemetry import Telemetry
@@ -233,97 +231,3 @@ def test_tier_publish_exports_the_documented_names():
     assert tel.metrics.counter(
         "gateway_failovers_total",
         "Gateway failures absorbed by ring re-spray.").value() == 1.0
-
-
-# ---------------------------------------------------------------------------
-# TieredIngress wiring (DES balancer surface)
-# ---------------------------------------------------------------------------
-
-class _FakeIngress:
-    def __init__(self, env):
-        self.env = env
-        self.healthy = True
-        self.siblings = []
-        self.submitted = []
-
-    def start(self):
-        pass
-
-    def connect(self):
-        from repro.ingress.gateway import ClientConnection
-        return ClientConnection(self.env)
-
-    def submit(self, conn, request):
-        self.submitted.append(request)
-
-    def load(self):
-        return float(len(self.submitted))
-
-
-def test_tiered_ingress_sprays_and_serves():
-    env = Environment()
-    lb = TieredIngress([_FakeIngress(env) for _ in range(4)])
-    lb.start()
-    conns = [lb.connect() for _ in range(32)]
-    for conn in conns:
-        lb.submit(conn, "req")
-    assert sum(len(i.submitted) for i in lb.instances) == 32
-    assert lb.dropped == 0
-    # second submit on a connection is a hot hit
-    lb.submit(conns[0], "req")
-    assert sum(s.table.hits for s in lb.tier.shards.values()) >= 1
-
-
-def test_tiered_ingress_failover_moves_only_dead_gateways_conns():
-    env = Environment()
-    instances = [_FakeIngress(env) for _ in range(4)]
-    lb = TieredIngress(instances, health_check_period_us=1_000.0)
-    lb.start()
-    conns = [lb.connect() for _ in range(64)]
-    before = dict(lb._owner)
-    dead_name = "gw1"
-    dead = lb._by_name[dead_name]
-    dead.healthy = False
-    env.run(until=2_500)
-    for conn_id, (owner, _conn) in lb._owner.items():
-        prior, _ = before[conn_id]
-        if prior == dead_name:
-            assert owner != dead_name
-        else:
-            assert owner == prior
-    # submits keep landing on live instances, nothing dropped
-    for conn in conns:
-        lb.submit(conn, "req")
-    assert lb.dropped == 0
-    assert not dead.submitted
-
-
-def test_tiered_ingress_owner_map_bounded_under_churn():
-    env = Environment()
-    lb = TieredIngress([_FakeIngress(env) for _ in range(2)])
-    lb.start()
-    for _ in range(5_000):
-        conn = lb.connect()
-        lb.close(conn)
-    assert len(lb._owner) < 1_000
-    assert all(s.table.occupied <= s.table.capacity
-               for s in lb.tier.shards.values())
-
-
-def test_tiered_ingress_needs_at_least_one_instance():
-    with pytest.raises(ValueError):
-        TieredIngress([])
-
-
-def test_tiered_ingress_counts_spray_and_flow_metrics():
-    env = Environment()
-    tel = Telemetry.install(env)
-    lb = TieredIngress([_FakeIngress(env) for _ in range(2)])
-    lb.start()
-    conn = lb.connect()
-    lb.submit(conn, "req")      # punt + install
-    lb.submit(conn, "req")      # hit
-    text = tel.metrics.prometheus_text()
-    assert "ingress_tier_spray_total" in text
-    assert "flow_table_hits_total" in text
-    assert "flow_table_punts_total" in text

@@ -94,7 +94,7 @@ def test_flags_direct_spray_call(tmp_path):
     vs = _violations(tmp_path, "q = rss_queue(conn_id, queues)\n")
     assert len(vs) == 1
     assert "rss_queue" in vs[0][3]
-    assert "TieredIngress" in vs[0][3]
+    assert "IngressLoadBalancer" in vs[0][3]
     vs = _violations(tmp_path, "gw = nic.rss_pick(flow)\n")
     assert len(vs) == 1
     assert "rss_pick" in vs[0][3]

@@ -32,8 +32,7 @@ connection, never a gateway.  Outside ``src/repro/ingress/`` (and
 rejects direct spray calls:
 
 * calls to ``rss_queue(...)`` / ``rss_pick(...)`` (gateway/queue
-  selection must go through ``IngressLoadBalancer`` or
-  ``TieredIngress``).
+  selection must go through ``IngressLoadBalancer``).
 
 The batched-execution PR moved every CQ consumer to coalesced
 draining (``cq.poll_batch()`` — one kernel wakeup per completion
@@ -134,7 +133,7 @@ class _MetaVisitor(ast.NodeVisitor):
             if callee in SPRAY_FUNCS:
                 self._flag(node, f"direct gateway spray '{callee}()' "
                                  f"outside repro.ingress (route through "
-                                 f"IngressLoadBalancer or TieredIngress)")
+                                 f"IngressLoadBalancer)")
         # cq.get(...) / <expr>.cq.get(...): per-CQE polling
         if self.check_cq and isinstance(func, ast.Attribute) \
                 and func.attr == "get":
