@@ -66,9 +66,6 @@ class FuyaoEngine(NetworkEngine):
     def _allocate_core(self):
         return self.node.cpu.allocate_pinned(f"{self.name}-poller")
 
-    def _control_pool(self):
-        return self.node.cpu
-
     def _ingest_cost_us(self) -> float:
         return self.cost.sk_msg_interrupt_us + self.channel.ingest_cost_us()
 

@@ -50,9 +50,6 @@ class SprightEngine(NetworkEngine):
         # Event-driven on the shared host cores: no pinned poller.
         return self.node.cpu
 
-    def _control_pool(self):
-        return self.node.cpu
-
     def _ingest_cost_us(self) -> float:
         # SK_MSG delivery into the engine is interrupt-driven.
         return self.cost.sk_msg_interrupt_us + self.channel.ingest_cost_us()

@@ -165,10 +165,6 @@ class NetworkEngine:
     def _allocate_core(self) -> PinnedCore:
         raise NotImplementedError
 
-    def _control_pool(self):
-        """Core pool the (lightweight) core thread is scheduled on."""
-        raise NotImplementedError
-
     def _ingest_cost_us(self) -> float:
         """Host-core-equivalent cost to ingest one TX descriptor."""
         return self.channel.ingest_cost_us()
@@ -703,9 +699,6 @@ class DpuNetworkEngine(NetworkEngine):
     def _allocate_core(self) -> PinnedCore:
         return self.node.dpu.allocate_pinned(f"{self.name}-worker")
 
-    def _control_pool(self):
-        return self.node.dpu
-
 
 class CpuNetworkEngine(NetworkEngine):
     """Palladium-CNE: same engine on a host core, SK_MSG IPC (§4.3).
@@ -717,9 +710,6 @@ class CpuNetworkEngine(NetworkEngine):
 
     def _allocate_core(self) -> PinnedCore:
         return self.node.cpu.allocate_pinned(f"{self.name}-worker")
-
-    def _control_pool(self):
-        return self.node.cpu
 
     def _interrupt_penalty_us(self) -> float:
         backlog = self.qos_backlog()

@@ -27,7 +27,8 @@ def to_json(result: ExperimentResult) -> str:
         "name": result.name,
         "columns": result.columns,
         "rows": result.rows,
-        "series": {key: list(map(list, points))
+        "series": {key: [list(p) if isinstance(p, (list, tuple)) else p
+                         for p in points]
                    for key, points in result.series.items()},
         "notes": result.notes,
     }

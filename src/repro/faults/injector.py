@@ -55,8 +55,8 @@ class FaultInjector:
 
         ``ingress`` needs ``fail()``/``recover()`` and a ``healthy``
         flag (:class:`~repro.ingress.PalladiumIngress` has them); the
-        ingress tier's health checks observe the ``healthy`` flip and
-        run the ring re-spray + flow-table sync.
+        balancer fails a connection over on its first request after
+        the ``healthy`` flip.
         """
         self._gateways[name] = ingress
 

@@ -18,7 +18,7 @@ Two usage patterns appear in the data plane:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..sim import Environment, Resource, UtilizationTracker
 
@@ -195,17 +195,6 @@ class CorePool:
 
     #: common compute-context protocol (shared with PinnedCore.run)
     run = execute
-
-    def scheduled_busy_time(self) -> float:
-        """Core-microseconds consumed by scheduled (non-pinned) work.
-
-        Pinned loops hold pool slots, so subtract their occupancy from
-        the raw resource busy time.
-        """
-        now = self.env.now
-        pinned_busy = sum(c.tracker.occupied_time(now) for c in self.pinned
-                          if c._pinned or c.tracker.occupied > 0)
-        return self.resource.busy_time() - pinned_busy
 
     def total_busy_time(self) -> float:
         """Cumulative core-us consumed (scheduled + pinned occupancy).

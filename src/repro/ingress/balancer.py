@@ -36,14 +36,13 @@ class IngressLoadBalancer:
     Exposes the same ``connect``/``submit`` surface as a single
     gateway, so load generators can drive it unchanged.
 
-    The owner map is bounded: entries are evicted when a connection
-    closes (``close`` or the amortized sweep) or when its gateway is
-    removed from rotation (``remove_instance``), so connection churn
-    cannot grow it without limit.
+    An unhealthy gateway's connections fail over to a survivor on
+    their next request.  The owner map is bounded: entries are evicted
+    when a connection closes (``close`` or the amortized sweep), so
+    connection churn cannot grow it without limit.
     """
 
-    def __init__(self, instances: List[PalladiumIngress],
-                 health_check_period_us: float = 0.0):
+    def __init__(self, instances: List[PalladiumIngress]):
         if not instances:
             raise ValueError("balancer needs at least one ingress instance")
         self.instances = instances
@@ -56,9 +55,6 @@ class IngressLoadBalancer:
         self.env = instances[0].env
         self.latency = LatencyStats("lb-e2e")
         self.throughput = RateMeter("lb-rps")
-        #: with a positive period, a health-check loop ejects unhealthy
-        #: instances and moves their connections to survivors (0 = off)
-        self.health_check_period_us = health_check_period_us
         self.failovers = 0
         self.dropped = 0
 
@@ -66,8 +62,6 @@ class IngressLoadBalancer:
         for instance in self.instances:
             instance.siblings = list(self.instances)
             instance.start()
-        if self.health_check_period_us > 0:
-            self.env.process(self._health_loop(), name="lb-health")
 
     def _live(self) -> List[PalladiumIngress]:
         return [i for i in self.instances if i.healthy]
@@ -79,21 +73,6 @@ class IngressLoadBalancer:
             tel.metrics.counter(
                 "gateway_failovers_total",
                 "Gateway failures absorbed by connection re-spray.").inc()
-
-    def _health_loop(self):
-        """Periodically eject dead backends, reassigning their
-        connections over the survivors (stable hashing)."""
-        while True:
-            yield self.env.timeout(self.health_check_period_us)
-            self.prune_closed()
-            live = self._live()
-            if len(live) == len(self.instances) or not live:
-                continue
-            for conn_id, (owner, conn) in list(self._owner.items()):
-                if not owner.healthy:
-                    heir = live[rss_queue(conn_id, len(live))]
-                    self._owner[conn_id] = (heir, conn)
-                    self._count_failover()
 
     def connect(self) -> ClientConnection:
         """Pin a new connection to an instance (stable L4 hashing)."""
@@ -123,7 +102,7 @@ class IngressLoadBalancer:
             return
         owner, _conn = entry
         if not owner.healthy:
-            # Between health checks: fail over on first touch.
+            # Fail over on first touch.
             live = self._live()
             if not live:
                 self.dropped += 1
@@ -147,42 +126,6 @@ class IngressLoadBalancer:
             del self._owner[conn_id]
         return len(stale)
 
-    def remove_instance(self, instance: PalladiumIngress) -> int:
-        """Take a gateway out of rotation, dropping its owner entries.
-
-        Open connections owned by it are re-sprayed over the survivors
-        (as a health-check eject would); closed ones are evicted.
-        """
-        if instance not in self.instances:
-            raise ValueError("instance not part of this balancer")
-        if len(self.instances) == 1:
-            raise ValueError("cannot remove the last ingress instance")
-        self.instances = [i for i in self.instances if i is not instance]
-        moved = 0
-        live = self._live()
-        for conn_id, (owner, conn) in list(self._owner.items()):
-            if owner is not instance:
-                continue
-            if conn.open and live:
-                heir = live[rss_queue(conn_id, len(live))]
-                self._owner[conn_id] = (heir, conn)
-                self._count_failover()
-            else:
-                del self._owner[conn_id]
-            moved += 1
-        return moved
-
     # -- aggregate metrics ----------------------------------------------------
     def completed(self) -> int:
         return sum(i.stats.completed for i in self.instances)
-
-    def accepted(self) -> int:
-        return sum(i.stats.accepted for i in self.instances)
-
-    def paused_instances(self, now: float) -> int:
-        """Instances currently inside a scale-event pause window."""
-        count = 0
-        for instance in self.instances:
-            if any(w._pause_until > now for w in instance.workers):
-                count += 1
-        return count

@@ -27,7 +27,7 @@ from ..hw import Cluster
 from ..memory import MemoryPool, PoolExhausted
 from ..net import FStack, HttpProcessor, HttpRequest, HttpResponse
 from ..rdma import ConnectionManager, Opcode, RdmaFabric, WorkRequest
-from ..sim import Environment, LatencyStats, RateMeter, Store
+from ..sim import Environment, LatencyStats, RateMeter
 
 from .gateway import Autoscaler, ClientConnection, GatewayStats, GatewayWorker, rss_pick
 
@@ -110,10 +110,6 @@ class PalladiumIngress:
 
     def recover(self) -> None:
         self.healthy = True
-
-    def load(self) -> int:
-        """Outstanding requests — the tier's bounded-load ECMP signal."""
-        return len(self._pending)
 
     # -- setup ----------------------------------------------------------------
     def add_tenant(self, tenant: str, buffers: int = 256, buffer_bytes: int = 8192) -> None:

@@ -11,19 +11,18 @@ This module is that tier, as three composable layers:
 
 * :class:`ConsistentHashRing` — the L1 spray layer.  Flows map onto N
   gateways through a virtual-node hash ring; ``lookup`` is the stable
-  ECMP decision and ``lookup_bounded`` adds bounded-load overflow (a
-  flow whose home gateway is above ``c × mean load`` walks clockwise
-  to the first underloaded one).  Removing a gateway moves only the
-  flows it owned — the property failover leans on.
+  ECMP decision.  Removing a gateway moves only the flows it owned —
+  the property failover leans on.
 * :class:`FlowTable` — one per gateway (L2).  A bounded table of
   pinned *hot* flows served at the DPU fast-path cost; lookups that
   miss are *punts* to the gateway slow path, which installs an entry
   (LRU eviction, per-tenant entry quotas so one tenant cannot
   monopolize the fast path).
-* :class:`GatewayTier` — glue: the ring plus per-gateway shards,
-  health/failover bookkeeping (ring re-spray + flow-table state sync
-  to each flow's successor; misses during the sync window pay the
-  cold-punt cost rather than erroring), and the tier metric counters.
+* :class:`GatewayTier` — glue: the ring plus per-gateway shards, the
+  hot/cold split (``classify``), health/failover bookkeeping (ring
+  re-spray + flow-table state sync to each flow's successor; misses
+  during the sync window pay the cold-punt cost rather than
+  erroring), and the tier metric counters.
 
 The tier is driven by :mod:`repro.workloads.aggregate`'s
 flow-aggregate model; over real gateway instances the one balancer is
@@ -34,6 +33,7 @@ is opt-in: nothing in the seed experiments constructs a tier.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -52,7 +52,7 @@ def _hash64(key: object) -> int:
 
 
 class ConsistentHashRing:
-    """L1 spray: consistent hashing with virtual nodes + bounded load.
+    """L1 spray: consistent hashing with virtual nodes.
 
     ``vnodes`` virtual points per gateway keep the split even; the
     classic guarantee holds: adding/removing a gateway only remaps the
@@ -69,10 +69,6 @@ class ConsistentHashRing:
         self._members: Dict[str, List[int]] = {}
 
     # -- membership -----------------------------------------------------------
-    @property
-    def members(self) -> List[str]:
-        return sorted(self._members)
-
     def __len__(self) -> int:
         return len(self._members)
 
@@ -94,55 +90,12 @@ class ConsistentHashRing:
         self._ring = [(p, n) for p, n in self._ring if n != name]
 
     # -- lookups --------------------------------------------------------------
-    def _successors(self, flow_key: object) -> Iterable[str]:
-        """Distinct gateways clockwise from the flow's hash point."""
+    def lookup(self, flow_key: object) -> str:
+        """The flow's home gateway: the first virtual node clockwise."""
         if not self._ring:
             raise RuntimeError("hash ring is empty")
-        point = _hash64(flow_key)
-        lo, hi = 0, len(self._ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring[mid][0] < point:
-                lo = mid + 1
-            else:
-                hi = mid
-        seen = set()
-        for index in range(lo, lo + len(self._ring)):
-            name = self._ring[index % len(self._ring)][1]
-            if name not in seen:
-                seen.add(name)
-                yield name
-
-    def lookup(self, flow_key: object) -> str:
-        """The flow's home gateway (pure consistent hashing)."""
-        return next(iter(self._successors(flow_key)))
-
-    def lookup_bounded(self, flow_key: object, load: Dict[str, float],
-                       capacity_factor: float = 1.25) -> str:
-        """Bounded-load ECMP: spill past gateways above ``c × mean``.
-
-        With every gateway at or above the bound (uniform overload)
-        the home gateway wins — the bound only sheds hot spots.
-        """
-        members = self._members
-        if not members:
-            raise RuntimeError("hash ring is empty")
-        mean = sum(load.get(n, 0.0) for n in members) / len(members)
-        bound = capacity_factor * max(mean, 1.0)
-        home = None
-        for name in self._successors(flow_key):
-            if home is None:
-                home = name
-            if load.get(name, 0.0) < bound:
-                return name
-        return home
-
-    def successor(self, flow_key: object, exclude: str) -> Optional[str]:
-        """Where a flow lands once ``exclude`` leaves the ring."""
-        for name in self._successors(flow_key):
-            if name != exclude:
-                return name
-        return None
+        index = bisect_left(self._ring, (_hash64(flow_key),))
+        return self._ring[index % len(self._ring)][1]
 
 
 class _FlowEntry:
@@ -265,26 +218,17 @@ class FlowTable:
 
 
 class GatewayShard:
-    """One L2 gateway: its flow table, health, and load estimate."""
+    """One L2 gateway: its flow table and health."""
 
-    def __init__(self, name: str, table: FlowTable, backend=None):
+    def __init__(self, name: str, table: FlowTable):
         self.name = name
         self.table = table
-        #: the real PalladiumIngress (DES wiring) or a capacity model
-        self.backend = backend
         self.healthy = True
         #: state-sync deadline after inheriting flows (absorbed entries
         #: only become hot once the sync completes)
         self.sync_until = 0.0
         #: entries in flight to this shard, installed at ``sync_until``
         self._pending_sync: List[Tuple[object, str, int]] = []
-
-    def load(self) -> float:
-        """Outstanding work at the gateway (bounded-load signal)."""
-        backend = self.backend
-        if backend is not None and hasattr(backend, "load"):
-            return float(backend.load())
-        return float(self.table.occupied)
 
     def absorb_pending(self, now: float) -> int:
         """Install synced entries once the sync window has elapsed."""
@@ -301,19 +245,16 @@ class GatewayShard:
 class GatewayTier:
     """The assembled tier: ring + shards + failover + metrics.
 
-    Time is passed in explicitly (``now``) so the same object serves
-    both the discrete-event wiring and the epoch-driven aggregate
-    model.  Metric counters are plain ints; :meth:`publish` exports
-    them into a telemetry registry when one is installed.
+    Time is passed in explicitly (``now``) by the caller, the
+    epoch-driven aggregate model.  Metric counters are plain ints,
+    read through :meth:`counters`.
     """
 
     def __init__(self, gateway_names: Iterable[str],
                  table_capacity: int = 65_536,
                  tenant_quota: Optional[int] = None,
                  vnodes: int = 64,
-                 capacity_factor: float = 1.25,
-                 sync_us: float = 2_000.0,
-                 backends: Optional[Dict[str, object]] = None):
+                 sync_us: float = 2_000.0):
         names = list(gateway_names)
         if not names:
             raise ValueError("tier needs at least one gateway")
@@ -321,15 +262,12 @@ class GatewayTier:
             raise ValueError("duplicate gateway names")
         self.ring = ConsistentHashRing(vnodes=vnodes)
         self.shards: Dict[str, GatewayShard] = {}
-        backends = backends or {}
         for name in names:
             self.ring.add(name)
             self.shards[name] = GatewayShard(
-                name, FlowTable(table_capacity, tenant_quota),
-                backend=backends.get(name))
-        self.capacity_factor = capacity_factor
+                name, FlowTable(table_capacity, tenant_quota))
         self.sync_us = sync_us
-        #: spray decisions per gateway (ingress_tier_spray_total)
+        #: spray decisions per gateway, counted by the caller
         self.spray_total: Dict[str, int] = {n: 0 for n in names}
         self.failovers = 0
 
@@ -337,29 +275,18 @@ class GatewayTier:
     def live_shards(self) -> List[GatewayShard]:
         return [s for s in self.shards.values() if s.healthy]
 
-    def assign(self, flow_key: object, bounded: bool = False) -> GatewayShard:
-        """L1 spray: pick the owning gateway for a flow."""
-        if bounded:
-            load = {n: s.load() for n, s in self.shards.items()
-                    if s.healthy}
-            name = self.ring.lookup_bounded(flow_key, load,
-                                            self.capacity_factor)
-        else:
-            name = self.ring.lookup(flow_key)
-        self.spray_total[name] += 1
-        return self.shards[name]
-
     def classify(self, shard: GatewayShard, flow_id: object, tenant: str,
-                 now: float, size: int = 1) -> bool:
+                 now: float, size: int = 1, count: int = 1) -> bool:
         """Hot/cold split at the owning gateway.
 
         Returns True for a fast-path hit.  A miss is a slow-path punt
         that installs the flow (unless the tenant quota rejects it);
         during a post-failover sync window inherited entries are still
         in flight, so the miss pays the punt cost instead of erroring.
+        ``count`` accounts that many requests of the flow at once.
         """
         shard.absorb_pending(now)
-        if shard.table.lookup(flow_id):
+        if shard.table.lookup(flow_id, count=count):
             return True
         shard.table.install(flow_id, tenant, size)
         return False
@@ -414,30 +341,3 @@ class GatewayTier:
                                                for t in tables),
             "gateway_failovers": self.failovers,
         }
-
-    def publish(self, metrics) -> None:
-        """Export the tier counters into a MetricsRegistry (absolute
-        counter values; call once per run — purely passive)."""
-        spray = metrics.counter(
-            "ingress_tier_spray_total",
-            "L1 spray decisions per gateway.", labels=("gateway",))
-        for name in sorted(self.spray_total):
-            child = spray.labels(name)
-            child.inc(self.spray_total[name] - child.value)
-        totals = self.counters()
-        for metric, help_text, key in (
-            ("flow_table_hits_total",
-             "Fast-path (hot flow) hits across the tier.",
-             "flow_table_hits"),
-            ("flow_table_punts_total",
-             "Slow-path punts (cold/new flows) across the tier.",
-             "flow_table_punts"),
-            ("flow_table_evictions_total",
-             "Flow-table LRU evictions across the tier.",
-             "flow_table_evictions"),
-            ("gateway_failovers_total",
-             "Gateway failures absorbed by ring re-spray.",
-             "gateway_failovers"),
-        ):
-            child = metrics.counter(metric, help_text)
-            child.inc(totals[key] - child.value())

@@ -94,7 +94,3 @@ class SockMap:
         socket = self.lookup(dst_fn)
         socket.inbox.put_nowait(descriptor)
         self.messages += 1
-
-    def interrupt_cost(self) -> float:
-        """Host-core us the receiver pays per wakeup (interrupt path)."""
-        return self.cost.sk_msg_interrupt_us

@@ -30,7 +30,7 @@ from ..memory import (
     create_from_export,
 )
 from ..rdma import RdmaFabric
-from ..sim import Environment, Store
+from ..sim import Environment
 
 from .coordinator import Coordinator
 from .function import FunctionInstance, FunctionSpec
@@ -180,15 +180,9 @@ class ServerlessPlatform:
             )
 
     # -- deployment -----------------------------------------------------------
-    def deploy(self, spec: FunctionSpec, node_name: str,
-               publish_routes: bool = True) -> FunctionInstance:
-        """Deploy a function instance onto a worker node.
-
-        ``publish_routes=False`` is the two-phase variant the paid
-        provisioning path uses: placement is declared but no route
-        table learns the function until the caller drives
-        ``coordinator.function_published`` (after QP+MR setup).
-        """
+    def deploy(self, spec: FunctionSpec, node_name: str) -> FunctionInstance:
+        """Deploy a function instance onto a worker node and publish
+        its routes through the coordinator."""
         if spec.name in self.functions:
             raise ValueError(f"function {spec.name!r} already deployed")
         if spec.tenant not in self.tenants:
@@ -201,19 +195,11 @@ class ServerlessPlatform:
         # where the function is not local (§3.1)
         for other in self.runtimes.values():
             other.endpoint_tenants.setdefault(spec.name, spec.tenant)
-        if publish_routes:
-            self.coordinator.function_created(spec.name, node_name)
-        else:
-            self.coordinator.function_declared(spec.name, node_name)
+        self.coordinator.function_created(spec.name, node_name)
         self.functions[spec.name] = instance
         if self._started:
             instance.start()
         return instance
-
-    def register_adapter(self, node_name: str, adapter_id: str, inbox: Store) -> None:
-        """Register a pseudo-function endpoint (ingress/TCP adapters)."""
-        self.runtimes[node_name].register_endpoint(adapter_id, inbox)
-        self.coordinator.function_created(adapter_id, node_name)
 
     def register_external(self, fn_id: str, node_name: str) -> None:
         """Publish a route for an endpoint living off-worker (ingress)."""
@@ -469,27 +455,6 @@ class ServerlessPlatform:
             conns.labels(name, "active").set(mgr.active_count())
             conns.labels(name, "pooled").set(mgr.pooled_count())
             conns.labels(name, "evicted").set(mgr.evicted_qps)
-
-    def dataplane_cpu_pct(self, since: float = 0.0,
-                          baseline: Optional[Dict[str, float]] = None) -> float:
-        """Worker CPU spent on the data plane, % of one core.
-
-        Total scheduled+pinned CPU minus the functions' application
-        compute (tracked separately), matching Fig. 16 (4)-(6)'s
-        definition of network-engine efficiency.  ``baseline`` is a
-        :meth:`usage_snapshot` taken at ``since``.
-        """
-        elapsed = self.env.now - since
-        if elapsed <= 0:
-            return 0.0
-        baseline = baseline or {}
-        total = sum(
-            r.node.cpu.total_busy_time() - baseline.get(f"cpu:{name}", 0.0)
-            for name, r in self.runtimes.items()
-        )
-        app = (sum(f.app_time_us for f in self.functions.values())
-               - baseline.get("app", 0.0))
-        return max(0.0, 100.0 * (total - app) / elapsed)
 
     def dpu_cpu_pct(self, since: float = 0.0,
                     baseline: Optional[Dict[str, float]] = None) -> float:

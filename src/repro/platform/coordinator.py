@@ -8,7 +8,7 @@ route view).  The coordinator is strictly off the data path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from ..dne.routing import InterNodeRoutes
 
@@ -27,42 +27,17 @@ class Coordinator:
         self.events: List[tuple] = []
         #: nodes currently marked failed (routes withdrawn, placement kept)
         self.failed_nodes: set = set()
-        #: functions declared but not yet published (two-phase deploy:
-        #: the paid provisioning path declares, pays QP+MR setup, then
-        #: publishes — no request can route to a half-provisioned
-        #: replica)
-        self.unpublished: set = set()
 
     def subscribe(self, routes: InterNodeRoutes) -> None:
         """Register a route table; it immediately receives known routes."""
         self._subscribers.append(routes)
         for fn_id, node in self.placement.items():
-            if fn_id not in self.unpublished:
-                routes.set_route(fn_id, node)
+            routes.set_route(fn_id, node)
 
     def function_created(self, fn_id: str, node: str) -> None:
         """Publish a new function's placement cluster-wide."""
         self.placement[fn_id] = node
         self.events.append(("created", fn_id, node))
-        for routes in self._subscribers:
-            routes.set_route(fn_id, node)
-
-    def function_declared(self, fn_id: str, node: str) -> None:
-        """Record placement *without* publishing routes (phase one).
-
-        The replica exists and owns its endpoint, but no route table
-        knows it yet — the provisioning path publishes only after the
-        control-plane setup (QP handshakes, MR registration) is paid.
-        """
-        self.placement[fn_id] = node
-        self.unpublished.add(fn_id)
-        self.events.append(("declared", fn_id, node))
-
-    def function_published(self, fn_id: str) -> None:
-        """Publish a previously declared function's routes (phase two)."""
-        node = self.placement[fn_id]
-        self.unpublished.discard(fn_id)
-        self.events.append(("published", fn_id, node))
         for routes in self._subscribers:
             routes.set_route(fn_id, node)
 
@@ -84,7 +59,6 @@ class Coordinator:
     def function_terminated(self, fn_id: str) -> None:
         """Withdraw a function's routes cluster-wide."""
         self.placement.pop(fn_id, None)
-        self.unpublished.discard(fn_id)
         self.events.append(("terminated", fn_id))
         for routes in self._subscribers:
             routes.remove_route(fn_id)
@@ -123,8 +97,7 @@ class Coordinator:
         if node not in self.failed_nodes:
             return []
         self.failed_nodes.discard(node)
-        restored = [fn for fn in self.functions_on(node)
-                    if fn not in self.unpublished]
+        restored = self.functions_on(node)
         for fn_id in restored:
             for routes in self._subscribers:
                 routes.set_route(fn_id, node)

@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from ..sim import Environment
-
 from .cluster import ServerlessPlatform
 from .function import FunctionInstance, FunctionSpec
 
@@ -70,8 +68,6 @@ class ElasticPlatform(ServerlessPlatform):
         self._replica_seq: Dict[str, itertools.count] = {}
         #: node -> replica ids pulled from rotation by a node failure
         self._failed_replicas: Dict[str, List[str]] = {}
-        #: replica id -> its provisioned MR handle (paid spin-up path)
-        self._mr_handles: Dict[str, object] = {}
         # Patch service resolution into every node's send path.
         for runtime in self.runtimes.values():
             runtime.resolve_service = self._resolve  # type: ignore[attr-defined]
@@ -104,58 +100,6 @@ class ElasticPlatform(ServerlessPlatform):
         group.add(replica_spec.name)
         return instance
 
-    def provision_replica(self, spec: FunctionSpec, node_name: str,
-                          state_bytes: int = 1 << 20):
-        """Generator: scale out one replica paying *real* setup costs.
-
-        The honest counterpart of :meth:`scale_out` (which stays free
-        and synchronous — the administrative record only).  This path
-        walks the Swift-style control-plane bill a cold replica really
-        pays before it can serve:
-
-        1. declare placement (routes stay unpublished — no request can
-           reach a half-provisioned replica);
-        2. register the replica's working-set memory region with the
-           node's RNIC (eager policy; the lazy policy defers to first
-           use via the returned handle);
-        3. establish/promote RC connections toward every live peer
-           engine and the ingress;
-        4. publish routes and join the service rotation.
-
-        Returns ``(instance, mr_handle)``.
-        """
-        group = self.services.get(spec.name)
-        if group is None:
-            raise KeyError(f"unknown service {spec.name!r}; deploy_service first")
-        index = next(self._replica_seq[spec.name])
-        replica_spec = FunctionSpec(
-            name=f"{spec.name}#{index}",
-            tenant=spec.tenant,
-            handler=spec.handler,
-            work_us=spec.work_us,
-            concurrency=spec.concurrency,
-            response_bytes=spec.response_bytes,
-        )
-        instance = self.deploy(replica_spec, node_name, publish_routes=False)
-        runtime = self.runtimes[node_name]
-        cp = self.fabric.control_plane(node_name)
-        handle = cp.mr_handle(spec.tenant, state_bytes)
-        self._mr_handles[replica_spec.name] = handle
-        if cp.wants_eager_mr:
-            yield from handle.acquire(cpu=runtime.node.cpu)
-        engine = self.engines.get(node_name)
-        if engine is not None:
-            peers = [n for n in sorted(self.engines)
-                     if n != node_name and self.runtimes[n].alive]
-            if "ingress" in self.fabric.nodes:
-                peers.append("ingress")
-            for peer in peers:
-                yield from engine.conn_mgr.ensure_active(
-                    peer, spec.tenant, fn=replica_spec.name)
-        self.coordinator.function_published(replica_spec.name)
-        group.add(replica_spec.name)
-        return instance, handle
-
     def scale_in(self, service: str, instance_id: Optional[str] = None) -> str:
         """Retire one replica: withdraw routes, then let it drain.
 
@@ -173,11 +117,6 @@ class ElasticPlatform(ServerlessPlatform):
         # Coordinator withdraws routes cluster-wide; the instance object
         # stays alive to drain its queue (§3.5.5 termination events).
         self.coordinator.function_terminated(victim)
-        # A provisioned replica releases its memory region so repeated
-        # churn does not accrete MTT state (dereg itself is free).
-        handle = self._mr_handles.pop(victim, None)
-        if handle is not None:
-            handle.release()
         return victim
 
     def replica_count(self, service: str) -> int:

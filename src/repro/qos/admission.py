@@ -81,9 +81,6 @@ class AdmissionGate:
         #: (tenant, reason) -> rejections, for per-class goodput reports
         self.rejections: Dict[tuple, int] = {}
 
-    def policy_for(self, tenant: str) -> Optional[TenantQosPolicy]:
-        return self.policies.get(tenant)
-
     def admit(self, tenant: str,
               estimated_delay_us: float = 0.0) -> Optional[str]:
         """``None`` admits; otherwise the rejection reason.

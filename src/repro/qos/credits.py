@@ -83,10 +83,6 @@ class CreditController:
     def outstanding(self, tenant: str) -> int:
         return self._outstanding.get(tenant, 0)
 
-    def waiting(self, tenant: str) -> int:
-        queue = self._waiters.get(tenant)
-        return len(queue) if queue else 0
-
     # -- acquire / release ----------------------------------------------------
     def try_acquire(self, tenant: str) -> bool:
         """Grant a credit now if the window allows (no queue jumping)."""

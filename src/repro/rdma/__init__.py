@@ -12,7 +12,7 @@ from .controlplane import (
     make_prewarm_policy,
 )
 from .fabric import RdmaFabric
-from .locks import DistributedLock, LockStats, Rendezvous
+from .locks import DistributedLock, LockStats
 from .mr import MemoryRegion, MemoryRegionTable, RegistrationError
 from .qp import (
     IllegalTransition,
@@ -50,7 +50,6 @@ __all__ = [
     "RdmaFabric",
     "ReceiveBufferRegistry",
     "RegistrationError",
-    "Rendezvous",
     "Rnic",
     "SharedReceiveQueue",
     "WorkRequest",

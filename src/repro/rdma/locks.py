@@ -1,31 +1,25 @@
 """Distributed synchronization for the one-sided baselines (§2.1, Fig. 2).
 
 The paper's OWDL baseline coordinates one-sided writes with either a
-distributed lock or MPI-style rendezvous.  Both are implemented here so
-Fig. 12 can benchmark them against two-sided RDMA:
-
-* :class:`DistributedLock` — spin on a remote 8-byte word with RDMA
-  CAS; release with a CAS back to 0.  Each acquire attempt costs a full
-  fabric round trip, which is exactly why OWDL loses.
-* :class:`Rendezvous` — the receiver announces a ready buffer, the
-  sender waits for that announcement before writing (RDMA-read-based
-  rendezvous of Sur et al.), costing an extra control round trip.
+distributed lock or MPI-style rendezvous.  Fig. 12 benchmarks the lock
+variant against two-sided RDMA, so the lock is what is modelled here:
+:class:`DistributedLock` spins on a remote 8-byte word with RDMA CAS
+and releases with a CAS back to 0.  Each acquire attempt costs a full
+fabric round trip, which is exactly why OWDL loses.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict
-
 from ..config import CostModel
-from ..sim import Environment, FilterStore
+from ..sim import Environment
 
 from .fabric import RdmaFabric
 from .qp import QueuePair
 from .rnic import AtomicWord
 from .verbs import Opcode, WorkRequest
 
-__all__ = ["DistributedLock", "Rendezvous", "LockStats"]
+__all__ = ["DistributedLock", "LockStats"]
 
 
 class LockStats:
@@ -86,35 +80,3 @@ class DistributedLock:
             raise RuntimeError(
                 f"lock {self.word.name} released by non-holder {holder_id} (word={old})"
             )
-
-
-class Rendezvous:
-    """Receiver-announced buffer readiness for one-sided transfers.
-
-    The receiver calls :meth:`announce` when a buffer is safe to write;
-    the sender's :meth:`await_ready` blocks until an announcement for
-    its flow arrives (carried over the fabric as a small control
-    message, one extra one-way latency).
-    """
-
-    def __init__(self, env: Environment, fabric: RdmaFabric, cost: CostModel):
-        self.env = env
-        self.fabric = fabric
-        self.cost = cost
-        self._ready: Dict[str, FilterStore] = {}
-
-    def _store(self, node: str) -> FilterStore:
-        if node not in self._ready:
-            self._ready[node] = FilterStore(self.env, name=f"rendezvous:{node}")
-        return self._ready[node]
-
-    def announce(self, sender_node: str, receiver_node: str, flow: str, buffer):
-        """Generator: receiver tells the sender ``buffer`` is writable."""
-        link = self.fabric.link(receiver_node, sender_node)
-        yield from link.transmit(32)
-        self._store(sender_node).put({"flow": flow, "buffer": buffer})
-
-    def await_ready(self, sender_node: str, flow: str):
-        """Generator: sender waits for a writable remote buffer."""
-        item = yield self._store(sender_node).get(lambda m: m["flow"] == flow)
-        return item["buffer"]

@@ -73,11 +73,6 @@ class MemoryRegionTable:
         self._total_mtt += region.mtt_entries
         return region
 
-    def deregister_pool(self, pool: MemoryPool) -> None:
-        region = self._regions.pop(id(pool), None)
-        if region is not None:
-            self._total_mtt -= region.mtt_entries
-
     def register_region(self, tenant: str, mtt_entries: int) -> MemoryRegion:
         """Register a standalone (pool-less) region.
 

@@ -13,7 +13,6 @@ from .core import (
 from .monitor import LatencyStats, RateMeter, TimeSeries, UtilizationTracker
 from .resources import FilterStore, Request, Resource, Store
 from .rng import FAULT_STREAM, RngRegistry
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -33,7 +32,5 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "UtilizationTracker",
 ]

@@ -351,19 +351,6 @@ class Slo:
             return (1.0, 0.0)
         return (min(good / total, 1.0), total)
 
-    def burn_rates(self, monitor, t: float) -> Dict[str, float]:
-        """Burn rate over every distinct window length (for series)."""
-        out: Dict[str, float] = {}
-        for w in self.windows:
-            for tag, length in (("long", w.long_us), ("short", w.short_us)):
-                label = f"{w.name}_{tag}"
-                ratio, total = self._window_ratio(monitor, t, length)
-                if total < self.min_events:
-                    out[label] = 0.0
-                else:
-                    out[label] = (1.0 - ratio) / self.budget
-        return out
-
     def evaluate(self, monitor, t: float) -> List[Dict[str, Any]]:
         """Advance alert state; returns transition records (if any).
 

@@ -18,8 +18,6 @@ part of it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .metrics import MetricsRegistry
 from .profiler import CycleLedger
 from .spans import SpanTracer
@@ -54,11 +52,6 @@ class Telemetry:
             from .monitor import Monitor
             Monitor.install(self, **kwargs)
         return self.monitor
-
-    @staticmethod
-    def of(env) -> Optional["Telemetry"]:
-        """The telemetry installed on ``env``, or None."""
-        return getattr(env, "telemetry", None)
 
     def uninstall(self) -> None:
         """Disable this telemetry (data stays readable)."""

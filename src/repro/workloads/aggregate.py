@@ -362,12 +362,10 @@ class FlowAggregateModel:
             shard = self.tier.shards[name]
             self.tier.spray_total[name] += n
             self.admitted += n
-            shard.absorb_pending(now)
-            if shard.table.lookup(bucket.key, count=n):
+            if self.tier.classify(shard, bucket.key, bucket.tenant, now,
+                                  size=bucket.flows, count=n):
                 self._hot_q[name].append(_QueueItem(n, bucket, now))
             else:
-                shard.table.install(bucket.key, bucket.tenant,
-                                    size=bucket.flows)
                 self._cold_q[name].append(_QueueItem(n, bucket, now))
 
     def _shed(self, live: List[str]) -> None:

@@ -14,7 +14,7 @@ function pair through the platform API — used by the microbenchmarks
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from ..hw import Cluster
 from ..net import HttpRequest
@@ -61,17 +61,15 @@ class ClosedLoopClient:
         self.rejected = 0
         self.reconnects = 0
         self.disconnected = False
-        self._stop = False
 
-    def stop(self) -> None:
-        self._stop = True
+    def run(self, throughput: RateMeter):
+        """Generator: the closed request loop.
 
-    def run(self, max_requests: Optional[int] = None):
-        """Generator: the closed request loop."""
+        Each completed request is recorded in this client's ``latency``
+        and in ``throughput`` (the fleet's shared meter).
+        """
         conn = self.gateway.connect()
-        while not self._stop and not self.disconnected:
-            if max_requests is not None and self.completed + self.errors >= max_requests:
-                break
+        while not self.disconnected:
             request = HttpRequest(self.path, body=self.payload,
                                   body_bytes=self.body_bytes)
             t0 = self.env.now
@@ -103,6 +101,7 @@ class ClosedLoopClient:
                 continue
             self.latency.record(self.env.now - t0)
             self.completed += 1
+            throughput.record(self.env.now)
             if self.think_us:
                 yield self.env.timeout(self.think_us)
         conn.open = False
@@ -129,42 +128,8 @@ class ClientFleet:
                     name=f"client{len(self.clients)}", **self.client_kwargs,
                 )
                 self.clients.append(client)
-                self.env.process(self._instrumented(client), name=client.name)
-
-    def _instrumented(self, client: ClosedLoopClient):
-        conn = client.gateway.connect()
-        while not client._stop and not client.disconnected:
-            request = HttpRequest(client.path, body=client.payload,
-                                  body_bytes=client.body_bytes)
-            t0 = self.env.now
-            yield from self.cluster.ether_up.transmit(request.wire_bytes)
-            client.gateway.submit(conn, request)
-            response_event = conn.inbox.get()
-            if client.timeout_us is None:
-                response = yield response_event
-            else:
-                timeout = self.env.timeout(client.timeout_us)
-                yield AnyOf(self.env, [response_event, timeout])
-                if not response_event.triggered:
-                    client.errors += 1
-                    conn.open = False
-                    if not client.reconnect:
-                        client.disconnected = True
-                        break
-                    yield self.env.timeout(client.reconnect_us)
-                    conn = client.gateway.connect()
-                    client.reconnects += 1
-                    continue
-                response = response_event.value
-            if getattr(response, "status", 200) != 200:
-                client.rejected += 1
-                continue
-            client.latency.record(self.env.now - t0)
-            client.completed += 1
-            self.throughput.record(self.env.now)
-            if client.think_us:
-                yield self.env.timeout(client.think_us)
-        conn.open = False
+                self.env.process(client.run(self.throughput),
+                                 name=client.name)
 
     def ramp(self, interval_us: float, clients_per_step: int = 1,
              connections_per_client: int = 1, steps: int = 10):
@@ -173,19 +138,12 @@ class ClientFleet:
             self.spawn(clients_per_step, connections_per_client)
             yield self.env.timeout(interval_us)
 
-    def stop_all(self) -> None:
-        for client in self.clients:
-            client.stop()
-
     # -- aggregate metrics ---------------------------------------------------
     def total_completed(self) -> int:
         return sum(c.completed for c in self.clients)
 
     def total_errors(self) -> int:
         return sum(c.errors for c in self.clients)
-
-    def total_rejected(self) -> int:
-        return sum(c.rejected for c in self.clients)
 
     def disconnected_count(self) -> int:
         return sum(1 for c in self.clients if c.disconnected)

@@ -130,6 +130,16 @@ def test_json_round_trip():
     assert restored.notes == original.notes
 
 
+def test_json_round_trip_keeps_a_flat_series():
+    # Regression: fig15 stores its tick axis as a flat list of floats,
+    # and to_json raised TypeError on it (so --all --json crashed).
+    original = sample_result()
+    original.add_series("ticks", [0.0, 1e6, 2e6])
+    restored = from_json(to_json(original))
+    assert restored.series["ticks"] == [0.0, 1e6, 2e6]
+    assert restored.series["ts"] == [(0.0, 1.0), (1.0, 2.0)]
+
+
 def test_json_version_check():
     import json
     bad = json.dumps({"version": 99, "name": "x", "columns": [], "rows": []})

@@ -400,42 +400,8 @@ def test_function_scope_gives_private_pools():
 
 
 # ---------------------------------------------------------------------------
-# paid replica provisioning (two-phase deploy)
+# replica scale-out
 # ---------------------------------------------------------------------------
-
-def test_provision_replica_pays_setup_and_publishes_late():
-    env = Environment()
-    plat = ElasticPlatform(env)
-    plat.add_tenant(Tenant("t1", pool_buffers=64))
-    spec = FunctionSpec("svc", "t1", work_us=5)
-    plat.deploy_service(spec, "worker1", replicas=1)
-    plat.start()
-    out = {}
-
-    def body():
-        instance, handle = yield from plat.provision_replica(
-            spec, "worker0", state_bytes=1 << 20)
-        out["instance"] = instance
-        out["handle"] = handle
-        out["t_done"] = env.now
-
-    env.process(body())
-    # the started platform's engine threads run forever; bound the run
-    env.run(until=500_000.0)
-    assert out["t_done"] > 0  # QP + MR setup took simulated time
-    assert out["handle"].registered  # eager policy registered up front
-    name = out["instance"].spec.name
-    events = [e for e in plat.coordinator.events if e[1] == name]
-    kinds = [e[0] for e in events]
-    assert kinds.index("declared") < kinds.index("published")
-    assert name not in plat.coordinator.unpublished
-    assert name in plat.services["svc"].replicas
-    # scale_in releases the provisioned region again
-    mrt = plat.fabric.rnic("worker0").mrt
-    entries = mrt.total_mtt_entries
-    plat.scale_in("svc", name)
-    assert mrt.total_mtt_entries < entries
-
 
 def test_scale_out_remains_free_and_synchronous():
     env = Environment()

@@ -700,7 +700,7 @@ def test_injector_mempool_exhaustion_blocks_then_releases():
 
 
 # ---------------------------------------------------------------------------
-# ingress health checks (balancer level)
+# ingress failover (balancer level)
 # ---------------------------------------------------------------------------
 
 class _FakeIngress:
@@ -723,27 +723,12 @@ class _FakeIngress:
         self.submitted.append(request)
 
 
-def test_balancer_health_loop_ejects_dead_instance():
-    from repro.ingress import IngressLoadBalancer
-    env = Environment()
-    instances = [_FakeIngress(env), _FakeIngress(env)]
-    lb = IngressLoadBalancer(instances, health_check_period_us=1_000.0)
-    lb.start()
-    conns = [lb.connect() for _ in range(8)]
-    victim = instances[0]
-    victim.healthy = False
-    env.run(until=2_500)
-    # every connection owned by the dead instance was reassigned
-    assert all(owner is instances[1] for owner, _conn in lb._owner.values())
-    assert lb.failovers >= 1
-
-
 def test_balancer_submit_fails_over_between_health_checks():
     from repro.ingress import IngressLoadBalancer
     from repro.net import HttpRequest
     env = Environment()
     instances = [_FakeIngress(env), _FakeIngress(env)]
-    lb = IngressLoadBalancer(instances)  # no health loop
+    lb = IngressLoadBalancer(instances)
     lb.start()
     conn = lb.connect()
     owner, _conn = lb._owner[conn.conn_id]
@@ -770,20 +755,6 @@ def test_balancer_owner_map_bounded_under_connection_churn():
     assert len(lb._owner) < 1_000
     lb.prune_closed()
     assert len(lb._owner) == 0
-
-
-def test_balancer_remove_instance_resprays_connections():
-    from repro.ingress import IngressLoadBalancer
-    env = Environment()
-    instances = [_FakeIngress(env), _FakeIngress(env)]
-    lb = IngressLoadBalancer(instances)
-    lb.start()
-    conns = [lb.connect() for _ in range(8)]
-    lb.remove_instance(instances[0])
-    assert all(owner is instances[1] for owner, _conn in lb._owner.values())
-    assert len(lb._owner) == 8
-    with pytest.raises(ValueError):
-        lb.remove_instance(instances[1])  # never remove the last one
 
 
 def test_fault_plan_gateway_crash_expands_to_restart():

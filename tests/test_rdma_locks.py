@@ -1,10 +1,10 @@
-"""Tests for distributed locks and rendezvous (repro.rdma.locks)."""
+"""Tests for distributed locks (repro.rdma.locks)."""
 
 import pytest
 
 from repro.config import CostModel
 from repro.hw import build_cluster
-from repro.rdma import ConnectionManager, DistributedLock, RdmaFabric, Rendezvous
+from repro.rdma import ConnectionManager, DistributedLock, RdmaFabric
 from repro.sim import Environment
 
 
@@ -99,44 +99,3 @@ def test_lock_costs_fabric_round_trips():
     with_qp(env, cm, body)
     # at least one CAS round trip: 2x (rnic + base latency)
     assert timing[0] >= 2 * cost.rdma_base_latency_us
-
-
-def test_rendezvous_sender_waits_for_announcement():
-    env, cost, fabric, cm = setup()
-    rendezvous = Rendezvous(env, fabric, cost)
-    got = []
-
-    def sender():
-        buf = yield from rendezvous.await_ready("worker0", "flow-1")
-        got.append((env.now, buf))
-
-    def receiver():
-        yield env.timeout(100)
-        yield from rendezvous.announce("worker0", "worker1", "flow-1", "BUF")
-
-    env.process(sender())
-    env.process(receiver())
-    env.run()
-    assert got[0][1] == "BUF"
-    assert got[0][0] >= 100 + cost.rdma_base_latency_us
-
-
-def test_rendezvous_flows_are_independent():
-    env, cost, fabric, cm = setup()
-    rendezvous = Rendezvous(env, fabric, cost)
-    got = []
-
-    def sender(flow):
-        buf = yield from rendezvous.await_ready("worker0", flow)
-        got.append((flow, buf))
-
-    def receiver():
-        yield env.timeout(1)
-        yield from rendezvous.announce("worker0", "worker1", "b", "B")
-        yield from rendezvous.announce("worker0", "worker1", "a", "A")
-
-    env.process(sender("a"))
-    env.process(sender("b"))
-    env.process(receiver())
-    env.run()
-    assert sorted(got) == [("a", "A"), ("b", "B")]

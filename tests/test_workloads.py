@@ -167,6 +167,67 @@ def test_direct_driver_stop():
 
 
 # ---------------------------------------------------------------------------
+# ClientFleet (closed-loop wrk clients)
+# ---------------------------------------------------------------------------
+
+class _ScriptedGateway:
+    """Duck-typed gateway that answers from a script of statuses.
+
+    Each ``submit`` takes the next entry: an HTTP status is answered at
+    once, ``None`` drops the request.  Once the script runs out every
+    request is dropped.
+    """
+
+    def __init__(self, env, script):
+        self.env = env
+        self.script = list(script)
+        self.connections = []
+        self.submitted = 0
+
+    def connect(self):
+        from repro.ingress.gateway import ClientConnection
+        conn = ClientConnection(self.env)
+        self.connections.append(conn)
+        return conn
+
+    def submit(self, conn, request):
+        from repro.net import HttpResponse
+        self.submitted += 1
+        status = self.script.pop(0) if self.script else None
+        if status is not None:
+            conn.inbox.put_nowait(
+                HttpResponse(status, request_id=request.request_id))
+
+
+def test_client_fleet_accounts_ok_shed_and_timeout():
+    from repro.hw import build_cluster
+    from repro.workloads import ClientFleet
+    env = Environment()
+    gateway = _ScriptedGateway(env, [200, 503, None, 200])
+    fleet = ClientFleet(env, build_cluster(env), gateway,
+                        timeout_us=1_000.0, reconnect=True,
+                        reconnect_us=500.0)
+    fleet.spawn(1)
+    # request 5 is dropped too; stop before its timeout fires
+    env.run(until=2_000.0)
+    (client,) = fleet.clients
+    assert client.completed == 2
+    assert client.rejected == 1
+    assert client.errors == 1
+    assert client.reconnects == 1
+    assert not client.disconnected
+    assert gateway.submitted == 5
+    # the timed-out connection was torn down and a new one dialled
+    assert [c.open for c in gateway.connections] == [False, True]
+    assert fleet.total_completed() == 2 and fleet.total_errors() == 1
+    # a completion is counted once by the fleet meter and once in the
+    # client's latency; sheds and timeouts record in neither
+    assert fleet.throughput.count == fleet.total_completed()
+    for c in fleet.clients:
+        assert c.latency.count == c.completed
+
+
+# ---------------------------------------------------------------------------
 # Tenant traces (Fig. 15)
 # ---------------------------------------------------------------------------
 
