@@ -125,6 +125,7 @@ def run_trace_smoke(
             fh.write(tracer.to_chrome_json())
     return {
         "spans": len(tracer.spans),
+        "recorded": tracer.recorded,
         "traces": len(tracer.trace_ids()),
         "events": len(trace["traceEvents"]),
         "schema_errors": errors,

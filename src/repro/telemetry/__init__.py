@@ -21,9 +21,10 @@ Two derived layers build on the pillars (ISSUE 7):
     burn-rate alerts, evaluated in simulated time by piggybacking on
     metric observations (attach with ``tel.attach_monitor()``).
 ``critpath``
-    Post-hoc critical-path analysis over the span forest: per-request
-    stage attribution (queueing / engine.tx / rdma.send / fn.exec /
-    iolib ...) aggregated into p50/p99 tables and sweep-point diffs.
+    Critical-path analysis over the span forest, run on each trace as
+    its last span closes: per-request stage attribution (queueing /
+    engine.tx / rdma.send / fn.exec / iolib ...) aggregated into
+    p50/p99 tables and sweep-point diffs.
 
 Everything hangs off :class:`Telemetry`, installed on an
 ``Environment`` via ``Telemetry.install(env)``.  When not installed

@@ -15,17 +15,26 @@ p50/p99 stage-attribution table, and two reports diff into a "dominant
 stage shift" between sweep points (the tail moved from the wire to the
 queue, say, when a baseline saturates).
 
-Pure post-processing: reads stored spans only, never the simulation.
+Attribution streams: :class:`~.spans.SpanTracer` calls
+:func:`trace_rows` on each trace as its last span closes and keeps the
+rows, so a report covers every request even though only a sample of
+traces keeps its spans.  Reads spans only, never the simulation.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple)
 
-from .spans import Span, SpanTracer
+if TYPE_CHECKING:
+    from .spans import Span, SpanTracer
 
-__all__ = ["CriticalPathReport", "analyze", "dominant_shift", "stage_of"]
+__all__ = ["CriticalPathReport", "analyze", "dominant_shift", "stage_of",
+           "trace_rows"]
+
+#: root-name prefixes of the traces a report covers by default
+REQUEST_ROOTS = ("request:", "invoke:")
 
 #: canonical display order for known stages (extras append after, sorted)
 STAGE_ORDER = [
@@ -227,38 +236,50 @@ def _subtree(root: Span,
     return members
 
 
-def analyze(tracer: SpanTracer,
-            root_prefixes: Sequence[str] = ("request:", "invoke:"),
-            label: str = "") -> CriticalPathReport:
-    """Build a critical-path report from one tracer's finished roots.
-
-    Spans whose parent was dropped by the tracer's cap are unreachable
-    from any stored root and are simply not attributed; run reports on
-    un-truncated tracers for exact accounting.
-    """
+def trace_rows(spans: List[Span]) -> List[Dict[str, Any]]:
+    """Critical-path rows, one per finished root, of one trace's spans."""
     children_of: Dict[int, List[Span]] = {}
-    for span in tracer.spans:
-        if span.parent_id is not None:
+    roots: List[Span] = []
+    for span in spans:
+        if span.parent_id is None:
+            roots.append(span)
+        else:
             children_of.setdefault(span.parent_id, []).append(span)
     for siblings in children_of.values():
         siblings.sort(key=lambda s: (s.start_us, s.span_id))
 
-    requests: List[Dict[str, Any]] = []
-    for root in tracer.roots():
+    rows: List[Dict[str, Any]] = []
+    for root in roots:
         if not root.finished:
-            continue
-        if root_prefixes and not any(root.name.startswith(p)
-                                     for p in root_prefixes):
             continue
         stages: Dict[str, float] = {}
         _attribute(root, _subtree(root, children_of), stages)
-        requests.append({
+        rows.append({
             "trace_id": root.trace_id,
             "name": root.name,
             "total_us": root.duration_us,
             "stages": stages,
         })
-    return CriticalPathReport(requests, label=label)
+    return rows
+
+
+def analyze(tracer: SpanTracer,
+            root_prefixes: Sequence[str] = REQUEST_ROOTS,
+            label: str = "") -> CriticalPathReport:
+    """Build a critical-path report from one tracer's finished roots.
+
+    Closed traces were attributed as they closed; a trace that is
+    still live (a child outlived its finished root) is attributed here
+    from the spans it has so far.
+    """
+    rows = list(tracer.attributed)
+    for spans in tracer.live_traces():
+        rows.extend(trace_rows(spans))
+    prefixes = tuple(root_prefixes)
+    return CriticalPathReport(
+        [row for row in rows
+         if not prefixes or row["name"].startswith(prefixes)],
+        label=label)
 
 
 def dominant_shift(reports: "Dict[Any, CriticalPathReport]",

@@ -15,6 +15,12 @@ events naming processes/threads after simulated nodes/actors, and
 global instant (``"i"``) events for fault incidents.  Load the file at
 https://ui.perfetto.dev or chrome://tracing.
 
+The tracer streams: it holds a trace only while one of its spans is
+open.  When a trace's last span closes, :mod:`.critpath` attributes
+its root and the tracer keeps the row; the spans themselves are kept
+only for a sample of traces (see :data:`KEEP_EVERY`) and freed
+otherwise, so memory follows the requests in flight, not the run.
+
 The tracer is strictly passive: it never touches the event loop and
 allocates ids from its own monotonic counters, so enabling it cannot
 change simulation behaviour.
@@ -23,11 +29,19 @@ change simulation behaviour.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-__all__ = ["Span", "SpanTracer", "validate_chrome_trace"]
+from .critpath import REQUEST_ROOTS, trace_rows
+
+__all__ = ["KEEP_EVERY", "Span", "SpanTracer", "validate_chrome_trace"]
 
 Context = Tuple[int, int]
+
+#: a closed request trace keeps its spans when ``(trace_id - 1) %
+#: KEEP_EVERY == 0`` (traces 1, 65, 129 ...); errored, faulted and
+#: non-request traces are always kept.  A fixed stride, not an RNG draw,
+#: so retention is deterministic and cannot perturb the simulation.
+KEEP_EVERY = 64
 
 
 class Span:
@@ -80,19 +94,32 @@ class Span:
 
 
 class SpanTracer:
-    """Creates, finishes, stores, and exports spans.
+    """Creates, finishes, retains, and exports spans.
 
-    ``max_spans`` bounds memory: once full, *new* spans are counted in
-    ``dropped`` and represented by inert placeholder spans that are not
-    stored (children of a dropped span attach to its parent's trace but
-    keep a valid parent pointer, so trees stay well-formed).
+    A trace is *live* while any of its spans is open; a child may
+    outlive its parent, so the trace closes when its last open span
+    ends, not when its root does.  At that point its critical-path
+    rows land in ``attributed`` and its spans move into ``spans`` if
+    :meth:`_keeps` says so, or are freed.  A span that starts in an
+    already-closed trace (at or after the root's end, so it never
+    counts towards the root's critical path) is stored only if that
+    trace was kept.
+
+    ``max_spans`` bounds the retained spans only: a kept trace that
+    does not fit whole is counted in ``dropped`` instead of stored, so
+    every stored trace is complete.
     """
 
     def __init__(self, env, max_spans: int = 250_000):
         self.env = env
         self.max_spans = max_spans
+        #: spans of the kept traces, trace by trace in close order
         self.spans: List[Span] = []
         self.dropped = 0
+        #: spans started, kept or not
+        self.recorded = 0
+        #: critical-path rows of the closed traces (see ``critpath``)
+        self.attributed: List[Dict[str, Any]] = []
         #: fault incidents: global instant events, also mirrored onto
         #: every open root span
         self.incidents: List[Dict[str, Any]] = []
@@ -100,7 +127,12 @@ class SpanTracer:
         #: SLO monitor's alert firing/resolve instants land here); each
         #: entry is ``{"name", "ts", "category", **args}``
         self.marks: List[Dict[str, Any]] = []
-        self._open_roots: Dict[int, Span] = {}
+        #: live traces: trace_id -> spans in start order (root first)
+        self._live: Dict[int, List[Span]] = {}
+        #: live traces: trace_id -> number of spans still open
+        self._open: Dict[int, int] = {}
+        #: closed traces whose spans were retained
+        self._kept: Set[int] = set()
         self._next_trace = 1
         self._next_span = 1
 
@@ -120,12 +152,16 @@ class SpanTracer:
         span = Span(trace_id, self._next_span, parent_id, name, category,
                     node, actor, self.env.now, tags)
         self._next_span += 1
-        if len(self.spans) < self.max_spans:
-            self.spans.append(span)
-            if parent_id is None:
-                self._open_roots[span.span_id] = span
-        else:
-            self.dropped += 1
+        self.recorded += 1
+        live = self._live.get(trace_id)
+        if live is not None:
+            live.append(span)
+            self._open[trace_id] += 1
+        elif parent_id is None:
+            self._live[trace_id] = [span]
+            self._open[trace_id] = 1
+        elif trace_id in self._kept:
+            self._retain(trace_id, [span])
         return span
 
     def end_span(self, span: Span, status: str = "ok") -> None:
@@ -134,18 +170,52 @@ class SpanTracer:
             return
         span.end_us = self.env.now
         span.status = status
-        self._open_roots.pop(span.span_id, None)
+        trace_id = span.trace_id
+        still_open = self._open.get(trace_id)
+        if still_open is None:
+            return  # a late span of a closed trace
+        if still_open > 1:
+            self._open[trace_id] = still_open - 1
+            return
+        del self._open[trace_id]
+        spans = self._live.pop(trace_id)
+        self.attributed.extend(trace_rows(spans))
+        if self._keeps(trace_id, spans):
+            self._retain(trace_id, spans)
+
+    @staticmethod
+    def _keeps(trace_id: int, spans: List[Span]) -> bool:
+        """Retention rule for a closed trace: the 1-in-``KEEP_EVERY``
+        sample, plus every trace a reader would go looking for."""
+        root = spans[0]
+        return ((trace_id - 1) % KEEP_EVERY == 0
+                or not root.name.startswith(REQUEST_ROOTS)
+                or any(ev["name"].startswith("fault:") for ev in root.events)
+                or any(s.status != "ok" for s in spans))
+
+    def _retain(self, trace_id: int, spans: List[Span]) -> None:
+        if len(self.spans) + len(spans) > self.max_spans:
+            self.dropped += len(spans)
+            return
+        self.spans.extend(spans)
+        self._kept.add(trace_id)
+
+    def live_traces(self) -> List[List[Span]]:
+        """Spans of every trace that still has an open span."""
+        return list(self._live.values())
 
     def incident(self, kind: str, target: str, detail: Any = None) -> None:
         """Record a fault incident: global instant + events on all
-        in-flight requests (open root spans)."""
+        in-flight requests (the unfinished roots of live traces)."""
         record: Dict[str, Any] = {"kind": kind, "target": target,
                                   "ts": self.env.now}
         if detail is not None:
             record["detail"] = repr(detail)
         self.incidents.append(record)
-        for span in self._open_roots.values():
-            span.event(f"fault:{kind}", self.env.now, target=target)
+        for spans in self._live.values():
+            root = spans[0]
+            if not root.finished:
+                root.event(f"fault:{kind}", self.env.now, target=target)
 
     def mark(self, name: str, category: str = "mark", **args) -> None:
         """Record a global annotation instant (e.g. an alert firing).
@@ -158,7 +228,7 @@ class SpanTracer:
         record.update(args)
         self.marks.append(record)
 
-    # -- queries (used by tests and experiments) -----------------------------
+    # -- queries over the kept traces (used by tests and experiments) --------
     def trace_ids(self) -> List[int]:
         return sorted({s.trace_id for s in self.spans})
 
@@ -186,7 +256,6 @@ class SpanTracer:
         Checks: every non-root parent exists in the same trace, exactly
         one root per trace, children start no earlier than their
         parent, and finished children of finished parents end no later.
-        Only meaningful when nothing was dropped.
         """
         spans = (self.spans if trace_id is None else self.trace(trace_id))
         errors: List[str] = []
@@ -289,6 +358,7 @@ class SpanTracer:
             "displayTimeUnit": "ms",
             "otherData": {
                 "spans": len(self.spans),
+                "recorded": self.recorded,
                 "dropped": self.dropped,
                 "clock": "simulated-us",
             },

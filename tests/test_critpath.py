@@ -4,14 +4,21 @@ sweep, report quantiles, and the dominant-stage shift.
 The synthetic tests build tiny span forests on a fake clock and check
 the attribution arithmetic exactly; the acceptance test runs a real
 instrumented boutique point and requires >= 90% of the p99 latency to
-land in *named* stages.
+land in *named* stages.  The streaming tests hold the tracer's
+close-time attribution to a post-hoc oracle over every span started.
 """
 
+import json
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import run_boutique_point
 from repro.telemetry import CriticalPathReport, SpanTracer, analyze, dominant_shift
-from repro.telemetry.critpath import stage_of
+from repro.telemetry import spans as spans_mod
+from repro.telemetry.critpath import _attribute, _subtree, stage_of
 
 
 class FakeClock:
@@ -221,3 +228,161 @@ class TestBoutiqueAcceptance:
         assert d["table"]
         stages = {row["stage"] for row in d["table"]}
         assert "fn.exec" in stages
+
+
+# -- streaming attribution against a post-hoc oracle -------------------------
+
+def oracle(spans, root_prefixes=("request:", "invoke:")):
+    """Post-hoc attribution over every span started: the whole-run
+    ``analyze`` from before attribution streamed, kept verbatim."""
+    children_of = {}
+    for span in spans:
+        if span.parent_id is not None:
+            children_of.setdefault(span.parent_id, []).append(span)
+    for siblings in children_of.values():
+        siblings.sort(key=lambda s: (s.start_us, s.span_id))
+
+    requests = []
+    for root in [s for s in spans if s.parent_id is None]:
+        if not root.finished:
+            continue
+        if root_prefixes and not any(root.name.startswith(p)
+                                     for p in root_prefixes):
+            continue
+        stages = {}
+        _attribute(root, _subtree(root, children_of), stages)
+        requests.append({
+            "trace_id": root.trace_id,
+            "name": root.name,
+            "total_us": root.duration_us,
+            "stages": stages,
+        })
+    return CriticalPathReport(requests)
+
+
+def assert_same_report(streamed, expected):
+    assert json.dumps(streamed.requests) == json.dumps(expected.requests)
+    assert streamed.to_dict() == expected.to_dict()
+
+
+_ROOT_NAMES = ["request:/home", "invoke:cart", "migrate:fn"]
+_CHILD_NAMES = [("engine.tx", "engine"), ("rdma.send", "rdma"),
+                ("engine.rx", "engine"), ("fn.exec:f", "function"),
+                ("iolib.send", "iolib"), ("gc.sweep", "custom")]
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("root"), st.integers(0, len(_ROOT_NAMES) - 1)),
+    # parent picked from every span so far: open, finished, or in a
+    # trace that already closed (a late span)
+    st.tuples(st.just("child"), st.integers(0, 10_000),
+              st.integers(0, len(_CHILD_NAMES) - 1)),
+    st.tuples(st.just("end"), st.integers(0, 10_000),
+              st.sampled_from(["ok", "ok", "ok", "error"])),
+    st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+    st.tuples(st.just("incident")),
+), max_size=80)
+
+
+def _replay(ops, keep_every):
+    """Run ``ops`` on a fresh tracer; return (tracer, every span)."""
+    clock = FakeClock()
+    tracer = SpanTracer(clock)
+    started = []
+    with mock.patch.object(spans_mod, "KEEP_EVERY", keep_every):
+        for op in ops:
+            if op[0] == "root":
+                started.append(tracer.start_span(_ROOT_NAMES[op[1]]))
+            elif op[0] == "child" and started:
+                name, category = _CHILD_NAMES[op[2]]
+                started.append(tracer.start_span(
+                    name, parent=started[op[1] % len(started)],
+                    category=category))
+            elif op[0] == "end":
+                still_open = [s for s in started if not s.finished]
+                if still_open:
+                    tracer.end_span(still_open[op[1] % len(still_open)],
+                                    status=op[2])
+            elif op[0] == "tick":
+                clock.now += op[1]
+            elif op[0] == "incident":
+                tracer.incident("node-crash", "worker1")
+    return tracer, started
+
+
+class TestStreamingAttribution:
+    @settings(max_examples=200, deadline=None)
+    @given(_ops, st.sampled_from([1, 2, 64]))
+    # the root ends first; its child still counts up to the root's end
+    @example([("root", 0), ("child", 0, 3), ("tick", 1.0), ("end", 0, "ok"),
+              ("tick", 1.0), ("end", 0, "ok")], 64)
+    def test_streamed_report_equals_post_hoc_oracle(self, ops, keep_every):
+        tracer, started = _replay(ops, keep_every)
+        assert_same_report(analyze(tracer), oracle(started))
+        assert_same_report(analyze(tracer, root_prefixes=()),
+                           oracle(started, root_prefixes=()))
+        assert tracer.recorded == len(started)
+        # a trace is stored whole (late spans included) or not at all
+        stored = {s.trace_id for s in tracer.spans}
+        for trace_id in stored:
+            assert tracer.trace(trace_id) == [
+                s for s in started if s.trace_id == trace_id]
+        live = {spans[0].trace_id for spans in tracer.live_traces()}
+        assert not stored & live
+
+    def test_cap_bounds_only_retained_spans(self):
+        clock = FakeClock()
+        tracer = SpanTracer(clock, max_spans=9)
+        for i in range(20):
+            clock.now = i * 10.0
+            root = tracer.start_span("request:/x")
+            span_at(tracer, clock, "fn.exec:f", i * 10.0 + 1.0,
+                    i * 10.0 + 4.0, parent=root)
+            clock.now = i * 10.0 + 5.0
+            # errored: every trace asks to be kept, only four fit whole
+            tracer.end_span(root, status="error")
+        report = analyze(tracer)
+        assert len(report) == 20
+        assert len(tracer.spans) == 8 and tracer.dropped == 32
+        assert tracer.recorded == 40
+        assert tracer.check_integrity() == []
+
+    def test_sampled_out_trace_frees_its_spans_and_late_children(self):
+        clock = FakeClock()
+        tracer = SpanTracer(clock)
+        first = span_at(tracer, clock, "request:/kept", 0.0, 5.0)
+        second = span_at(tracer, clock, "request:/freed", 5.0, 9.0)
+        late = tracer.start_span("iolib.send", parent=second)
+        tracer.end_span(late)
+        assert first.trace_id == 1 and second.trace_id == 2
+        assert tracer.spans == [first]
+        assert tracer.recorded == 3
+        assert [r["name"] for r in analyze(tracer).requests] == [
+            "request:/freed", "request:/kept"]
+
+
+    def test_faulted_and_non_request_traces_are_always_kept(self):
+        clock = FakeClock()
+        tracer = SpanTracer(clock)
+        span_at(tracer, clock, "request:/sampled", 0.0, 1.0)
+        faulted = tracer.start_span("request:/faulted")
+        tracer.incident("node-crash", "worker1")
+        clock.now = 2.0
+        tracer.end_span(faulted)
+        span_at(tracer, clock, "request:/quiet", 2.0, 3.0)
+        span_at(tracer, clock, "migrate:fn", 3.0, 4.0)
+        assert [s.name for s in tracer.spans] == [
+            "request:/sampled", "request:/faulted", "migrate:fn"]
+
+
+class TestStreamingOnARealRun:
+    def test_keep_all_run_matches_oracle_over_every_span(self, monkeypatch):
+        monkeypatch.setattr(spans_mod, "KEEP_EVERY", 1)
+        metrics = run_boutique_point(
+            "palladium-dne", "Home Query", clients=4,
+            duration_us=40_000.0, with_telemetry=True)
+        tracer = metrics["telemetry"].tracer
+        every = tracer.spans + [s for spans in tracer.live_traces()
+                                for s in spans]
+        assert len(every) == tracer.recorded
+        assert_same_report(analyze(tracer), oracle(every))
+        assert len(analyze(tracer)) > 50
