@@ -6,7 +6,8 @@ workload frontend (:mod:`repro.workloads.aggregate`).  Client
 populations are modeled as aggregate streams — client classes with an
 arrival rate, payload mix, tenant, and Zipf popularity skew — rather
 than per-client simulation objects, so a single host sweeps a million
-modeled clients per point in well under a second of wall time.
+modeled clients per point in about 0.4 s of CPU (2.0 s for the
+five-point sweep on a shared 2-vCPU VM).
 
 The sweep grows the L1 spray layer from 1 to 16 Palladium gateways
 under a fixed 2 M rps offered load (1 M clients at 2 rps across three

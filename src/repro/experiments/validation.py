@@ -9,14 +9,17 @@ can be *validated* automatically::
     assert not failures
 
 Each check returns a list of human-readable violation strings (empty =
-the run is inside every band).  Bands are deliberately generous — the
-reproduction target is shape and factor, not testbed-exact numbers.
+the run is inside every band).  A run that lacks an anchor point (the
+``--quick`` configs leave out 64 and 80 clients) is a violation that
+names the missing point, not an exception.  Bands are deliberately
+generous — the reproduction target is shape and factor, not
+testbed-exact numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence, Union
 
 from .runner import ExperimentResult
 
@@ -81,10 +84,13 @@ def check_fig12(result: ExperimentResult) -> List[str]:
 def check_fig13(result: ExperimentResult, clients: int = 64) -> List[str]:
     """Validate the ingress RPS ratios at high client count."""
     failures: List[str] = []
-    rps = {
-        kind: result.find_row(ingress=kind, clients=clients)["rps"]
-        for kind in ("palladium", "f-ingress", "k-ingress")
-    }
+    try:
+        rps = {
+            kind: result.find_row(ingress=kind, clients=clients)["rps"]
+            for kind in ("palladium", "f-ingress", "k-ingress")
+        }
+    except KeyError as missing:
+        return [f"fig13: anchor point missing: {missing.args[0]}"]
     bands = PAPER_ANCHORS["fig13_rps_ratio"]
     failures += bands["palladium/f-ingress"].check(
         rps["palladium"] / max(1, rps["f-ingress"]), "fig13:palladium/f")
@@ -93,9 +99,18 @@ def check_fig13(result: ExperimentResult, clients: int = 64) -> List[str]:
     return failures
 
 
-def check_fig15(result: ExperimentResult,
+def check_fig15(result: Union[ExperimentResult, Sequence[ExperimentResult]],
                 window_s=(100.0, 140.0)) -> List[str]:
-    """Validate the DWRR three-tenant split in the all-active window."""
+    """Validate the DWRR three-tenant split in the all-active window.
+
+    ``result`` is the DWRR panel, or both panels as the ``--quick``
+    entry returns them (a list; the DWRR one is checked).
+    """
+    if not isinstance(result, ExperimentResult):
+        panels = [r for r in result if r.name.endswith("(dwrr)")]
+        if not panels:
+            return ["fig15: no DWRR panel among the results"]
+        result = panels[0]
     rows = [r for r in result.rows if window_s[0] <= r[0] <= window_s[1]]
     if not rows:
         return [f"fig15: no samples in window {window_s}"]
@@ -112,12 +127,15 @@ def check_fig15(result: ExperimentResult,
 def check_fig16(result: ExperimentResult, chain: str = "Home Query",
                 clients: int = 80) -> List[str]:
     """Validate the boutique data-plane RPS ratios."""
-    rps = {
-        config: result.find_row(chain=chain, config=config,
-                                clients=clients)["rps"]
-        for config in ("palladium-dne", "palladium-cne", "fuyao-f",
-                       "spright", "nightcore")
-    }
+    try:
+        rps = {
+            config: result.find_row(chain=chain, config=config,
+                                    clients=clients)["rps"]
+            for config in ("palladium-dne", "palladium-cne", "fuyao-f",
+                           "spright", "nightcore")
+        }
+    except KeyError as missing:
+        return [f"fig16: anchor point missing: {missing.args[0]}"]
     dne = rps["palladium-dne"]
     bands = PAPER_ANCHORS["fig16_rps_ratio@80"]
     failures: List[str] = []

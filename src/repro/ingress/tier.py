@@ -153,12 +153,13 @@ class FlowTable:
         ``count`` lets aggregate workloads account a whole epoch's
         requests from one flow bucket in a single call.
         """
-        entry = self._entries.get(flow_id)
+        entries = self._entries
+        entry = entries.get(flow_id)
         if entry is None:
             self.punts += count
             return False
         entry.hits += count
-        self._entries.move_to_end(flow_id)
+        entries.move_to_end(flow_id)
         self.hits += count
         return True
 
@@ -171,32 +172,46 @@ class FlowTable:
         entry is only evicted once its reference count has decayed, so
         a burst of cold installs cannot flush the hot set.
         """
-        if flow_id in self._entries:
+        entries = self._entries
+        if flow_id in entries:
             return True
-        if size > self.capacity:
+        capacity = self.capacity
+        if size > capacity:
             return False
+        per_tenant = self._per_tenant
         quota = self.tenant_quota
-        if quota is not None and self._per_tenant.get(tenant, 0) + size > quota:
+        if quota is not None and per_tenant.get(tenant, 0) + size > quota:
             self.quota_rejections += 1
             return False
+        entry = None
         passes = 0
-        while self._occupied + size > self.capacity:
-            victim_id, victim = next(iter(self._entries.items()))
-            if victim.hits > 0 and passes < len(self._entries):
+        while self._occupied + size > capacity:
+            # popping the LRU entry and re-inserting it is move_to_end,
+            # so the bound counts the victim as still resident
+            victim_id, victim = entries.popitem(last=False)
+            if victim.hits > 0 and passes <= len(entries):
                 # second chance: decay and rotate instead of evicting
                 victim.hits = 0
-                self._entries.move_to_end(victim_id)
+                entries[victim_id] = victim
                 passes += 1
                 continue
-            self._remove(victim_id, victim)
+            self._release(victim)
             self.evictions += 1
-        self._entries[flow_id] = _FlowEntry(tenant, size)
+            entry = victim
+        if entry is None:
+            entry = _FlowEntry(tenant, size)
+        else:
+            # reuse the evicted slot object for the new flow
+            entry.tenant = tenant
+            entry.size = size
+            entry.hits = 0
+        entries[flow_id] = entry
         self._occupied += size
-        self._per_tenant[tenant] = self._per_tenant.get(tenant, 0) + size
+        per_tenant[tenant] = per_tenant.get(tenant, 0) + size
         return True
 
-    def _remove(self, flow_id: object, entry: _FlowEntry) -> None:
-        del self._entries[flow_id]
+    def _release(self, entry: _FlowEntry) -> None:
+        """Return an entry's slots (it has left ``_entries``)."""
         self._occupied -= entry.size
         remaining = self._per_tenant.get(entry.tenant, 0) - entry.size
         if remaining > 0:
@@ -206,10 +221,10 @@ class FlowTable:
 
     def evict(self, flow_id: object) -> bool:
         """Drop one flow (connection closed / moved away)."""
-        entry = self._entries.get(flow_id)
+        entry = self._entries.pop(flow_id, None)
         if entry is None:
             return False
-        self._remove(flow_id, entry)
+        self._release(entry)
         return True
 
     def snapshot(self) -> List[Tuple[object, str, int]]:
@@ -285,10 +300,12 @@ class GatewayTier:
         in flight, so the miss pays the punt cost instead of erroring.
         ``count`` accounts that many requests of the flow at once.
         """
-        shard.absorb_pending(now)
-        if shard.table.lookup(flow_id, count=count):
+        if shard._pending_sync:
+            shard.absorb_pending(now)
+        table = shard.table
+        if table.lookup(flow_id, count):
             return True
-        shard.table.install(flow_id, tenant, size)
+        table.install(flow_id, tenant, size)
         return False
 
     # -- failure / recovery ---------------------------------------------------

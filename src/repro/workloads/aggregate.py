@@ -142,15 +142,6 @@ def weighted_percentile(samples: Iterable[Tuple[float, float, int]],
     return rows[-1][0]
 
 
-class _QueueItem:
-    __slots__ = ("count", "bucket", "enq_time")
-
-    def __init__(self, count: int, bucket: FlowBucket, enq_time: float):
-        self.count = count
-        self.bucket = bucket
-        self.enq_time = enq_time
-
-
 class FlowAggregateModel:
     """Epoch-driven fluid model of the gateway tier under aggregates.
 
@@ -194,11 +185,15 @@ class FlowAggregateModel:
         self.max_queue = max_queue
         self.max_cold_queue = max_cold_queue
         self.now = 0.0
-        #: per-gateway FIFO backlogs, split by path
-        self._hot_q: Dict[str, Deque[_QueueItem]] = {
-            n: deque() for n in self.names}
-        self._cold_q: Dict[str, Deque[_QueueItem]] = {
-            n: deque() for n in self.names}
+        #: per-gateway FIFO backlogs, split by path; an item is a
+        #: ``[count, bucket, enq_time]`` list whose count serving and
+        #: shedding lower in place
+        self._hot_q: Dict[str, Deque[list]] = {n: deque() for n in self.names}
+        self._cold_q: Dict[str, Deque[list]] = {n: deque() for n in self.names}
+        #: each backlog's running request total, so bounding a queue
+        #: and :meth:`inflight` never re-sum it
+        self._hot_n: Dict[str, int] = {n: 0 for n in self.names}
+        self._cold_n: Dict[str, int] = {n: 0 for n in self.names}
         #: fractional service-budget carries (exact integer service)
         self._fast_carry: Dict[str, float] = {n: 0.0 for n in self.names}
         self._slow_carry: Dict[str, float] = {n: 0.0 for n in self.names}
@@ -217,7 +212,6 @@ class FlowAggregateModel:
         self.samples: List[Tuple[float, float, int]] = []
         #: completion counts per epoch start time (goodput timeline)
         self.completions_at: Dict[float, int] = {}
-        self._topology_epoch = -1
         self._epoch_index = 0
 
     @property
@@ -237,8 +231,7 @@ class FlowAggregateModel:
         return sum(cls.rate_rps for cls in self.classes)
 
     def inflight(self) -> int:
-        return sum(item.count for q in self._hot_q.values() for item in q) \
-            + sum(item.count for q in self._cold_q.values() for item in q)
+        return sum(self._hot_n.values()) + sum(self._cold_n.values())
 
     def conserved(self) -> bool:
         """The ledger invariant: nothing is ever lost or double-counted."""
@@ -271,23 +264,26 @@ class FlowAggregateModel:
         moved = self.tier.fail_gateway(name, self.now)
         self.flows_synced += sum(moved.values())
         self._invalidate_owners()
+        backlog = self._hot_n[name] + self._cold_n[name]
+        self._hot_n[name] = self._cold_n[name] = 0
         if not self.tier.live_shards():
             # no survivors: the backlog has nowhere to go — reject it
             # (accounted, not lost)
-            for q in (self._hot_q[name], self._cold_q[name]):
-                for item in q:
-                    self.rejected += item.count
-                q.clear()
+            self.rejected += backlog
+            self._hot_q[name].clear()
+            self._cold_q[name].clear()
             return
         # Redirect the dead gateway's backlog along the new ring
         # assignments; inherited work is cold at the successor until
         # the state sync lands.
+        lookup = self.tier.ring.lookup
         for q in (self._hot_q[name], self._cold_q[name]):
             for item in q:
-                heir = self.tier.ring.lookup(item.bucket.key)
+                heir = lookup(item[1].key)
                 self._cold_q[heir].append(item)
-                self.redirected += item.count
+                self._cold_n[heir] += item[0]
             q.clear()
+        self.redirected += backlog
 
     def recover_gateway(self, name: str) -> None:
         self.tier.recover_gateway(name)
@@ -344,29 +340,41 @@ class FlowAggregateModel:
         self._epoch_index += 1
 
     def _admit(self, now: float, live: List[str]) -> None:
+        """Spray each bucket's arrivals and queue them hot or cold."""
         per_epoch = self.epoch_us / 1e6
+        admitted = rejected = 0
+        tier = self.tier
+        ring = tier.ring
+        members = ring._members
+        shards = tier.shards
+        spray = tier.spray_total
+        classify = tier.classify
+        hot_q, hot_n = self._hot_q, self._hot_n
+        cold_q, cold_n = self._cold_q, self._cold_n
         for bucket in self.buckets:
-            bucket.acc += bucket.rate_rps * per_epoch
-            n = int(bucket.acc)
+            acc = bucket.acc + bucket.rate_rps * per_epoch
+            n = int(acc)
+            bucket.acc = acc - n
             if n == 0:
                 continue
-            bucket.acc -= n
+            admitted += n
             if not live:
                 # total outage: arrivals are rejected at the edge
-                self.admitted += n
-                self.rejected += n
+                rejected += n
                 continue
-            if bucket.owner is None or bucket.owner not in self.tier.ring:
-                bucket.owner = self.tier.ring.lookup(bucket.key)
             name = bucket.owner
-            shard = self.tier.shards[name]
-            self.tier.spray_total[name] += n
-            self.admitted += n
-            if self.tier.classify(shard, bucket.key, bucket.tenant, now,
-                                  size=bucket.flows, count=n):
-                self._hot_q[name].append(_QueueItem(n, bucket, now))
+            if name is None or name not in members:
+                name = bucket.owner = ring.lookup(bucket.key)
+            spray[name] += n
+            if classify(shards[name], bucket.key, bucket.tenant, now,
+                        bucket.flows, n):
+                queue, totals = hot_q[name], hot_n
             else:
-                self._cold_q[name].append(_QueueItem(n, bucket, now))
+                queue, totals = cold_q[name], cold_n
+            queue.append([n, bucket, now])
+            totals[name] += n
+        self.admitted += admitted
+        self.rejected += rejected
 
     def _shed(self, live: List[str]) -> None:
         """Bounded queues: reject the newest overflow (the tail).
@@ -377,17 +385,21 @@ class FlowAggregateModel:
         accumulating unbounded latency.
         """
         for name in live:
-            for queue, bound in ((self._hot_q[name], self.max_queue),
-                                 (self._cold_q[name], self.max_cold_queue)):
-                excess = sum(i.count for i in queue) - bound
-                while excess > 0 and queue:
+            for queue, totals, bound in (
+                    (self._hot_q[name], self._hot_n, self.max_queue),
+                    (self._cold_q[name], self._cold_n, self.max_cold_queue)):
+                excess = totals[name] - bound
+                if excess <= 0:
+                    continue
+                totals[name] = bound
+                self.rejected += excess
+                while excess > 0:
                     tail = queue[-1]
-                    shed = min(tail.count, excess)
-                    tail.count -= shed
-                    self.rejected += shed
-                    excess -= shed
-                    if tail.count == 0:
-                        queue.pop()
+                    if tail[0] > excess:
+                        tail[0] -= excess
+                        break
+                    excess -= tail[0]
+                    queue.pop()
 
     def _serve(self, now: float, live: List[str]) -> None:
         """Serve each backlog FIFO from this epoch's budget.
@@ -398,40 +410,48 @@ class FlowAggregateModel:
         """
         per_epoch = self.epoch_us / 1e6
         samples = self.samples
+        last = samples[-1] if samples else None
+        shards = self.tier.shards
+        completed = 0
         for name in live:
-            for queue, carry, rps, service_us, cold in (
-                (self._hot_q[name], self._fast_carry, self.fastpath_rps,
-                 self.hot_us, False),
-                (self._cold_q[name], self._slow_carry, self.slowpath_rps,
-                 self.cold_us, True),
+            for queue, totals, carry, rps, service_us, cold in (
+                (self._hot_q[name], self._hot_n, self._fast_carry,
+                 self.fastpath_rps, self.hot_us, False),
+                (self._cold_q[name], self._cold_n, self._slow_carry,
+                 self.slowpath_rps, self.cold_us, True),
             ):
                 budget_f = rps * per_epoch + carry[name]
                 budget = int(budget_f)
                 carry[name] = budget_f - budget
+                if not queue:
+                    continue
+                # the slow path installs each served cold item's entry;
+                # the bucket is hot from the next epoch on (unless the
+                # tenant quota keeps rejecting it)
+                install = shards[name].table.install if cold else None
                 done_here = 0
                 while budget > 0 and queue:
                     head = queue[0]
-                    served = min(head.count, budget)
-                    head.count -= served
+                    count, bucket, enq_time = head
+                    served = count if count < budget else budget
                     budget -= served
                     done_here += served
-                    latency = (now - head.enq_time) + service_us
-                    if (samples and samples[-1][0] == now
-                            and samples[-1][1] == latency):
-                        samples[-1] = (now, latency, samples[-1][2] + served)
+                    latency = (now - enq_time) + service_us
+                    if (last is not None and last[0] == now
+                            and last[1] == latency):
+                        last = samples[-1] = (now, latency, last[2] + served)
                     else:
-                        samples.append((now, latency, served))
-                    if cold:
-                        # the slow path installed the entry; the
-                        # bucket is hot from the next epoch on (unless
-                        # the tenant quota keeps rejecting it)
-                        shard = self.tier.shards[name]
-                        shard.table.install(head.bucket.key,
-                                            head.bucket.tenant,
-                                            size=head.bucket.flows)
-                    if head.count == 0:
+                        last = (now, latency, served)
+                        samples.append(last)
+                    if install is not None:
+                        install(bucket.key, bucket.tenant, bucket.flows)
+                    if served == count:
                         queue.popleft()
-                if done_here:
-                    self.completed += done_here
-                    self.completions_at[now] = (
-                        self.completions_at.get(now, 0) + done_here)
+                    else:
+                        head[0] = count - served
+                totals[name] -= done_here
+                completed += done_here
+        if completed:
+            self.completed += completed
+            self.completions_at[now] = (
+                self.completions_at.get(now, 0) + completed)

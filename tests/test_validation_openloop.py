@@ -65,6 +65,45 @@ def test_check_fig16_ratios():
     assert validation.check_fig16(result) == []
 
 
+def test_check_fig13_missing_anchor_is_a_failure_not_a_crash():
+    # the quick fig13 config has no 64-client point
+    result = ExperimentResult("f13", columns=["ingress", "clients", "rps",
+                                              "mean_latency_us", "errors"])
+    for kind in ("palladium", "f-ingress", "k-ingress"):
+        result.add_row(kind, 16, 50_000, 400, 0)
+    failures = validation.check_fig13(result)
+    assert len(failures) == 1
+    assert "fig13" in failures[0] and "'clients': 64" in failures[0]
+
+
+def test_check_fig16_missing_anchor_is_a_failure_not_a_crash():
+    # the quick fig16 config has no 80-client point
+    result = ExperimentResult("f16", columns=["chain", "config", "clients",
+                                              "rps"])
+    result.add_row("Home Query", "palladium-dne", 20, 34_000)
+    failures = validation.check_fig16(result)
+    assert len(failures) == 1
+    assert "fig16" in failures[0] and "'clients': 80" in failures[0]
+
+
+def test_check_fig15_accepts_the_quick_list_of_panels():
+    # the quick fig15 entry returns [fcfs, dwrr]; only DWRR has bands
+    columns = ["paper_time_s", "tenant-1_rps", "tenant-2_rps",
+               "tenant-3_rps"]
+    fcfs = ExperimentResult("Fig 15 - tenant bandwidth sharing (fcfs)",
+                            columns=columns)
+    fcfs.add_row(120.0, 30_000, 30_000, 30_000)
+    dwrr = ExperimentResult("Fig 15 - tenant bandwidth sharing (dwrr)",
+                            columns=columns)
+    dwrr.add_row(120.0, 60_000, 10_000, 20_000)
+    assert validation.check_fig15([fcfs, dwrr]) == []
+    dwrr.rows[0][1] = 30_000
+    failures = validation.check_fig15([fcfs, dwrr])
+    assert failures and "fig15:t1/t2" in failures[0]
+    assert validation.check_fig15([fcfs]) == [
+        "fig15: no DWRR panel among the results"]
+
+
 def test_check_all_dispatch():
     good_f13 = ExperimentResult("f13", columns=["ingress", "clients", "rps",
                                                 "mean_latency_us", "errors"])

@@ -1,13 +1,23 @@
-"""Flow-aggregate workload frontend: conservation, scale, failover."""
+"""Flow-aggregate workload frontend: conservation, scale, failover,
+and exact equivalence with a straightforward oracle epoch loop."""
 
-from hypothesis import given, settings, strategies as st
+import json
+import sys
+from pathlib import Path
 
+from hypothesis import example, given, settings, strategies as st
+
+from repro.ingress.tier import FlowTable, GatewayTier, _FlowEntry
 from repro.workloads import (
     ClientClass,
     FlowAggregateModel,
     build_buckets,
     weighted_percentile,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import fluid_digest  # noqa: E402
 
 
 def _classes(clients=2_000, rps=2.0):
@@ -264,3 +274,406 @@ def test_property_every_admitted_request_accounted_exactly_once(
     times = [t for t, _lat, _count in m.samples]
     assert times == sorted(times)
     assert all(a[:2] != b[:2] for a, b in zip(m.samples, m.samples[1:]))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the straightforward epoch loop the model must match exactly
+# ---------------------------------------------------------------------------
+#
+# The model's epoch loop queues plain lists, keeps running backlog
+# totals, and evicts flow-table entries by popping them.  The classes
+# below are the plain version of the same loop: object queue items,
+# queues re-summed every epoch, LRU rotation by move_to_end.  Every
+# output of the two must be equal, step for step.
+
+
+class _OracleQueueItem:
+    __slots__ = ("count", "bucket", "enq_time")
+
+    def __init__(self, count, bucket, enq_time):
+        self.count = count
+        self.bucket = bucket
+        self.enq_time = enq_time
+
+
+class _OracleFlowTable(FlowTable):
+    def lookup(self, flow_id, count=1):
+        entry = self._entries.get(flow_id)
+        if entry is None:
+            self.punts += count
+            return False
+        entry.hits += count
+        self._entries.move_to_end(flow_id)
+        self.hits += count
+        return True
+
+    def install(self, flow_id, tenant, size=1):
+        if flow_id in self._entries:
+            return True
+        if size > self.capacity:
+            return False
+        quota = self.tenant_quota
+        if quota is not None and self._per_tenant.get(tenant, 0) + size > quota:
+            self.quota_rejections += 1
+            return False
+        passes = 0
+        while self._occupied + size > self.capacity:
+            victim_id, victim = next(iter(self._entries.items()))
+            if victim.hits > 0 and passes < len(self._entries):
+                # second chance: decay and rotate instead of evicting
+                victim.hits = 0
+                self._entries.move_to_end(victim_id)
+                passes += 1
+                continue
+            self._remove(victim_id, victim)
+            self.evictions += 1
+        self._entries[flow_id] = _FlowEntry(tenant, size)
+        self._occupied += size
+        self._per_tenant[tenant] = self._per_tenant.get(tenant, 0) + size
+        return True
+
+    def _remove(self, flow_id, entry):
+        del self._entries[flow_id]
+        self._occupied -= entry.size
+        remaining = self._per_tenant.get(entry.tenant, 0) - entry.size
+        if remaining > 0:
+            self._per_tenant[entry.tenant] = remaining
+        else:
+            self._per_tenant.pop(entry.tenant, None)
+
+
+class _OracleTier(GatewayTier):
+    def __init__(self, names, **kwargs):
+        super().__init__(names, **kwargs)
+        for shard in self.shards.values():
+            shard.table = _OracleFlowTable(shard.table.capacity,
+                                           shard.table.tenant_quota)
+
+    def classify(self, shard, flow_id, tenant, now, size=1, count=1):
+        shard.absorb_pending(now)
+        if shard.table.lookup(flow_id, count=count):
+            return True
+        shard.table.install(flow_id, tenant, size)
+        return False
+
+
+class _OracleModel(FlowAggregateModel):
+    def __init__(self, classes, gateways, *, table_capacity, tenant_quota,
+                 vnodes, sync_us, **kwargs):
+        super().__init__(classes, gateways, table_capacity=table_capacity,
+                         tenant_quota=tenant_quota, vnodes=vnodes,
+                         sync_us=sync_us, **kwargs)
+        self.tier = _OracleTier(self.names, table_capacity=table_capacity,
+                                tenant_quota=tenant_quota, vnodes=vnodes,
+                                sync_us=sync_us)
+
+    def inflight(self):
+        return sum(item.count for q in self._hot_q.values() for item in q) \
+            + sum(item.count for q in self._cold_q.values() for item in q)
+
+    def crash_gateway(self, name):
+        shard = self.tier.shards[name]
+        if not shard.healthy:
+            return
+        moved = self.tier.fail_gateway(name, self.now)
+        self.flows_synced += sum(moved.values())
+        self._invalidate_owners()
+        if not self.tier.live_shards():
+            for q in (self._hot_q[name], self._cold_q[name]):
+                for item in q:
+                    self.rejected += item.count
+                q.clear()
+            return
+        for q in (self._hot_q[name], self._cold_q[name]):
+            for item in q:
+                heir = self.tier.ring.lookup(item.bucket.key)
+                self._cold_q[heir].append(item)
+                self.redirected += item.count
+            q.clear()
+
+    def _admit(self, now, live):
+        per_epoch = self.epoch_us / 1e6
+        for bucket in self.buckets:
+            bucket.acc += bucket.rate_rps * per_epoch
+            n = int(bucket.acc)
+            if n == 0:
+                continue
+            bucket.acc -= n
+            if not live:
+                self.admitted += n
+                self.rejected += n
+                continue
+            if bucket.owner is None or bucket.owner not in self.tier.ring:
+                bucket.owner = self.tier.ring.lookup(bucket.key)
+            name = bucket.owner
+            shard = self.tier.shards[name]
+            self.tier.spray_total[name] += n
+            self.admitted += n
+            if self.tier.classify(shard, bucket.key, bucket.tenant, now,
+                                  size=bucket.flows, count=n):
+                self._hot_q[name].append(_OracleQueueItem(n, bucket, now))
+            else:
+                self._cold_q[name].append(_OracleQueueItem(n, bucket, now))
+
+    def _shed(self, live):
+        for name in live:
+            for queue, bound in ((self._hot_q[name], self.max_queue),
+                                 (self._cold_q[name], self.max_cold_queue)):
+                excess = sum(i.count for i in queue) - bound
+                while excess > 0 and queue:
+                    tail = queue[-1]
+                    shed = min(tail.count, excess)
+                    tail.count -= shed
+                    self.rejected += shed
+                    excess -= shed
+                    if tail.count == 0:
+                        queue.pop()
+
+    def _serve(self, now, live):
+        per_epoch = self.epoch_us / 1e6
+        samples = self.samples
+        for name in live:
+            for queue, carry, rps, service_us, cold in (
+                (self._hot_q[name], self._fast_carry, self.fastpath_rps,
+                 self.hot_us, False),
+                (self._cold_q[name], self._slow_carry, self.slowpath_rps,
+                 self.cold_us, True),
+            ):
+                budget_f = rps * per_epoch + carry[name]
+                budget = int(budget_f)
+                carry[name] = budget_f - budget
+                done_here = 0
+                while budget > 0 and queue:
+                    head = queue[0]
+                    served = min(head.count, budget)
+                    head.count -= served
+                    budget -= served
+                    done_here += served
+                    latency = (now - head.enq_time) + service_us
+                    if (samples and samples[-1][0] == now
+                            and samples[-1][1] == latency):
+                        samples[-1] = (now, latency, samples[-1][2] + served)
+                    else:
+                        samples.append((now, latency, served))
+                    if cold:
+                        shard = self.tier.shards[name]
+                        shard.table.install(head.bucket.key,
+                                            head.bucket.tenant,
+                                            size=head.bucket.flows)
+                    if head.count == 0:
+                        queue.popleft()
+                if done_here:
+                    self.completed += done_here
+                    self.completions_at[now] = (
+                        self.completions_at.get(now, 0) + done_here)
+
+
+class _CheckedModel(FlowAggregateModel):
+    """The real model, asserting its running totals every epoch."""
+
+    def _epoch(self, arrivals):
+        super()._epoch(arrivals)
+        _assert_totals(self)
+
+
+def _assert_totals(model):
+    for name in model.names:
+        assert model._hot_n[name] == sum(i[0] for i in model._hot_q[name])
+        assert model._cold_n[name] == sum(i[0] for i in model._cold_q[name])
+        assert all(i[0] > 0 for q in (model._hot_q[name],
+                                      model._cold_q[name]) for i in q)
+
+
+def _queue_state(queue):
+    return [(i[0], i[1].key, i[2]) if isinstance(i, list)
+            else (i.count, i.bucket.key, i.enq_time) for i in queue]
+
+
+def _state(model):
+    """Everything observable about a model, at full precision."""
+    shards = {}
+    for name, shard in model.tier.shards.items():
+        shards[name] = (
+            shard.healthy, shard.sync_until, list(shard._pending_sync),
+            _table_state(shard.table),
+            _queue_state(model._hot_q[name]),
+            _queue_state(model._cold_q[name]),
+            model._fast_carry[name], model._slow_carry[name])
+    return {
+        "ledger": (model.admitted, model.completed, model.rejected,
+                   model.redirected, model.flows_synced, model.epochs,
+                   model.inflight(), model.now),
+        "samples": list(model.samples),
+        "completions_at": list(model.completions_at.items()),
+        "counters": model.tier.counters(),
+        "spray": dict(model.tier.spray_total),
+        "ring": list(model.tier.ring._ring),
+        "buckets": [(b.acc, b.owner) for b in model.buckets],
+        "shards": shards,
+    }
+
+
+_CLASS = st.tuples(
+    st.integers(min_value=1, max_value=400),          # clients
+    st.sampled_from([0.5, 2.0, 7.5, 40.0, 200.0]),    # rps per client
+    st.sampled_from([0.0, 0.8, 1.3]),                 # zipf_s
+    st.integers(min_value=1, max_value=24),           # buckets
+    st.sampled_from(["t-a", "t-b", "t-c"]),           # tenant
+)
+
+_EVENT = st.tuples(
+    st.integers(min_value=0, max_value=40),           # epoch
+    st.sampled_from(["crash", "recover"]),
+    st.integers(min_value=0, max_value=5),            # gateway index
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gateways=st.integers(min_value=1, max_value=6),
+    classes=st.lists(_CLASS, min_size=1, max_size=3),
+    table_capacity=st.integers(min_value=1, max_value=600),
+    tenant_quota=st.one_of(st.none(), st.integers(min_value=1, max_value=300)),
+    max_queue=st.integers(min_value=0, max_value=400),
+    max_cold_queue=st.integers(min_value=0, max_value=120),
+    fastpath_rps=st.sampled_from([20_000.0, 150_000.0, 1e6]),
+    slowpath_rps=st.sampled_from([2_500.0, 15_000.0, 1e5]),
+    sync_us=st.sampled_from([0.0, 1_000.0, 5_000.0]),
+    events=st.lists(_EVENT, max_size=8),
+    outage=st.booleans(),
+    segments=st.lists(st.tuples(st.integers(min_value=1, max_value=30),
+                                st.booleans()),
+                      min_size=1, max_size=3),
+)
+def test_property_epoch_loop_matches_the_oracle(
+        gateways, classes, table_capacity, tenant_quota, max_queue,
+        max_cold_queue, fastpath_rps, slowpath_rps, sync_us, events,
+        outage, segments):
+    """Hypothesis: the model's epoch loop and flow table reproduce the
+    straightforward oracle exactly — samples, goodput timeline, ledger,
+    counters, and every shard's table in LRU order with its hits —
+    through table thrash, second chances, tenant quotas, crash and
+    recover schedules, total outages and drains; and the running
+    backlog totals equal the re-summed queues after every epoch."""
+    client_classes = [
+        ClientClass(f"c{i}", tenant, clients=clients, rps_per_client=rps,
+                    zipf_s=zipf_s, buckets=buckets)
+        for i, (clients, rps, zipf_s, buckets, tenant) in enumerate(classes)]
+    knobs = dict(table_capacity=table_capacity, tenant_quota=tenant_quota,
+                 max_queue=max_queue, max_cold_queue=max_cold_queue,
+                 fastpath_rps=fastpath_rps, slowpath_rps=slowpath_rps,
+                 sync_us=sync_us, vnodes=8)
+    schedule = [(epoch * 1_000.0, kind, f"gw{index % gateways}")
+                for epoch, kind, index in events]
+    if outage:
+        # every gateway down at once, then one back
+        schedule += [(20_000.0, "crash", name)
+                     for name in (f"gw{i}" for i in range(gateways))]
+        schedule.append((28_000.0, "recover", "gw0"))
+    model = _CheckedModel(client_classes, gateways, **knobs)
+    oracle = _OracleModel(client_classes, gateways, **knobs)
+    for epochs, drain in segments:
+        duration = epochs * 1_000.0
+        start = model.now
+        window = [e for e in schedule if start <= e[0] < start + duration]
+        model.run(duration, events=window, drain=drain)
+        oracle.run(duration, events=window, drain=drain)
+        _assert_totals(model)
+        assert _state(model) == _state(oracle)
+    assert model.conserved() and oracle.conserved()
+
+
+_OP = st.tuples(
+    st.sampled_from(["lookup", "lookup", "install", "install", "evict"]),
+    st.integers(min_value=0, max_value=7),            # flow id
+    st.sampled_from(["t-a", "t-b"]),
+    st.integers(min_value=1, max_value=9),            # size
+    st.integers(min_value=1, max_value=3),            # count
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=30),
+       quota=st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+       ops=st.lists(_OP, max_size=60))
+@example(  # a full table whose every entry was hit: the bound decides
+    capacity=2, quota=None,
+    ops=[("install", 0, "t-a", 1, 1), ("install", 1, "t-a", 1, 1),
+         ("lookup", 0, "t-a", 1, 1), ("lookup", 1, "t-a", 1, 1),
+         ("install", 2, "t-a", 1, 1)])
+def test_property_flow_table_matches_the_oracle(capacity, quota, ops):
+    """Hypothesis: after any sequence of lookups, installs and evicts,
+    the table's resident set, LRU order, hits, occupancy and counters
+    equal the oracle's, so pop-and-reinsert rotation, the second-chance
+    bound and entry reuse change nothing."""
+    table = FlowTable(capacity, quota)
+    oracle = _OracleFlowTable(capacity, quota)
+    for op, flow, tenant, size, count in ops:
+        if op == "lookup":
+            got = (table.lookup(flow, count), oracle.lookup(flow, count))
+        elif op == "install":
+            got = (table.install(flow, tenant, size),
+                   oracle.install(flow, tenant, size))
+        else:
+            got = (table.evict(flow), oracle.evict(flow))
+        assert got[0] == got[1]
+        assert _table_state(table) == _table_state(oracle)
+
+
+def _table_state(table):
+    return (table.snapshot(), [e.hits for e in table._entries.values()],
+            table.occupied, table._per_tenant, table.hits, table.punts,
+            table.evictions, table.quota_rejections)
+
+
+def test_oracle_run_thrashes_the_flow_table():
+    """The oracle property reaches the paths it is there to pin: a
+    tiny table evicts on most installs while hot entries still hit."""
+    classes = [ClientClass("c", "t-a", clients=300, rps_per_client=40.0,
+                           zipf_s=1.3, buckets=24)]
+    knobs = dict(table_capacity=60, tenant_quota=None, max_queue=200,
+                 max_cold_queue=50, fastpath_rps=150_000.0,
+                 slowpath_rps=15_000.0, sync_us=1_000.0, vnodes=8)
+    model = _CheckedModel(classes, 2, **knobs)
+    oracle = _OracleModel(classes, 2, **knobs)
+    for m in (model, oracle):
+        m.run(30_000.0, events=[(10_000.0, "crash", "gw0"),
+                                (20_000.0, "recover", "gw0")])
+    assert _state(model) == _state(oracle)
+    counters = model.tier.counters()
+    assert counters["flow_table_evictions"] > 100
+    assert counters["flow_table_hits"] > 0
+
+
+def test_oracle_crash_overflows_the_heirs_punt_queue():
+    """A crash that redirects more backlog than the heir's punt queue
+    holds leaves it over its bound until the epoch's shed; the model
+    trims it and its running total exactly as the oracle does."""
+    classes = [ClientClass("c", "t-a", clients=2_000, rps_per_client=100.0,
+                           zipf_s=0.8, buckets=32)]
+    knobs = dict(table_capacity=4_096, tenant_quota=None, max_queue=400,
+                 max_cold_queue=60, fastpath_rps=20_000.0,
+                 slowpath_rps=2_500.0, sync_us=1_000.0, vnodes=8)
+    model = _CheckedModel(classes, 3, **knobs)
+    oracle = _OracleModel(classes, 3, **knobs)
+    for m in (model, oracle):
+        m.run(10_000.0, drain=False)
+    backlog = model._hot_n["gw0"] + model._cold_n["gw0"]
+    assert backlog > knobs["max_cold_queue"]
+    for m in (model, oracle):
+        m.run(10_000.0, events=[(10_000.0, "crash", "gw0")])
+    assert _state(model) == _state(oracle)
+    assert model.redirected == backlog
+
+
+# ---------------------------------------------------------------------------
+# golden: the reduced gateway sweep's outputs are pinned
+# ---------------------------------------------------------------------------
+
+def test_reduced_gateway_sweep_matches_its_golden_digest():
+    """The CI gateway sweep (1/2/4 gateways at 2 % scale) hashes to the
+    committed digests: its table and, per model, every latency sample,
+    completion count, tier counter and ledger total.  Regenerate with
+    ``tools/fluid_digest.py --update`` only for an intended change."""
+    golden = json.loads(fluid_digest.GOLDEN.read_text())
+    assert fluid_digest.digest("reduced") == golden["reduced"]
