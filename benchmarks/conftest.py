@@ -1,34 +1,11 @@
-"""Benchmark configuration: each bench runs its experiment once.
+"""Benchmark configuration: each bench runs its workload once.
 
-The benchmarks double as the reproduction harness: every figure/table
-of the paper's evaluation has one bench that regenerates its data and
-prints the result table (captured in bench_output.txt).
-
-Sweeps whose points are independent accept a ``jobs`` fixture:
-``pytest benchmarks --jobs 4`` (or ``REPRO_JOBS=4``) fans the points
-out over worker processes; results merge in deterministic submission
-order, so the emitted tables are byte-identical to a serial run.
+The experiment gates live in ``tools/gate.py``; what remains here is
+the kernel microbench and the ablation and elasticity benches, which
+isolate single constants and mechanisms.
 """
 
 import pytest
-
-from repro.experiments.parallel import default_jobs
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--jobs", type=int, default=None,
-        help="worker processes for parallelizable experiment sweeps "
-             "(default: REPRO_JOBS or 1 = serial; merge order is "
-             "deterministic either way)",
-    )
-
-
-@pytest.fixture
-def jobs(request):
-    """Process count for parallelizable sweeps (1 = serial)."""
-    value = request.config.getoption("--jobs")
-    return default_jobs() if value is None else value
 
 
 @pytest.fixture

@@ -9,22 +9,24 @@ can be *validated* automatically::
     assert not failures
 
 Each check returns a list of human-readable violation strings (empty =
-the run is inside every band).  A run that lacks an anchor point (the
-``--quick`` configs leave out 64 and 80 clients) is a violation that
-names the missing point, not an exception.  Bands are deliberately
-generous — the reproduction target is shape and factor, not
-testbed-exact numbers.
+the run is inside every band).  The ``--quick`` configs include the
+anchor points (64 clients for Fig. 13, 80 for Fig. 16), and each
+experiment's gate (``GATES`` in ``repro.experiments.__main__``) applies
+these checks to its quick output.  A run that lacks an anchor point is
+a violation that names the missing point, not an exception.  Bands are
+deliberately generous — the reproduction target is shape and factor,
+not testbed-exact numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from .runner import ExperimentResult
 
 __all__ = ["Band", "PAPER_ANCHORS", "check_fig12", "check_fig13",
-           "check_fig15", "check_fig16", "check_all"]
+           "check_fig15", "check_fig16"]
 
 
 @dataclass(frozen=True)
@@ -149,21 +151,3 @@ def check_fig16(result: ExperimentResult, chain: str = "Home Query",
         dne / max(1, rps["nightcore"]), "fig16:dne/nightcore")
     return failures
 
-
-#: experiment id -> validator (result signature varies per figure)
-CHECKS: Dict[str, Callable] = {
-    "fig12": check_fig12,
-    "fig13": check_fig13,
-    "fig15": check_fig15,
-    "fig16": check_fig16,
-}
-
-
-def check_all(results: Dict[str, ExperimentResult]) -> List[str]:
-    """Run every applicable validator over a dict of results."""
-    failures: List[str] = []
-    for name, result in results.items():
-        checker = CHECKS.get(name)
-        if checker is not None:
-            failures += checker(result)
-    return failures

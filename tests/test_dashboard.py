@@ -3,7 +3,7 @@ and the structural self-check the CI smoke job relies on.
 
 All tests run on a hand-built bundle — no simulation, so they're
 instant; the end-to-end render from live monitored runs is covered by
-the CI monitor-smoke job.
+the CI monitor-smoke job, which runs ``dashboard.py --check``.
 """
 
 import importlib.util
@@ -134,6 +134,21 @@ class TestCheckHtml:
         page = dashboard.render_html(bundle).replace("<polyline", "<p")
         problems = dashboard.check_html(page, bundle)
         assert any("sparklines" in p for p in problems)
+
+    def test_detects_bundle_without_overload_cells(self, bundle):
+        bundle["overload"] = []
+        problems = dashboard.check_html(dashboard.render_html(bundle), bundle)
+        assert "no overload cells in the bundle" in problems
+
+    def test_detects_bundle_without_alert_spans(self, bundle):
+        bundle["overload"][0]["alert_spans"] = []
+        problems = dashboard.check_html(dashboard.render_html(bundle), bundle)
+        assert "no alert spans in any overload cell" in problems
+
+    def test_detects_bundle_without_critpath_points(self, bundle):
+        bundle["critpath"]["points"] = []
+        problems = dashboard.check_html(dashboard.render_html(bundle), bundle)
+        assert "no critical-path points in the bundle" in problems
 
 
 class TestRenderText:

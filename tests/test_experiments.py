@@ -1,7 +1,9 @@
 """Smoke + shape tests for every experiment (tiny parameterizations).
 
-These check the *direction* of each paper result with small runs; the
-full-size reproduction lives in benchmarks/ and EXPERIMENTS.md.
+These check the *direction* of each paper result with small runs.  The
+full-size reproduction is ``python -m repro.experiments --all``
+(EXPERIMENTS.md); each experiment's quick run is pinned and checked by
+its gate (``tools/gate.py``).
 """
 
 import pytest
@@ -10,6 +12,7 @@ from repro.config import CostModel
 from repro.experiments import (
     ExperimentResult,
     format_table,
+    run_fault_point,
     run_table1,
 )
 from repro.experiments.fig09_comch import CHANNELS, run_channel
@@ -101,6 +104,12 @@ def test_fig11_offpath_higher_rps_under_load(fig11_points):
     off = fig11_points[("off-path", 24)][0]
     on = fig11_points[("on-path", 24)][0]
     assert 1.1 < off / on < 1.6  # paper: up to ~30%
+
+
+def test_fig11_offpath_higher_rps_at_64_concurrent():
+    off, _ = run_echo_point("off-path", 1024, 64, duration_us=10_000)
+    on, _ = run_echo_point("on-path", 1024, 64, duration_us=10_000)
+    assert off > on
 
 
 def test_fig11_gap_grows_with_concurrency(fig11_points):
@@ -210,6 +219,16 @@ def test_fig16_nightcore_worst(boutique_80):
 def test_fig16_dne_uses_dpu_not_cpu_engine_cores(boutique_80):
     assert boutique_80["palladium-dne"]["dpu_pct"] > 150
     assert boutique_80["palladium-cne"]["dpu_pct"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Fault recovery: the CNE, which the quick gate leaves out, also recovers
+# ---------------------------------------------------------------------------
+
+def test_fault_recovery_cne_restores_goodput_during_the_outage():
+    m = run_fault_point("palladium-cne", clients=4, down_us=80_000.0,
+                        post_us=60_000.0)
+    assert m["restored_pct"] >= 90.0
 
 
 # ---------------------------------------------------------------------------

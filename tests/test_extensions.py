@@ -1,10 +1,13 @@
 """Tests for extension features: security domains, multi-ingress LB,
 ablation experiments, and the CLI runner."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import CostModel
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import EXPERIMENTS, GATES, main
 from repro.ingress import IngressLoadBalancer, PalladiumIngress
 from repro.platform import FunctionSpec, ServerlessPlatform, Tenant
 from repro.sim import Environment
@@ -236,3 +239,11 @@ def test_cli_registry_complete():
     for key in ("fig09", "fig11", "fig12", "fig13", "fig14", "fig15",
                 "fig16", "table1", "table2"):
         assert key in EXPERIMENTS
+
+
+def test_every_experiment_has_a_gate_and_a_digest():
+    golden = Path(__file__).parent / "golden" / "digests.json"
+    digests = json.loads(golden.read_text())
+    assert list(GATES) == list(EXPERIMENTS)
+    assert sorted(digests) == sorted(EXPERIMENTS)
+    assert all(len(d["result"]) == 64 for d in digests.values())

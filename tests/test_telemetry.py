@@ -13,6 +13,10 @@ Covers the observability acceptance criteria:
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -410,3 +414,45 @@ class TestCycleLedger:
             ledger.charge("disk", 1.0)
         ledger.reset()
         assert ledger.total_us() == 0.0
+
+
+# -- end to end: the Chrome trace export and the span memory budget --------
+def test_chrome_trace_export_passes_schema_and_integrity(tmp_path):
+    from repro.experiments import run_trace_smoke
+
+    path = tmp_path / "trace.json"
+    smoke = run_trace_smoke(str(path), clients=4, duration_us=40_000.0)
+    assert smoke["spans"] > 0, "instrumented run produced no spans"
+    assert smoke["schema_errors"] == [], smoke["schema_errors"][:5]
+    assert smoke["integrity_violations"] == [], \
+        smoke["integrity_violations"][:5]
+    assert validate_chrome_trace(json.loads(path.read_text())) == []
+
+
+def test_streamed_spans_stay_within_their_memory_budget():
+    """The bench point runs in a fresh interpreter, so its peak RSS is
+    the point's own: under 48 MB, keeping under 1/16 of the spans.
+
+    The peak is the child's ``VmHWM``: on Linux ``ru_maxrss`` carries
+    over the spawning process's peak across ``exec``, and here that
+    process is the whole test session.
+    """
+    script = textwrap.dedent("""
+        import json
+        from repro.experiments import run_boutique_point
+        point = run_boutique_point("palladium-dne", "Home Query", 20,
+                                   duration_us=80_000, with_telemetry=True)
+        tracer = point["telemetry"].tracer
+        with open("/proc/self/status") as status:
+            hwm_kb = next(int(line.split()[1]) for line in status
+                          if line.startswith("VmHWM:"))
+        print(json.dumps([hwm_kb / 1024, len(tracer.spans), tracer.recorded]))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    rss_mb, kept, recorded = json.loads(out.stdout)
+    assert rss_mb < 48, f"peak RSS {rss_mb:.1f} MB >= 48 MB"
+    assert 0 < kept < recorded // 16

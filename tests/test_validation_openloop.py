@@ -104,16 +104,6 @@ def test_check_fig15_accepts_the_quick_list_of_panels():
         "fig15: no DWRR panel among the results"]
 
 
-def test_check_all_dispatch():
-    good_f13 = ExperimentResult("f13", columns=["ingress", "clients", "rps",
-                                                "mean_latency_us", "errors"])
-    good_f13.add_row("palladium", 64, 160_000, 400, 0)
-    good_f13.add_row("f-ingress", 64, 50_000, 1300, 0)
-    good_f13.add_row("k-ingress", 64, 11_000, 7000, 0)
-    failures = validation.check_all({"fig13": good_f13, "unknown": good_f13})
-    assert failures == []
-
-
 # ---------------------------------------------------------------------------
 # OpenLoopSource
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.workloads import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-import fluid_digest  # noqa: E402
+import gate  # noqa: E402
 
 
 def _classes(clients=2_000, rps=2.0):
@@ -667,13 +667,17 @@ def test_oracle_crash_overflows_the_heirs_punt_queue():
 
 
 # ---------------------------------------------------------------------------
-# golden: the reduced gateway sweep's outputs are pinned
+# golden: the gateway-scale gate's outputs are pinned
 # ---------------------------------------------------------------------------
 
-def test_reduced_gateway_sweep_matches_its_golden_digest():
-    """The CI gateway sweep (1/2/4 gateways at 2 % scale) hashes to the
-    committed digests: its table and, per model, every latency sample,
-    completion count, tier counter and ledger total.  Regenerate with
-    ``tools/fluid_digest.py --update`` only for an intended change."""
-    golden = json.loads(fluid_digest.GOLDEN.read_text())
-    assert fluid_digest.digest("reduced") == golden["reduced"]
+def test_gateway_scale_gate_matches_its_golden_digests():
+    """The gateway-scale gate hashes to the committed digests: the quick
+    sweep (1/2/4 gateways at 2 % scale) and the full million-client
+    sweep, each as its table and, per model, every latency sample,
+    completion count, tier counter and ledger total.  The full sweep
+    also passes its checks.  Regenerate with
+    ``tools/gate.py gateway-scale --update`` only for an intended
+    change."""
+    digests, failures = gate.run_gate("gateway-scale")
+    assert failures == []
+    assert digests == json.loads(gate.DIGESTS.read_text())["gateway-scale"]

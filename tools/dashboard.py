@@ -264,6 +264,12 @@ def render_text(bundle: Dict[str, Any]) -> str:
 def check_html(page: str, bundle: Dict[str, Any]) -> List[str]:
     """Structural self-check; returns a list of problems (empty = ok)."""
     problems: List[str] = []
+    if not bundle.get("overload"):
+        problems.append("no overload cells in the bundle")
+    elif not any(run["alert_spans"] for run in bundle["overload"]):
+        problems.append("no alert spans in any overload cell")
+    if not (bundle.get("critpath") or {}).get("points"):
+        problems.append("no critical-path points in the bundle")
     if not page.startswith("<!DOCTYPE html>"):
         problems.append("missing doctype")
     for tag in ("html", "head", "body", "style", "title"):
