@@ -29,7 +29,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.sim import AllOf, AnyOf, Environment, FilterStore, Store
+from repro.sim import AllOf, AnyOf, Environment, Store
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_host_perf.json"
 
@@ -98,14 +98,14 @@ def bench_condition_fanin():
     return env.events_processed
 
 
-def _cqe_burster(env: Environment, cq: FilterStore, bursts: int, width: int):
+def _cqe_burster(env: Environment, cq: Store, bursts: int, width: int):
     for burst in range(bursts):
         for i in range(width):
             cq.put_nowait((burst, i))
         yield env.timeout(1.0)
 
 
-def _cqe_drainer(env: Environment, cq: FilterStore, drained: list):
+def _cqe_drainer(env: Environment, cq: Store, drained: list):
     while True:
         batch = yield cq.poll_batch()
         drained[0] += len(batch)
@@ -118,7 +118,7 @@ def bench_cqe_storm():
     # events serviced without individual kernel wakeups, so they count
     # alongside the heap events.
     env = Environment()
-    cq = FilterStore(env, name="cq")
+    cq = Store(env, name="cq")
     drained = [0]
     done = env.process(_cqe_burster(env, cq, 2_000, 64), name="burst")
     env.process(_cqe_drainer(env, cq, drained), name="drain")

@@ -69,9 +69,6 @@ class FuyaoEngine(NetworkEngine):
     def _ingest_cost_us(self) -> float:
         return self.cost.sk_msg_interrupt_us + self.channel.ingest_cost_us()
 
-    def _egress_cost_us(self) -> float:
-        return self.cost.sk_msg_us
-
     # -- tenant setup: create and register the dedicated RDMA pool ----------------
     def setup_tenant(self, tenant: str, pool: MemoryPool,
                      remote_map: Optional[RemoteMap] = None,
@@ -98,7 +95,7 @@ class FuyaoEngine(NetworkEngine):
                     slot = peer.rdma_pools[tenant].get(f"slots:{self.node.name}")
                 except PoolExhausted:
                     break
-                credits.put(slot)
+                credits.put_nowait(slot)
             self._credits[(remote_node, tenant)] = credits
 
     # -- TX: one-sided write into a remote slot -----------------------------------------
@@ -209,7 +206,7 @@ class FuyaoEngine(NetworkEngine):
             yield self.env.timeout(cost.rdma_base_latency_us)
             credits = peer._credits.get((self.node.name, tenant))
             if credits is not None:
-                credits.put(slot)
+                credits.put_nowait(slot)
 
         self.env.process(_return_credit(), name=f"{self.name}-credit")
         dst_fn = message.dst or None

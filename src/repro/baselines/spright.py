@@ -54,9 +54,6 @@ class SprightEngine(NetworkEngine):
         # SK_MSG delivery into the engine is interrupt-driven.
         return self.cost.sk_msg_interrupt_us + self.channel.ingest_cost_us()
 
-    def _egress_cost_us(self) -> float:
-        return self.cost.sk_msg_us
-
     def _core_thread(self, epoch):
         """No RC connections or receive buffers to manage; idle."""
         return

@@ -41,7 +41,7 @@ from ..rdma import (
     ControlPlaneConfig,
     RdmaFabric,
 )
-from ..sim import Environment
+from ..sim import AllOf, Environment
 from ..workloads.diurnal import RateSchedule, diurnal_schedule
 
 from .parallel import parallel_map
@@ -161,7 +161,7 @@ def _run_world(scenario: str, arrival_times: List[float], state_bytes: int,
                 mgr.get_connection("worker1", tenant, fn=f"fn{index}"),
                 name=f"churn-conn{index}")
             reg = env.process(handle.acquire(), name=f"churn-reg{index}")
-            yield env.all_of([conn, reg])
+            yield AllOf(env, [conn, reg])
             qp = conn.value
         else:
             qp = yield from mgr.get_connection("worker1", tenant)

@@ -4,8 +4,7 @@ A :class:`FaultPlan` is a declarative, time-ordered schedule of fault
 events (node crashes, engine crashes, link flaps, QP errors, memory
 pool exhaustion); a :class:`FaultInjector` walks the plan against a
 running platform, applying each fault and its recovery at the
-scheduled simulation times.  Injection draws randomness (when any is
-requested) only from the dedicated ``faults`` rng stream, so a plan
+scheduled simulation times.  Injection draws no randomness, so a plan
 never perturbs workload draws and a seeded run replays byte-identical
 — with or without faults.
 

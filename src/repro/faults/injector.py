@@ -10,10 +10,10 @@ the determinism property test compares across replays.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..memory import PoolExhausted
-from ..sim import Environment, RngRegistry
+from ..sim import Environment
 
 from .plan import FaultEvent, FaultPlan
 
@@ -30,18 +30,12 @@ class FaultInjector:
         env: Environment,
         platform,
         plan: FaultPlan,
-        rng: Optional[RngRegistry] = None,
         recovery: bool = True,
-        jitter_us: float = 0.0,
     ):
         self.env = env
         self.platform = platform
         self.plan = plan
         self.recovery = recovery
-        #: uniform jitter added to each event time, drawn from the
-        #: dedicated ``faults`` stream (0 = exact schedule)
-        self.jitter_us = jitter_us
-        self._rng = rng.faults() if (rng is not None and jitter_us > 0) else None
         #: what actually happened: (time, kind, target, detail)
         self.timeline: List[Tuple[float, str, str, Any]] = []
         #: buffers held hostage by pool-exhaust faults
@@ -72,8 +66,6 @@ class FaultInjector:
     def _run(self):
         for event in self.plan.events:
             at = event.at_us
-            if self._rng is not None:
-                at += self._rng.uniform(0.0, self.jitter_us)
             if at > self.env.now:
                 yield self.env.timeout(at - self.env.now)
             detail = yield from self._apply(event)

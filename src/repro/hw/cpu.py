@@ -164,7 +164,7 @@ class CorePool:
         self.pinned.append(core)
         return core
 
-    def execute(self, host_us: float, priority: int = 0):
+    def execute(self, host_us: float):
         """Generator: run ``host_us`` of host-equivalent work on any core.
 
         Uncontended runs (free core, empty queue) take the token fast
@@ -186,7 +186,7 @@ class CorePool:
             finally:
                 res.release(token)
             return
-        req = res.request(priority)
+        req = res.request()
         yield req
         try:
             yield self.env.timeout(duration)

@@ -84,7 +84,8 @@ class TcpWorkerAdapter:
         ``complete(ctx, body, length)`` is invoked (as a new process)
         when the matching response is ready to travel back.
         """
-        self.inbox.put(("request", (request, tenant, entry_fn, ctx, complete)))
+        self.inbox.put_nowait(
+            ("request", (request, tenant, entry_fn, ctx, complete)))
 
     # -- data-plane loop -----------------------------------------------------------
     def _loop(self):

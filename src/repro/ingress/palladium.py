@@ -162,7 +162,7 @@ class PalladiumIngress:
             return
         worker = self.workers.pop()
         worker.active = False
-        worker.inbox.put(("shutdown", None))
+        worker.inbox.put_nowait(("shutdown", None))
         worker.core.unpin()
 
     # -- client-facing API -------------------------------------------------------
@@ -171,14 +171,14 @@ class PalladiumIngress:
         lazily on the owning worker's first event)."""
         conn = ClientConnection(self.env)
         worker = rss_pick(self.workers, conn.conn_id)
-        worker.inbox.put(("handshake", conn))
+        worker.inbox.put_nowait(("handshake", conn))
         return conn
 
     def submit(self, conn: ClientConnection, request: HttpRequest) -> None:
         """A request frame arrived from the Ethernet side."""
         request.connection_id = conn.conn_id
         worker = rss_pick(self.workers, conn.conn_id)
-        worker.inbox.put(("request", (conn, request)))
+        worker.inbox.put_nowait(("request", (conn, request)))
         self.stats.accepted += 1
 
     # -- worker data-plane loop -----------------------------------------------------
@@ -311,7 +311,7 @@ class PalladiumIngress:
         def _transit():
             yield from self.cluster.ether_down.transmit(response.wire_bytes)
             if conn.open:
-                conn.inbox.put(response)
+                conn.inbox.put_nowait(response)
                 conn.responses_received += 1
 
         self.env.process(_transit(), name="ingress-reject-tx")
@@ -350,7 +350,7 @@ class PalladiumIngress:
             # Ethernet transit happens in the NIC, not the worker loop.
             yield from self.cluster.ether_down.transmit(response.wire_bytes)
             if conn.open:
-                conn.inbox.put(response)
+                conn.inbox.put_nowait(response)
                 conn.responses_received += 1
             self.stats.completed += 1
             self.latency.record(self.env.now - t0)
@@ -396,7 +396,7 @@ class PalladiumIngress:
             )
             entry = owner._pending.get(rid)
             worker = entry[1] if entry else rss_pick(owner.workers, rid or 0)
-            worker.inbox.put(("response", completion))
+            worker.inbox.put_nowait(("response", completion))
         elif completion.opcode == Opcode.SEND and completion.buffer is not None:
             completion.buffer.pool.put(completion.buffer, self.AGENT)
             if not completion.ok:

@@ -120,7 +120,7 @@ class ProxyIngress:
             return
         worker = self.workers.pop()
         worker.active = False
-        worker.inbox.put(("shutdown", None))
+        worker.inbox.put_nowait(("shutdown", None))
         worker.core.unpin()
 
     # -- client-facing API ------------------------------------------------------
@@ -128,7 +128,7 @@ class ProxyIngress:
         conn = ClientConnection(self.env)
         if self.mode == self.FSTACK:
             worker = rss_pick(self.workers, conn.conn_id)
-            worker.inbox.put(("handshake", conn))
+            worker.inbox.put_nowait(("handshake", conn))
         else:
             self.env.process(self.stack.handshake(), name="ingress-hs")
         return conn
@@ -144,7 +144,7 @@ class ProxyIngress:
                     self.resolver(request.path)[0]).inc()
         if self.mode == self.FSTACK:
             worker = rss_pick(self.workers, conn.conn_id)
-            worker.inbox.put(("request", (conn, request)))
+            worker.inbox.put_nowait(("request", (conn, request)))
         else:
             self.env.process(
                 self._kernel_handle(conn, request), name="ingress-req"
@@ -220,7 +220,7 @@ class ProxyIngress:
             self._finish(conn, response, t0, tenant)
         else:
             worker = rss_pick(self.workers, conn.conn_id)
-            worker.inbox.put(("respond", (conn, response, t0, tenant)))
+            worker.inbox.put_nowait(("respond", (conn, response, t0, tenant)))
 
     def _finish(self, conn: ClientConnection, response: HttpResponse,
                 t0: float, tenant: str = "") -> None:
@@ -228,7 +228,7 @@ class ProxyIngress:
         def _transit():
             yield from self.cluster.ether_down.transmit(response.wire_bytes)
             if conn.open:
-                conn.inbox.put(response)
+                conn.inbox.put_nowait(response)
                 conn.responses_received += 1
             self.stats.completed += 1
             self.latency.record(self.env.now - t0)

@@ -114,7 +114,7 @@ class MemoryPool:
         buffer.payload = None
         buffer.length = 0
         self.puts += 1
-        self._free.put(buffer)
+        self._free.put_nowait(buffer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MemoryPool {self.name} free={self.free_count}/{self.buffer_count}>"

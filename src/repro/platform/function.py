@@ -264,7 +264,7 @@ class FunctionInstance:
                         header.retire(self.agent)
                         self.iolib.recycle(descriptor.buffer, self.agent)
                 else:
-                    self._requests.put(descriptor)
+                    self._requests.put_nowait(descriptor)
             finally:
                 self._work_done()
 

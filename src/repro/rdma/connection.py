@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import CostModel
-from ..sim import Environment
+from ..sim import AllOf, Environment
 
 from .controlplane import (
     ControlPlaneConfig,
@@ -177,7 +177,7 @@ class ConnectionManager:
                              name=f"rc-setup:{self.node}->{remote_node}")
             for _ in range(needed)
         ]
-        done = yield self.env.all_of(procs)
+        yield AllOf(self.env, procs)
         pool.extend(proc.value for proc in procs
                     if not proc.value.is_errored)
         return list(pool)
@@ -212,7 +212,7 @@ class ConnectionManager:
                                  name=f"rc-prewarm:{self.node}->{remote_node}")
                 for _ in range(target - len(pool))
             ]
-            yield self.env.all_of(procs)
+            yield AllOf(self.env, procs)
             fresh = [p.value for p in procs if not p.value.is_errored]
             pool.extend(fresh)
             warmed += len(fresh)

@@ -34,7 +34,7 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 from ..config import CostModel
 from ..memory import Buffer, BufferState, MemoryPool, RemoteMap
-from ..sim import Environment, FilterStore, Process, Resource
+from ..sim import Environment, Process, Resource, Store
 
 from .mr import MemoryRegionTable
 from .qp import QPState, QpError, QueuePair, SharedReceiveQueue
@@ -77,9 +77,9 @@ class Rnic:
         self.node = node
         self.cost = cost
         self.mrt = MemoryRegionTable()
-        #: the node's single completion queue (§3.3); FilterStore so a
-        #: consumer can also wait for a specific completion.
-        self.cq: FilterStore = FilterStore(env, name=f"cq:{node}")
+        #: the node's single completion queue (§3.3); its engine drains
+        #: it in FIFO bursts with ``poll_batch()``.
+        self.cq: Store = Store(env, name=f"cq:{node}")
         #: per-tenant shared receive queues
         self.srqs: Dict[str, SharedReceiveQueue] = {}
         #: serializes the NIC's host-DMA/WQE pipelines

@@ -15,8 +15,8 @@ The programming model:
   delay; :meth:`Environment.event` creates a manually-triggered event.
 * Processes are themselves events (they fire when the generator
   returns), so processes can wait on each other.
-* A process can be interrupted with :meth:`Process.interrupt`, which
-  raises :class:`Interrupt` inside the generator.
+* :class:`AnyOf` / :class:`AllOf` fire (with ``None``) once any / all
+  of their member events have fired; waiters read the members.
 
 Determinism: events scheduled for the same instant fire in FIFO order
 of scheduling (ties are broken by a monotonically increasing sequence
@@ -24,10 +24,9 @@ number), so repeated runs with the same seed produce identical traces.
 
 Fast path (see docs/PERFORMANCE.md): the ready queue is one flat
 binary heap of plain ``(time, priority, eid, event)`` tuples, and one
-run loop pops it and runs callbacks inline rather than paying a
-``step()`` + ``_run_callbacks()`` call per event; trigger sites push
-through the environment's bound ``_push`` (a :func:`heapq.heappush`
-partial over the heap).  Steady-state event churn recycles
+run loop pops it and runs callbacks inline; trigger sites push through
+the environment's bound ``_push`` (a :func:`heapq.heappush` partial
+over the heap).  Steady-state event churn recycles
 :class:`Timeout`, completed-event, and :meth:`Environment.defer`
 objects through per-class free lists, so the hot path does no
 allocation beyond the queue tuple itself.  Recycling is guarded by
@@ -53,7 +52,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
     "AnyOf",
     "AllOf",
@@ -77,18 +75,6 @@ except AttributeError:  # pragma: no cover - non-CPython: pooling off
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. double trigger)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process generator when it is interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -166,23 +152,6 @@ class Event:
         env._push((env._now, PRIORITY_NORMAL, env._eid, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror the outcome of another (already fired) event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
-    # -- internal ------------------------------------------------------------
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-        if not self._ok and not self.defused:
-            raise self._value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
         return f"<{type(self).__name__} {state} at t={self.env.now}>"
@@ -191,7 +160,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     _poolable = True
 
@@ -205,7 +174,6 @@ class Timeout(Event):
         self._triggered = True
         self._processed = False
         self.defused = False
-        self.delay = delay
         env._eid += 1
         env._push((env._now + delay, PRIORITY_NORMAL, env._eid, self))
 
@@ -255,7 +223,7 @@ class Process(Event):
     the generator raises, the process-event fails with that exception.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -269,39 +237,11 @@ class Process(Event):
         self.defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: event this process is currently waiting on
-        self._target: Optional[Event] = None
         Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not terminated."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at the current time."""
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt terminated process {self.name}")
-        if self._target is None:
-            raise SimulationError(f"cannot interrupt uninitialized process {self.name}")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._triggered = True
-        event.defused = True
-        # Detach from the current target so its eventual firing is ignored,
-        # and resume immediately with the interrupt.
-        target = self._target
-        if target.callbacks is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._target = None
-        event.callbacks = [self._resume]
-        self.env._schedule(event, PRIORITY_URGENT, 0.0)
 
     # -- internal ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
         generator = self._generator
         send = generator.send
         refs = _getrefcount
@@ -330,8 +270,6 @@ class Process(Event):
                     event.defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as exc:
-                self._target = None
-                env._active_process = None
                 self._ok = True
                 self._value = exc.value
                 self._triggered = True
@@ -339,8 +277,6 @@ class Process(Event):
                 env._push((env._now, PRIORITY_NORMAL, env._eid, self))
                 return
             except BaseException as exc:
-                self._target = None
-                env._active_process = None
                 self._ok = False
                 self._value = exc
                 self._triggered = True
@@ -365,53 +301,19 @@ class Process(Event):
             if callbacks is not None:
                 # Not yet processed: register and suspend.
                 callbacks.append(self._resume)
-                self._target = next_event
-                break
+                return
             # Already processed: loop and deliver its outcome synchronously.
             event = next_event
             next_event = None
 
-        env._active_process = None
-
-
-class ConditionValue:
-    """Ordered mapping of events to values produced by condition events."""
-
-    __slots__ = ("events", "_event_ids")
-
-    def __init__(self, events: List[Event]):
-        self.events = events
-        # Identity set for O(1) membership (events are compared by
-        # identity, never by value), built lazily on first lookup so
-        # conditions that only read ``values()`` never pay for it.
-        self._event_ids = None
-
-    def _ids(self) -> set:
-        ids = self._event_ids
-        if ids is None:
-            ids = self._event_ids = {id(event) for event in self.events}
-        return ids
-
-    def __getitem__(self, event: Event) -> Any:
-        if id(event) not in self._ids():
-            raise KeyError(event)
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return id(event) in self._ids()
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def values(self) -> List[Any]:
-        return [event._value for event in self.events]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ConditionValue {self.values()!r}>"
-
 
 class Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite events."""
+    """Base for :class:`AnyOf` / :class:`AllOf` composite events.
+
+    A condition succeeds with ``None``; waiters that need an outcome
+    read it off the member events.  A failed member fails the
+    condition with that member's exception.
+    """
 
     __slots__ = ("_events", "_count")
 
@@ -423,7 +325,7 @@ class Condition(Event):
             if event.env is not env:
                 raise SimulationError("all events must share one environment")
         if not self._events:
-            self.succeed(ConditionValue([]))
+            self.succeed()
             return
         for event in self._events:
             if event.callbacks is None:
@@ -442,9 +344,7 @@ class Condition(Event):
             event.defused = True
             self.fail(event._value)
         elif self._satisfied():
-            self.succeed(ConditionValue(
-                [e for e in self._events if e._processed and e._ok]
-            ))
+            self.succeed()
 
 
 class AnyOf(Condition):
@@ -475,9 +375,7 @@ class Environment:
         #: attribute walk + global lookup at every push site
         self._push: Callable[[tuple], None] = partial(heappush, self._queue)
         self._eid = 0
-        self._active_process: Optional[Process] = None
-        #: events popped and dispatched so far (native counter; the
-        #: perf bench reads this instead of wrapping ``step()``)
+        #: events popped and dispatched so far
         self.events_processed = 0
         #: observability hook (``repro.telemetry.Telemetry`` or None).
         #: Instrumentation sites across the stack check this attribute;
@@ -495,11 +393,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time (microseconds by repo convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -578,7 +471,6 @@ class Environment:
             # with _value None; only reset what recycling didn't.
             event.callbacks = []
             event._processed = False
-            event.delay = delay
             if value is not None:
                 event._value = value
             self._eid += 1
@@ -590,31 +482,10 @@ class Environment:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all ``events`` have fired."""
-        return AllOf(self, events)
-
-    # -- scheduling / run loop ----------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        self._eid += 1
-        self._push((self._now + delay, priority, self._eid, event))
-
+    # -- run loop -----------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("no more events")
-        when, _priority, _eid, event = heappop(self._queue)
-        self._now = when
-        self.events_processed += 1
-        event._run_callbacks()
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -660,8 +531,7 @@ class Environment:
 
     def _run(self, stop_event: Optional[Event], stop_time: float) -> None:
         # Tight inlined loop: one heap pop + direct callback dispatch
-        # per event (the ``step()`` API remains for single-stepping).
-        # Almost every fired event has exactly one callback (a process
+        # per event.  Almost every fired event has exactly one callback (a process
         # resume), so that case skips the loop machinery entirely.
         queue = self._queue
         pop = heappop

@@ -2,51 +2,39 @@
 
 Provides SimPy-style resources used throughout the reproduction:
 
-* :class:`Resource` — a server with fixed capacity and a FIFO (or
-  priority) wait queue.  CPU cores, DMA engines and NIC processing
-  pipelines are built on this.
-* :class:`Store` — an unbounded/bounded FIFO of items with blocking
-  ``get``.  Message queues, completion queues and rings are built on
-  this.
-* :class:`FilterStore` — a store whose ``get`` can wait for an item
-  matching a predicate (used e.g. to wait for a specific completion).
+* :class:`Resource` — a server with fixed capacity and a FIFO wait
+  queue.  CPU cores, DMA engines and NIC processing pipelines are
+  built on this.
+* :class:`Store` — an unbounded FIFO of items with blocking ``get``.
+  Message queues, completion queues and rings are built on this.
 
 Hot-path notes (docs/PERFORMANCE.md): stores keep their items and
 waiter lists in :class:`collections.deque` so the FIFO pop is O(1);
 immediately-satisfiable ``get``\\ s reuse pooled ``_GetEvent`` objects
 via :meth:`Environment.completed_event`; ``Resource.request`` builds
-the grant without an ``__init__`` chain and only sorts its wait queue
-when a priority actually arrives out of order.
+the grant without an ``__init__`` chain.
 
-Batched draining: :meth:`Store.drain_ready` (non-blocking, returns a
-list) and :meth:`Store.poll_batch` (blocking, fires with a non-empty
-list) let one consumer wakeup take every ready item — a polling loop
-built on them costs one generator round-trip per *burst* instead of
-one per item.  Batch getters always take items in FIFO arrival order;
-on :class:`FilterStore` they bypass predicates (a CQ drain wants every
-completion, not a matching one).
+Batched draining: :meth:`Store.poll_batch` (blocking, fires with a
+non-empty list) lets one consumer wakeup take every ready item — a
+polling loop built on it costs one generator round-trip per *burst*
+instead of one per item.  Batch getters take items in FIFO arrival
+order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Deque, List, Optional
 
 from .core import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Request", "Store", "FilterStore"]
-
-
-class _PutEvent(Event):
-    """Internal: a pending Store.put carrying its item."""
-
-    __slots__ = ("item",)
+__all__ = ["Resource", "Request", "Store"]
 
 
 class _GetEvent(Event):
-    """Internal: a pending Store.get, optionally with a predicate."""
+    """Internal: a pending Store.get."""
 
-    __slots__ = ("predicate",)
+    __slots__ = ()
 
     #: fast-path gets are kernel-recycled once their value is delivered
     _poolable = True
@@ -57,7 +45,7 @@ class _GetEvent(Event):
 class _BatchGetEvent(_GetEvent):
     """Internal: a pending Store.poll_batch; fires with a list of items."""
 
-    __slots__ = ("limit",)
+    __slots__ = ()
 
     _batch = True
 
@@ -65,22 +53,13 @@ class _BatchGetEvent(_GetEvent):
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "key")
-
-    def __init__(self, resource: "Resource", priority: int):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.priority = priority
-        resource._seq += 1
-        self.key = (priority, resource._seq)
+    __slots__ = ()
 
 
 class Resource:
-    """A server with ``capacity`` identical slots and a wait queue.
+    """A server with ``capacity`` identical slots and a FIFO wait queue.
 
-    Requests are granted in ``(priority, FIFO)`` order; lower priority
-    values are served first.  The holder must call :meth:`release` with
-    the granted request.
+    The holder must call :meth:`release` with the granted request.
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
@@ -91,7 +70,6 @@ class Resource:
         self.name = name
         self.users: List[Request] = []
         self.queue: List[Request] = []
-        self._seq = 0
         # busy-time accounting for utilization reports
         self._busy_area = 0.0
         self._last_change = env.now
@@ -118,7 +96,7 @@ class Resource:
             return 0.0
         return self.busy_time() / (elapsed * self.capacity)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
         env = self.env
         users = self.users
@@ -126,35 +104,23 @@ class Resource:
         now = env._now
         self._busy_area += len(users) * (now - self._last_change)
         self._last_change = now
-        # Build the grant without the Event/Request __init__ chain.
+        # Build the grant without the Event __init__ chain.
         req = Request.__new__(Request)
         req.env = env
         req._value = None
         req.defused = False
-        req.resource = self
-        req.priority = priority
+        req._ok = True
         if len(users) < self.capacity and not self.queue:
             users.append(req)
-            # Fast path: granted immediately, no trip through the heap;
-            # the FIFO key is never compared for immediate grants.
-            req.key = None
-            req._ok = True
+            # Fast path: granted immediately, no trip through the heap.
             req._triggered = True
             req._processed = True
             req.callbacks = None
         else:
-            self._seq += 1
-            req.key = (priority, self._seq)
-            req._ok = True
             req._triggered = False
             req._processed = False
             req.callbacks = []
-            queue = self.queue
-            queue.append(req)
-            # FIFO arrivals are already in key order; only an actual
-            # priority inversion pays for the (stable) sort.
-            if len(queue) > 1 and queue[-2].key > req.key:
-                queue.sort(key=lambda r: r.key)
+            self.queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -174,14 +140,7 @@ class Resource:
             users.append(nxt)
             nxt.succeed()
 
-    def cancel(self, request: Request) -> None:
-        """Withdraw a queued (not yet granted) request."""
-        if request in self.queue:
-            self.queue.remove(request)
-        elif request in self.users:
-            self.release(request)
-
-    def use(self, duration: float, priority: int = 0):
+    def use(self, duration: float):
         """Generator helper: hold one slot for ``duration`` time units.
 
         Uncontended holds take a token fast path: the slot is marked
@@ -202,7 +161,7 @@ class Resource:
             finally:
                 self.release(token)
             return
-        req = self.request(priority)
+        req = self.request()
         yield req
         try:
             yield self.env.timeout(duration)
@@ -211,52 +170,21 @@ class Resource:
 
 
 class Store:
-    """FIFO item store with blocking ``get`` and optional capacity."""
+    """Unbounded FIFO item store with blocking ``get``."""
 
-    def __init__(self, env: Environment, capacity: float = float("inf"), name: str = ""):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: Environment, name: str = ""):
         self.env = env
-        self.capacity = capacity
         self.name = name
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()  # (event carries the item as .item)
         self.put_count = 0
         self.get_count = 0
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; fires immediately unless the store is full."""
-        event = _PutEvent(self.env)
-        event.item = item
-        if len(self.items) < self.capacity:
-            self._commit_put(event)
-        else:
-            self._putters.append(event)
-        return event
-
-    def _commit_put(self, event: "_PutEvent") -> None:
-        self.items.append(event.item)
-        self.put_count += 1
-        if event.callbacks is not None and not event._triggered:
-            if event.callbacks:
-                event.succeed()
-            else:
-                # Fast path: nobody is watching this put event.
-                event._ok = True
-                event._triggered = True
-                event._processed = True
-                event.callbacks = None
-        if self._getters:
-            self._dispatch()
-
     def put_nowait(self, item: Any) -> None:
-        """Insert without creating an event (hot path for unbounded stores)."""
-        if len(self.items) >= self.capacity:
-            raise SimulationError(f"put_nowait on full store {self.name!r}")
+        """Insert ``item``, handing it to the oldest waiting getter."""
         self.items.append(item)
         self.put_count += 1
         if self._getters:
@@ -268,70 +196,33 @@ class Store:
         if items and not self._getters:
             # Fast path: satisfy synchronously without the heap.
             self.get_count += 1
-            event = self.env.completed_event(items.popleft(), _GetEvent)
-            event.predicate = None
-            if self._putters:
-                self._admit_putters()
-            return event
+            return self.env.completed_event(items.popleft(), _GetEvent)
         event = _GetEvent(self.env)
-        event.predicate = None
         self._getters.append(event)
         if items:
             self._dispatch()
         return event
 
-    def drain_ready(self, limit: Optional[int] = None) -> List[Any]:
-        """Non-blocking batch get: pop every ready item, FIFO order.
-
-        Returns up to ``limit`` items (all of them when ``None``), or
-        an empty list when the store is empty or other getters are
-        already waiting (they have FIFO priority over an opportunistic
-        drain).  One call replaces a whole chain of ``try_get`` calls.
-        """
-        items = self.items
-        if not items or self._getters:
-            return []
-        n = len(items) if limit is None else min(limit, len(items))
-        popleft = items.popleft
-        batch = [popleft() for _ in range(n)]
-        self.get_count += n
-        if self._putters:
-            self._admit_putters()
-        return batch
-
-    def poll_batch(self, limit: Optional[int] = None) -> Event:
+    def poll_batch(self) -> Event:
         """Blocking batch get: fires with the list of all ready items.
 
         If items are ready now, fires synchronously (completed-event
-        fast path, no heap trip) with every queued item — up to
-        ``limit`` — in FIFO order.  Otherwise the returned event joins
-        the getter queue and fires as a non-empty list the moment items
-        arrive.  One kernel wakeup per burst instead of one per item.
+        fast path, no heap trip) with every queued item in FIFO order.
+        Otherwise the returned event joins the getter queue and fires
+        as a non-empty list the moment items arrive.  One kernel wakeup
+        per burst instead of one per item.
         """
         items = self.items
         if items and not self._getters:
-            n = len(items) if limit is None else min(limit, len(items))
-            popleft = items.popleft
-            batch = [popleft() for _ in range(n)]
-            self.get_count += n
-            event = self.env.completed_event(batch, _BatchGetEvent)
-            event.predicate = None
-            event.limit = limit
-            if self._putters:
-                self._admit_putters()
-            return event
+            batch = list(items)
+            items.clear()
+            self.get_count += len(batch)
+            return self.env.completed_event(batch, _BatchGetEvent)
         event = _BatchGetEvent(self.env)
-        event.predicate = None
-        event.limit = limit
         self._getters.append(event)
         if items:
             self._dispatch()
         return event
-
-    def _admit_putters(self) -> None:
-        putters = self._putters
-        while putters and len(self.items) < self.capacity:
-            self._commit_put(putters.popleft())
 
     def _dispatch(self) -> None:
         getters = self._getters
@@ -339,18 +230,13 @@ class Store:
         while getters and items:
             getter = getters.popleft()
             if getter._batch:
-                limit = getter.limit
-                n = len(items) if limit is None else min(limit, len(items))
-                popleft = items.popleft
-                batch = [popleft() for _ in range(n)]
-                self.get_count += n
+                batch = list(items)
+                items.clear()
+                self.get_count += len(batch)
                 getter.succeed(batch)
             else:
-                item = items.popleft()
                 self.get_count += 1
-                getter.succeed(item)
-            if self._putters:
-                self._admit_putters()
+                getter.succeed(items.popleft())
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking get: pop the oldest item or return ``None``."""
@@ -370,63 +256,3 @@ class Store:
         for event in getters:
             event.fail(exc)
         return len(getters)
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose ``get`` may wait for a matching item."""
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        predicate = predicate or (lambda item: True)
-        items = self.items
-        if items and not self._getters:
-            match = next((i for i, item in enumerate(items) if predicate(item)), None)
-            if match is not None:
-                item = items[match]
-                del items[match]
-                self.get_count += 1
-                event = self.env.completed_event(item, _GetEvent)
-                event.predicate = predicate
-                if self._putters:
-                    self._admit_putters()
-                return event
-        event = _GetEvent(self.env)
-        event.predicate = predicate
-        self._getters.append(event)
-        if items:
-            self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        items = self.items
-        progressed = True
-        while progressed:
-            progressed = False
-            for getter in list(self._getters):
-                if getter._batch:
-                    # Batch getters bypass predicates: they take every
-                    # queued item in FIFO order (a CQ drain).
-                    if items:
-                        limit = getter.limit
-                        n = (len(items) if limit is None
-                             else min(limit, len(items)))
-                        popleft = items.popleft
-                        batch = [popleft() for _ in range(n)]
-                        self.get_count += n
-                        self._getters.remove(getter)
-                        getter.succeed(batch)
-                        progressed = True
-                    continue
-                match = next(
-                    (i for i, item in enumerate(items)
-                     if getter.predicate(item)),
-                    None,
-                )
-                if match is not None:
-                    self._getters.remove(getter)
-                    item = items[match]
-                    del items[match]
-                    self.get_count += 1
-                    getter.succeed(item)
-                    progressed = True
-            if self._putters:
-                self._admit_putters()

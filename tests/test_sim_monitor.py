@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import LatencyStats, RateMeter, RngRegistry, TimeSeries, UtilizationTracker
+from repro.sim import LatencyStats, RateMeter, TimeSeries, UtilizationTracker
 from repro.sim.monitor import summarize
 
 
@@ -160,35 +160,3 @@ def test_summarize():
     assert summarize([]) == {"mean": 0.0, "min": 0.0, "max": 0.0}
     result = summarize([1.0, 2.0, 3.0])
     assert result == {"mean": 2.0, "min": 1.0, "max": 3.0}
-
-
-# ---------------------------------------------------------------------------
-# RngRegistry
-# ---------------------------------------------------------------------------
-
-def test_rng_streams_are_deterministic():
-    a = RngRegistry(42).stream("load")
-    b = RngRegistry(42).stream("load")
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-
-
-def test_rng_streams_are_independent():
-    reg = RngRegistry(42)
-    load = reg.stream("load")
-    _ = load.random()
-    other = reg.stream("other")
-    fresh = RngRegistry(42).stream("other")
-    assert other.random() == fresh.random()
-
-
-def test_rng_different_names_differ():
-    reg = RngRegistry(0)
-    assert reg.stream("a").random() != reg.stream("b").random()
-
-
-def test_rng_fork_is_deterministic():
-    a = RngRegistry(1).fork("rep1").stream("s")
-    b = RngRegistry(1).fork("rep1").stream("s")
-    c = RngRegistry(1).fork("rep2").stream("s")
-    assert a.random() == b.random()
-    assert a.random() != c.random()

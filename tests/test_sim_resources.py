@@ -1,8 +1,8 @@
-"""Tests for Resource, Store, and FilterStore (repro.sim.resources)."""
+"""Tests for Resource and Store (repro.sim.resources)."""
 
 import pytest
 
-from repro.sim import Environment, FilterStore, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 # ---------------------------------------------------------------------------
@@ -52,48 +52,15 @@ def test_resource_fifo_order():
     assert order == list(range(5))
 
 
-def test_resource_priority_order():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder():
-        yield from res.use(10)
-
-    def worker(i, priority):
-        yield env.timeout(1)
-        req = res.request(priority)
-        yield req
-        order.append(i)
-        res.release(req)
-
-    env.process(holder())
-    env.process(worker("low", 5))
-    env.process(worker("high", 0))
-    env.run()
-    assert order == ["high", "low"]
-
-
 def test_resource_release_of_unheld_request_is_error():
     env = Environment()
     res = Resource(env, capacity=1)
     first = res.request()
     second = res.request()  # queued
-    res.cancel(second)
     res.release(first)
+    assert res.users == [second]  # the release granted the queued one
     with pytest.raises(SimulationError):
         res.release(first)
-
-
-def test_resource_cancel_queued_request():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    first = res.request()
-    queued = res.request()
-    res.cancel(queued)
-    assert res.queue == []
-    res.release(first)
-    assert res.count == 0
 
 
 def test_resource_utilization_accounting():
@@ -133,7 +100,7 @@ def test_store_fifo():
             got.append(item)
 
     for item in "abc":
-        store.put(item)
+        store.put_nowait(item)
     env.process(consumer())
     env.run()
     assert got == ["a", "b", "c"]
@@ -150,43 +117,12 @@ def test_store_get_blocks_until_put():
 
     def producer():
         yield env.timeout(9)
-        store.put("x")
+        store.put_nowait("x")
 
     env.process(consumer())
     env.process(producer())
     env.run()
     assert got == [(9.0, "x")]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put("a")
-        log.append(("a", env.now))
-        yield store.put("b")
-        log.append(("b", env.now))
-
-    def consumer():
-        yield env.timeout(10)
-        item = yield store.get()
-        log.append(("got-" + item, env.now))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert ("a", 0.0) in log
-    assert ("b", 10.0) in log  # put unblocked by the get
-
-
-def test_store_put_nowait_on_full_is_error():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put_nowait("a")
-    with pytest.raises(SimulationError):
-        store.put_nowait("b")
 
 
 def test_store_try_get():
@@ -209,11 +145,6 @@ def test_store_counters():
     assert len(store) == 1
 
 
-def test_store_invalid_capacity():
-    with pytest.raises(ValueError):
-        Store(Environment(), capacity=0)
-
-
 def test_store_multiple_waiting_getters_fifo():
     env = Environment()
     store = Store(env)
@@ -228,83 +159,9 @@ def test_store_multiple_waiting_getters_fifo():
 
     def producer():
         yield env.timeout(1)
-        store.put("x")
-        store.put("y")
+        store.put_nowait("x")
+        store.put_nowait("y")
 
     env.process(producer())
     env.run()
     assert got == [("first", "x"), ("second", "y")]
-
-
-# ---------------------------------------------------------------------------
-# FilterStore
-# ---------------------------------------------------------------------------
-
-def test_filter_store_matches_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda x: x > 5)
-        got.append((env.now, item))
-
-    def producer():
-        yield env.timeout(1)
-        store.put(3)
-        yield env.timeout(1)
-        store.put(9)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(2.0, 9)]
-    assert list(store.items) == [3]  # non-matching item remains
-
-
-def test_filter_store_plain_get():
-    env = Environment()
-    store = FilterStore(env)
-    store.put_nowait("a")
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append(item)
-
-    env.process(consumer())
-    env.run()
-    assert got == ["a"]
-
-
-def test_filter_store_immediate_match_synchronous():
-    env = Environment()
-    store = FilterStore(env)
-    store.put_nowait(1)
-    store.put_nowait(10)
-    event = store.get(lambda x: x >= 10)
-    assert event.processed
-    assert event.value == 10
-    assert list(store.items) == [1]
-
-
-def test_filter_store_multiple_predicates():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(tag, predicate):
-        item = yield store.get(predicate)
-        got.append((tag, item))
-
-    env.process(consumer("even", lambda x: x % 2 == 0))
-    env.process(consumer("odd", lambda x: x % 2 == 1))
-
-    def producer():
-        yield env.timeout(1)
-        store.put(7)
-        store.put(8)
-
-    env.process(producer())
-    env.run()
-    assert sorted(got) == [("even", 8), ("odd", 7)]

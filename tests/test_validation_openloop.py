@@ -1,11 +1,13 @@
 """Tests for paper-anchor validation and the open-loop source."""
 
+import random
+
 import pytest
 
 from repro.experiments import ExperimentResult, validation
 from repro.experiments.validation import Band
 from repro.platform import ServerlessPlatform
-from repro.sim import Environment, RngRegistry
+from repro.sim import Environment
 from repro.workloads import OpenLoopSource, deploy_http_echo
 from repro.ingress import PalladiumIngress
 
@@ -145,7 +147,7 @@ def test_open_loop_offers_at_configured_rate():
 
 
 def test_open_loop_poisson_arrivals_with_rng():
-    rng = RngRegistry(7).stream("arrivals")
+    rng = random.Random(7)
     env, plat, source = open_loop_setup(20_000, rng=rng)
 
     def kickoff():
