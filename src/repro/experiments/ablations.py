@@ -19,37 +19,16 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..config import CostModel
-from ..ingress import IngressLoadBalancer, PalladiumIngress
+from ..ingress import IngressLoadBalancer
 from ..platform import ServerlessPlatform
 from ..sim import Environment
-from ..workloads import ClientFleet, deploy_http_echo, path_payload
+from ..workloads import ClientFleet, ECHO_TENANT, deploy_http_echo
 
-from .fig16_boutique import _build_platform
-from .runner import ExperimentResult
+from .fig16_boutique import run_boutique_point
+from .runner import ExperimentResult, after
+from .wiring import wire_ingress
 
 __all__ = ["run_sidecar_ablation", "run_placement_ablation", "run_multi_ingress"]
-
-
-def _boutique_run(config, clients, duration_us, cost,
-                  placement=None, sidecar_us=None, single_node=None):
-    """One boutique measurement using a config's own ingress wiring."""
-    env = Environment()
-    plat, ingress = _build_platform(config, env, cost, placement=placement,
-                                    sidecar_us=sidecar_us,
-                                    single_node=single_node)
-    ingress.start()
-    plat.start()
-    fleet = ClientFleet(env, plat.cluster, ingress, path="/home",
-                        body_bytes=256, payload=path_payload("/home"))
-
-    def kickoff():
-        yield env.timeout(80_000)
-        fleet.spawn(clients)
-
-    env.process(kickoff())
-    measure_from = 80_000 + duration_us * 0.3
-    env.run(until=80_000 + duration_us)
-    return fleet.rps(measure_from, env.now), fleet.mean_latency_us() / 1000
 
 
 def run_sidecar_ablation(
@@ -69,9 +48,10 @@ def run_sidecar_ablation(
         columns=["sidecar", "per_hop_us", "rps", "latency_ms"],
     )
     for name, per_hop in variants.items():
-        rps, latency = _boutique_run("palladium-dne", clients, duration_us,
-                                     cost, sidecar_us=per_hop)
-        result.add_row(name, per_hop, round(rps), round(latency, 2))
+        m = run_boutique_point("palladium-dne", "Home Query", clients,
+                               duration_us, cost=cost, sidecar_us=per_hop)
+        result.add_row(name, per_hop, round(m["rps"]),
+                       round(m["latency_ms"], 2))
     result.note("paper (§3.1): container sidecar overhead 'as high as 30%'")
     return result
 
@@ -98,10 +78,11 @@ def run_placement_ablation(
                           ("spright", "spright")):
         lat = {}
         for name, single in (("co-located", True), ("split", False)):
-            rps, latency = _boutique_run(config, clients, duration_us, cost,
-                                         single_node=single)
-            lat[name] = latency
-            result.add_row(plane, name, round(rps), round(latency, 2))
+            m = run_boutique_point(config, "Home Query", clients,
+                                   duration_us, cost=cost, single_node=single)
+            lat[name] = m["latency_ms"]
+            result.add_row(plane, name, round(m["rps"]),
+                           round(m["latency_ms"], 2))
         degradation[plane] = lat["split"] / max(1e-9, lat["co-located"])
     result.note(
         f"latency hit co-located->split: palladium "
@@ -132,24 +113,15 @@ def run_multi_ingress(
         env = Environment()
         plat = ServerlessPlatform(env, cost=cost)
         resolver = deploy_http_echo(plat)
-        gateways = []
-        for i in range(n):
-            gw = PalladiumIngress(env, plat.cluster, plat.fabric, cost,
-                                  resolver, min_workers=2)
-            gw.add_tenant("echo", buffers=512)
-            plat.coordinator.subscribe(gw.routes)
-            gateways.append(gw)
-        plat.register_external(gateways[0].AGENT, "ingress")
+        gateways = [wire_ingress(plat, "palladium", resolver,
+                                 {ECHO_TENANT: 512}, cores=2)
+                    for _ in range(n)]
         balancer = IngressLoadBalancer(gateways)
         balancer.start()
         plat.start()
         fleet = ClientFleet(env, plat.cluster, balancer, path="/echo",
                             body_bytes=128, payload="x",
                             stats_bucket_us=5_000.0)
-
-        def kickoff():
-            yield env.timeout(60_000)
-            fleet.spawn(clients)
 
         def restart_events():
             # force a staggered scale-event pause on every instance
@@ -159,7 +131,7 @@ def run_multi_ingress(
                     worker.pause(cost.ingress_scale_event_pause_us / 10)
                 yield env.timeout(50_000)
 
-        env.process(kickoff())
+        after(env, 60_000, lambda: fleet.spawn(clients))
         env.process(restart_events())
         env.run(until=60_000 + duration_us)
         rps = fleet.rps(100_000, env.now)

@@ -32,23 +32,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..baselines import build_cne, build_dne, build_spright
 from ..config import CostModel
 from ..faults import FaultInjector, FaultPlan
-from ..ingress import FIngress, PalladiumIngress, TcpWorkerAdapter
-from ..platform import ElasticPlatform, Tenant
+from ..platform import ElasticPlatform
 from ..sim import Environment
 from ..telemetry import BurnWindow, RateRule, Selector, Slo, Telemetry
-from ..workloads import (
-    BOUTIQUE_TENANT,
-    ClientFleet,
-    boutique_resolver,
-    boutique_specs,
-    path_payload,
-)
+from ..workloads import BOUTIQUE_TENANT, ClientFleet, boutique_specs, path_payload
 
 from .parallel import parallel_map
-from .runner import ExperimentResult
+from .runner import ExperimentResult, after
+from .wiring import build_boutique
 
 __all__ = ["attach_fault_monitor", "run_fault_point",
            "run_ext_fault_recovery", "FAULT_CONFIGS"]
@@ -64,16 +57,8 @@ HOTSPOTS = ("frontend", "checkout", "recommendation")
 NO_RECOVERY_SUFFIX = "-no-recovery"
 
 
-def _build_platform(config: str, env: Environment, cost: CostModel):
-    """Assemble an elastic platform + ingress for one configuration."""
-    builders = {
-        "palladium-dne": build_dne,
-        "palladium-cne": build_cne,
-        "spright": build_spright,
-    }
-    plat = ElasticPlatform(env, cost=cost, engine_builder=builders[config])
-    plat.add_tenant(Tenant(BOUTIQUE_TENANT, pool_buffers=4096))
-
+def _place(plat) -> None:
+    """Hotspots as singletons on worker0, each leaf as two replicas."""
     specs = {spec.name: spec for spec in boutique_specs()}
     for name in HOTSPOTS:
         plat.deploy(specs[name], "worker0")
@@ -84,22 +69,6 @@ def _build_platform(config: str, env: Environment, cost: CostModel):
         # replica #1 on worker0 — the survivor the failover targets.
         plat.deploy_service(spec, "worker1")
         plat.scale_out(spec, "worker0")
-
-    if config in ("palladium-dne", "palladium-cne"):
-        ingress = PalladiumIngress(env, plat.cluster, plat.fabric, cost,
-                                   boutique_resolver, min_workers=2,
-                                   recv_buffers=256, stats_bucket_us=5_000.0,
-                                   service_resolver=plat.resolve_service)
-        ingress.add_tenant(BOUTIQUE_TENANT, buffers=2048)
-        plat.coordinator.subscribe(ingress.routes)
-        plat.register_external(ingress.AGENT, "ingress")
-    else:
-        adapter = TcpWorkerAdapter(env, plat.runtimes["worker0"], cost,
-                                   stack_kind=TcpWorkerAdapter.FSTACK)
-        ingress = FIngress(env, plat.cluster, cost, boutique_resolver,
-                           {"worker0": adapter}, lambda fn: "worker0",
-                           cores=2)
-    return plat, ingress
 
 
 def attach_fault_monitor(telemetry, step_us: float = 1_000.0,
@@ -178,7 +147,9 @@ def run_fault_point(
     if with_monitor:
         # Arm one slow-long-window past client start, before the crash.
         attach_fault_monitor(telemetry, arm_at_us=warmup_us + 60_000.0)
-    plat, ingress = _build_platform(base, env, cost)
+    plat, ingress = build_boutique(base, env, cost, _place,
+                                   platform=ElasticPlatform,
+                                   stats_bucket_us=5_000.0)
     for runtime in plat.runtimes.values():
         runtime.invoke_timeout_us = invoke_timeout_us
     ingress.start()
@@ -189,12 +160,7 @@ def run_fault_point(
                         timeout_us=client_timeout_us,
                         reconnect=True, reconnect_us=5_000.0,
                         stats_bucket_us=5_000.0)
-
-    def kickoff():
-        yield env.timeout(warmup_us)
-        fleet.spawn(clients)
-
-    env.process(kickoff(), name="kickoff")
+    after(env, warmup_us, lambda: fleet.spawn(clients))
 
     plan = FaultPlan().node_crash(crash_at_us, "worker1", down_us=down_us)
     injector = FaultInjector(env, plat, plan, recovery=recovery)

@@ -36,23 +36,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..baselines import build_cne, build_dne, build_spright
 from ..config import CostModel
 from ..faults import FaultInjector, FaultPlan
-from ..ingress import FIngress, PalladiumIngress, TcpWorkerAdapter
 from ..migration import kill_and_cold_start
-from ..platform import ServerlessPlatform, Tenant
-from ..sim import Environment
-from ..workloads import (
-    BOUTIQUE_TENANT,
-    ClientFleet,
-    boutique_resolver,
-    boutique_specs,
-    path_payload,
-)
+from ..sim import Environment, LatencyStats
+from ..workloads import ClientFleet, boutique_specs, path_payload
 
 from .parallel import parallel_map
-from .runner import ExperimentResult
+from .runner import ExperimentResult, after
+from .wiring import build_boutique
 
 __all__ = [
     "run_migration_point",
@@ -68,33 +60,10 @@ MIGRATION_STATE_KBS = (64, 1024, 16_384)
 MOVABLE = ("currency", "ad")
 
 
-def _build_platform(config: str, env: Environment, cost: CostModel):
+def _place(plat) -> None:
     """Boutique singletons: everything on worker0 except ``MOVABLE``."""
-    builders = {
-        "palladium-dne": build_dne,
-        "palladium-cne": build_cne,
-        "spright": build_spright,
-    }
-    plat = ServerlessPlatform(env, cost=cost, engine_builder=builders[config])
-    plat.add_tenant(Tenant(BOUTIQUE_TENANT, pool_buffers=4096))
     for spec in boutique_specs():
-        node = "worker1" if spec.name in MOVABLE else "worker0"
-        plat.deploy(spec, node)
-
-    if config in ("palladium-dne", "palladium-cne"):
-        ingress = PalladiumIngress(env, plat.cluster, plat.fabric, cost,
-                                   boutique_resolver, min_workers=2,
-                                   recv_buffers=256, stats_bucket_us=5_000.0)
-        ingress.add_tenant(BOUTIQUE_TENANT, buffers=2048)
-        plat.coordinator.subscribe(ingress.routes)
-        plat.register_external(ingress.AGENT, "ingress")
-    else:
-        adapter = TcpWorkerAdapter(env, plat.runtimes["worker0"], cost,
-                                   stack_kind=TcpWorkerAdapter.FSTACK)
-        ingress = FIngress(env, plat.cluster, cost, boutique_resolver,
-                           {"worker0": adapter}, lambda fn: "worker0",
-                           cores=2)
-    return plat, ingress
+        plat.deploy(spec, "worker1" if spec.name in MOVABLE else "worker0")
 
 
 def _window_p99(fleet: ClientFleet, marks: Dict[str, List[int]],
@@ -103,14 +72,10 @@ def _window_p99(fleet: ClientFleet, marks: Dict[str, List[int]],
     lo, hi = marks.get(start), marks.get(end)
     if lo is None or hi is None:
         return 0.0
-    samples = [s for client, i0, i1 in zip(fleet.clients, lo, hi)
-               for s in client.latency.samples[i0:i1]]
-    if not samples:
-        return 0.0
-    samples.sort()
-    rank = max(0, min(len(samples) - 1,
-                      -(-99 * len(samples) // 100) - 1))
-    return samples[rank]
+    window = LatencyStats()
+    window.samples = [s for client, i0, i1 in zip(fleet.clients, lo, hi)
+                      for s in client.latency.samples[i0:i1]]
+    return window.percentile(99)
 
 
 def run_migration_point(
@@ -137,7 +102,8 @@ def run_migration_point(
         raise ValueError(f"unknown relocation mode {mode!r}")
     cost = cost or CostModel()
     env = Environment()
-    plat, ingress = _build_platform(config, env, cost)
+    plat, ingress = build_boutique(config, env, cost, _place,
+                                   stats_bucket_us=5_000.0)
     for runtime in plat.runtimes.values():
         runtime.invoke_timeout_us = invoke_timeout_us
     ingress.start()
@@ -148,12 +114,7 @@ def run_migration_point(
                         timeout_us=client_timeout_us,
                         reconnect=True, reconnect_us=5_000.0,
                         stats_bucket_us=5_000.0)
-
-    def kickoff():
-        yield env.timeout(warmup_us)
-        fleet.spawn(clients)
-
-    env.process(kickoff(), name="kickoff")
+    after(env, warmup_us, lambda: fleet.spawn(clients))
 
     # Per-client completed-sample counts at window boundaries, so the
     # steady and disruption windows see disjoint latency samples.
@@ -240,7 +201,8 @@ def run_drain_point(
     """
     cost = cost or CostModel()
     env = Environment()
-    plat, ingress = _build_platform(config, env, cost)
+    plat, ingress = build_boutique(config, env, cost, _place,
+                                   stats_bucket_us=5_000.0)
     for runtime in plat.runtimes.values():
         runtime.invoke_timeout_us = invoke_timeout_us
     ingress.start()
@@ -251,12 +213,7 @@ def run_drain_point(
                         timeout_us=client_timeout_us,
                         reconnect=True, reconnect_us=5_000.0,
                         stats_bucket_us=5_000.0)
-
-    def kickoff():
-        yield env.timeout(warmup_us)
-        fleet.spawn(clients)
-
-    env.process(kickoff(), name="kickoff")
+    after(env, warmup_us, lambda: fleet.spawn(clients))
 
     plan = FaultPlan().node_drain(drain_at_us, "worker1",
                                   deadline_us=deadline_us,

@@ -31,9 +31,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Tuple
 
-from ..baselines import build_dne, build_fuyao, build_spright
+from ..baselines import DATA_PLANES
 from ..config import CostModel
-from ..ingress import FIngress, PalladiumIngress, TcpWorkerAdapter
+from ..ingress import PalladiumIngress
 from ..platform import FunctionSpec, ServerlessPlatform, Tenant
 from ..qos import DROP_CODEL, DROP_TAIL, QueueBounds, qos_for_platform
 from ..sim import Environment
@@ -42,7 +42,8 @@ from ..telemetry import (QuantileRule, RateRule, RatioRule, Selector, Slo,
 from ..workloads import OpenLoopSource
 
 from .parallel import parallel_map
-from .runner import ExperimentResult
+from .runner import ExperimentResult, after
+from .wiring import wire_ingress
 
 __all__ = [
     "attach_overload_monitor",
@@ -137,14 +138,11 @@ def _resolver(path: str) -> Tuple[str, str]:
     return tenant, f"relay-{tenant}"
 
 
-def _build(config: str, env: Environment, cost: CostModel):
-    """Platform + ingress for one config, QoS wired per its nature."""
-    builders = {
-        "palladium-dne": build_dne,
-        "spright": build_spright,
-        "fuyao": build_fuyao,
-    }
-    plat = ServerlessPlatform(env, cost=cost, engine_builder=builders[config])
+def _deploy(plat: ServerlessPlatform, config: str):
+    """Tenants, relay/echo chains and QoS for one config.
+
+    Returns the ingress QoS for Palladium, ``None`` for the baselines.
+    """
     qos_on = config == "palladium-dne"
     capacity = CAPACITY_RPS[config]
     for name, weight, qos_class, share in TENANTS:
@@ -171,6 +169,7 @@ def _build(config: str, env: Environment, cost: CostModel):
         # Full stack: CoDel-bounded DWRR + hop-by-hop credits + an
         # SLO-aware admission gate at the ingress.  The delay estimate
         # uses the *throttled* per-event engine cost.
+        cost = plat.cost
         svc_us = (cost.dne_tx_proc_us + cost.comch_e_cpu_us) * 1.6
         plat.enable_qos(
             bounds=QueueBounds(QUEUE_CAPACITY, policy=DROP_CODEL,
@@ -180,28 +179,11 @@ def _build(config: str, env: Environment, cost: CostModel):
             credit_low_water=8, credit_high_water=56,
             credit_sources=(PalladiumIngress.AGENT,),
         )
-        qos = qos_for_platform(plat, service_us_estimate=svc_us)
-        # NB: recv postings draw from the same per-tenant ingress pool
-        # the TX path allocates from — keep recv_buffers well below the
-        # pool size or the gateway wedges on an exhausted pool.
-        ingress = PalladiumIngress(env, plat.cluster, plat.fabric, cost,
-                                   _resolver, min_workers=4,
-                                   recv_buffers=128, qos=qos)
-        for name, _, _, _ in TENANTS:
-            ingress.add_tenant(name, buffers=1024)
-        plat.coordinator.subscribe(ingress.routes)
-        plat.register_external(ingress.AGENT, "ingress")
-    else:
-        # Baselines keep only what their papers describe: a naive
-        # tail-drop at a full engine queue, unbounded everywhere else.
-        plat.enable_qos(bounds=QueueBounds(QUEUE_CAPACITY,
-                                           policy=DROP_TAIL))
-        adapter = TcpWorkerAdapter(env, plat.runtimes["worker0"], cost,
-                                   stack_kind=TcpWorkerAdapter.FSTACK)
-        ingress = FIngress(env, plat.cluster, cost, _resolver,
-                           {"worker0": adapter}, lambda fn: "worker0",
-                           cores=2)
-    return plat, ingress
+        return qos_for_platform(plat, service_us_estimate=svc_us)
+    # Baselines keep only what their papers describe: a naive
+    # tail-drop at a full engine queue, unbounded everywhere else.
+    plat.enable_qos(bounds=QueueBounds(QUEUE_CAPACITY, policy=DROP_TAIL))
+    return None
 
 
 #: SLO objectives by QoS class: (latency, availability).  The class IS
@@ -282,7 +264,19 @@ def run_overload_point(
         # Arm one slow-long-window past traffic start so no burn
         # window reaches back into the idle warmup.
         attach_overload_monitor(telemetry, arm_at_us=warmup_us + 60_000.0)
-    plat, ingress = _build(config, env, cost)
+    plane = DATA_PLANES[config]
+    plat = ServerlessPlatform(env, cost=cost, engine_builder=plane.engine)
+    qos = _deploy(plat, config)
+    tenants = {name: 1024 for name, _, _, _ in TENANTS}
+    if qos is None:
+        ingress = wire_ingress(plat, plane.ingress, _resolver, tenants,
+                               cores=2, stack=plane.stack)
+    else:
+        # NB: recv postings draw from the same per-tenant ingress pool
+        # the TX path allocates from — keep recv_buffers well below the
+        # pool size or the gateway wedges on an exhausted pool.
+        ingress = wire_ingress(plat, plane.ingress, _resolver, tenants,
+                               cores=4, recv_buffers=128, qos=qos)
     ingress.start()
     plat.start()
 
@@ -298,13 +292,12 @@ def run_overload_point(
             name=f"src-{name}", deadline_us=DEADLINE_US,
         )
 
-    def kickoff():
-        yield env.timeout(warmup_us)
+    def start_sources():
         for source in sources.values():
             env.process(source.run(until_us=end_us),
                         name=f"{source.name}-run")
 
-    env.process(kickoff(), name="kickoff")
+    after(env, warmup_us, start_sources)
     measure_from = warmup_us + duration_us * 0.25
     env.run(until=end_us)
 

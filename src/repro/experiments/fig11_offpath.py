@@ -20,7 +20,7 @@ from ..platform import ServerlessPlatform, Tenant
 from ..sim import Environment
 from ..workloads import DirectDriver, deploy_echo_pair
 
-from .runner import ExperimentResult
+from .runner import ExperimentResult, after
 
 __all__ = ["run_fig11", "run_echo_point"]
 
@@ -49,12 +49,11 @@ def run_echo_point(
         for i in range(concurrency)
     ]
 
-    def kickoff():
-        yield env.timeout(warmup_us)
+    def start_drivers():
         for driver in drivers:
             env.process(driver.run(), name=driver.name)
 
-    env.process(kickoff(), name="kickoff")
+    after(env, warmup_us, start_drivers)
     env.run(until=warmup_us + duration_us)
     completed = sum(d.completed for d in drivers)
     samples = [s for d in drivers for s in d.latency.samples]

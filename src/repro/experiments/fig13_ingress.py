@@ -19,43 +19,16 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..config import CostModel
-from ..ingress import FIngress, KIngress, PalladiumIngress, TcpWorkerAdapter
-from ..platform import ServerlessPlatform, Tenant
+from ..platform import ServerlessPlatform
 from ..sim import Environment
 from ..workloads import ClientFleet, deploy_http_echo, ECHO_TENANT
 
-from .runner import ExperimentResult
+from .runner import ExperimentResult, after
+from .wiring import wire_ingress
 
 __all__ = ["run_fig13", "run_ingress_point", "INGRESS_KINDS"]
 
 INGRESS_KINDS = ("k-ingress", "f-ingress", "palladium")
-
-
-def build_ingress(kind: str, plat: ServerlessPlatform, resolver,
-                  cores: int = 1, autoscale: bool = False,
-                  max_workers: int = 8):
-    """Construct (and start) one of the three ingress designs."""
-    env, cost = plat.env, plat.cost
-    if kind == "palladium":
-        ingress = PalladiumIngress(env, plat.cluster, plat.fabric, cost,
-                                   resolver, min_workers=cores,
-                                   max_workers=max_workers, autoscale=autoscale)
-        ingress.add_tenant(ECHO_TENANT, buffers=512)
-        plat.coordinator.subscribe(ingress.routes)
-        plat.register_external(ingress.AGENT, "ingress")
-        return ingress
-    # Proxy variants need a worker-side TCP adapter (F-stack per §4.1.3).
-    adapter = TcpWorkerAdapter(env, plat.runtimes["worker0"], cost,
-                               stack_kind=TcpWorkerAdapter.FSTACK)
-    adapters = {"worker0": adapter}
-    entry_node = lambda fn: "worker0"
-    if kind == "k-ingress":
-        return KIngress(env, plat.cluster, cost, resolver, adapters, entry_node,
-                        cores=cores)
-    if kind == "f-ingress":
-        return FIngress(env, plat.cluster, cost, resolver, adapters, entry_node,
-                        cores=cores, autoscale=autoscale, max_workers=max_workers)
-    raise ValueError(f"unknown ingress kind {kind!r}")
 
 
 def run_ingress_point(
@@ -72,18 +45,13 @@ def run_ingress_point(
     env = Environment()
     plat = ServerlessPlatform(env, cost=cost)
     resolver = deploy_http_echo(plat)
-    ingress = build_ingress(kind, plat, resolver)
+    ingress = wire_ingress(plat, kind, resolver, {ECHO_TENANT: 512}, cores=1)
     ingress.start()
     plat.start()
     fleet = ClientFleet(env, plat.cluster, ingress, path="/echo",
                         body_bytes=body_bytes, payload="e" * 8,
                         timeout_us=timeout_us)
-
-    def kickoff():
-        yield env.timeout(warmup_us)
-        fleet.spawn(clients)
-
-    env.process(kickoff(), name="kickoff")
+    after(env, warmup_us, lambda: fleet.spawn(clients))
     measure_from = warmup_us + duration_us * 0.25
     env.run(until=warmup_us + duration_us)
     rps = fleet.rps(measure_from, warmup_us + duration_us)

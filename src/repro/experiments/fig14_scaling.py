@@ -32,10 +32,10 @@ from typing import Optional
 from ..config import CostModel, SEC
 from ..platform import ServerlessPlatform
 from ..sim import Environment, TimeSeries
-from ..workloads import ClientFleet, deploy_http_echo
+from ..workloads import ClientFleet, ECHO_TENANT, deploy_http_echo
 
-from .fig13_ingress import build_ingress
 from .runner import ExperimentResult
+from .wiring import wire_ingress
 
 __all__ = ["run_fig14"]
 
@@ -74,11 +74,13 @@ def run_fig14(
     env = Environment()
     plat = ServerlessPlatform(env, cost=cost)
     resolver = deploy_http_echo(plat)
+    tenants = {ECHO_TENANT: 512}
     if kind == "k-ingress":
-        ingress = build_ingress(kind, plat, resolver, cores=kernel_cores)
+        ingress = wire_ingress(plat, kind, resolver, tenants,
+                               cores=kernel_cores)
     else:
-        ingress = build_ingress(kind, plat, resolver, cores=1,
-                                autoscale=True, max_workers=max_workers)
+        ingress = wire_ingress(plat, kind, resolver, tenants, cores=1,
+                               autoscale=True, max_workers=max_workers)
     ingress.start()
     plat.start()
     fleet = ClientFleet(env, plat.cluster, ingress, path="/echo",

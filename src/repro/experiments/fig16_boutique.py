@@ -6,16 +6,9 @@ except NightCore, which cannot cross nodes and runs everything on
 worker0), driven by wrk-style closed-loop clients through each design's
 cluster ingress.
 
-Configurations (Fig. 16 / Table 2):
-
-==================  ==========================================================
-palladium-dne       DNE on the DPU, Comch-E, DWRR, Palladium ingress
-palladium-cne       same engine on a host core, SK_MSG (apples-to-apples)
-fuyao-f             FUYAO one-sided engine + F-Ingress (+ F-stack adapter)
-fuyao-k             FUYAO one-sided engine + K-Ingress (+ kernel adapter)
-spright             SPRIGHT kernel-TCP engine + F-Ingress (+ F-stack adapter)
-nightcore           single node, built-in kernel gateway + kernel adapter
-==================  ==========================================================
+The six configurations (:data:`CONFIGS`) are rows of
+:data:`repro.baselines.DATA_PLANES`, whose docstring lists each one's
+engine, ingress and worker adapter.
 
 Paper anchors: Palladium-DNE 5.1-20.9x NightCore, 2.1-4.1x FUYAO-F,
 2.4-4.1x SPRIGHT, and 1.3-1.8x CNE beyond 20 clients; Table 2 mean
@@ -25,32 +18,16 @@ latencies (e.g. Home Query @20/80 clients: 1.12/3.19 ms for DNE,
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..baselines import (
-    NIGHTCORE_IPC_US,
-    build_cne,
-    build_dne,
-    build_fuyao,
-    build_spright,
-    nightcore_engine_builder,
-)
 from ..config import CostModel, SEC
-from ..ingress import FIngress, KIngress, PalladiumIngress, TcpWorkerAdapter
-from ..platform import ServerlessPlatform, Tenant
 from ..sim import Environment
 from ..telemetry import Telemetry
-from ..workloads import (
-    BOUTIQUE_TENANT,
-    CHAIN_PATHS,
-    ClientFleet,
-    boutique_resolver,
-    deploy_boutique,
-    path_payload,
-)
+from ..workloads import CHAIN_PATHS, ClientFleet, deploy_boutique, path_payload
 
 from .parallel import parallel_map
-from .runner import ExperimentResult
+from .runner import ExperimentResult, after
+from .wiring import build_boutique
 
 __all__ = ["run_fig16", "run_table2", "run_boutique_point", "CONFIGS", "EVAL_CHAINS"]
 
@@ -59,66 +36,6 @@ EVAL_CHAINS = ("Home Query", "View Cart", "Product Query")
 #: the six evaluated data-plane configurations
 CONFIGS = ("palladium-dne", "palladium-cne", "fuyao-f", "fuyao-k",
            "spright", "nightcore")
-
-#: extra per-request cost of NightCore's built-in kernel gateway beyond
-#: plain kernel NGINX (its gateway threads + internal dispatch queues).
-#: Calibrated from the throughput Table 2 implies (NightCore saturates
-#: around 2-4 K RPS: 20 clients / 10.77 ms ~ 1.9 K).
-NIGHTCORE_GATEWAY_US = 100.0
-
-
-def _build_platform(config: str, env: Environment, cost: CostModel,
-                    placement=None, sidecar_us=None, single_node=None):
-    """Assemble platform + ingress + adapters for one configuration."""
-    if single_node is None:
-        single_node = config == "nightcore"
-    builders = {
-        "palladium-dne": build_dne,
-        "palladium-cne": build_cne,
-        "fuyao-f": build_fuyao,
-        "fuyao-k": build_fuyao,
-        "spright": build_spright,
-        "nightcore": nightcore_engine_builder,
-    }
-    plat = ServerlessPlatform(
-        env, cost=cost,
-        engine_builder=builders[config],
-        intra_ipc_us=NIGHTCORE_IPC_US if config == "nightcore" else None,
-        sidecar_us=sidecar_us,
-    )
-    plat.add_tenant(Tenant(BOUTIQUE_TENANT, pool_buffers=4096))
-    deploy_boutique(plat, single_node=single_node, placement=placement)
-
-    adapters: Dict[str, TcpWorkerAdapter] = {}
-    if config in ("palladium-dne", "palladium-cne"):
-        ingress = PalladiumIngress(env, plat.cluster, plat.fabric, cost,
-                                   boutique_resolver, min_workers=2,
-                                   recv_buffers=256)
-        ingress.add_tenant(BOUTIQUE_TENANT, buffers=2048)
-        plat.coordinator.subscribe(ingress.routes)
-        plat.register_external(ingress.AGENT, "ingress")
-    else:
-        stack = (TcpWorkerAdapter.KERNEL
-                 if config in ("fuyao-k", "nightcore")
-                 else TcpWorkerAdapter.FSTACK)
-        adapter = TcpWorkerAdapter(env, plat.runtimes["worker0"], cost,
-                                   stack_kind=stack)
-        adapters["worker0"] = adapter
-        entry_node = lambda fn: "worker0"
-        if config in ("fuyao-k", "nightcore"):
-            kcost = cost
-            if config == "nightcore":
-                # NightCore's own gateway is heavier than kernel NGINX.
-                from dataclasses import replace
-                kcost = replace(cost,
-                                proxy_overhead_us=cost.proxy_overhead_us
-                                + NIGHTCORE_GATEWAY_US)
-            ingress = KIngress(env, plat.cluster, kcost, boutique_resolver,
-                               adapters, entry_node, cores=1)
-        else:
-            ingress = FIngress(env, plat.cluster, cost, boutique_resolver,
-                               adapters, entry_node, cores=2)
-    return plat, ingress
 
 
 def run_boutique_point(
@@ -129,6 +46,8 @@ def run_boutique_point(
     warmup_us: float = 80_000.0,
     cost: Optional[CostModel] = None,
     with_telemetry: bool = False,
+    sidecar_us: Optional[float] = None,
+    single_node: Optional[bool] = None,
 ) -> Dict[str, float]:
     """One Fig. 16 / Table 2 cell.
 
@@ -137,24 +56,27 @@ def run_boutique_point(
     instrumented (spans + metrics + cycle ledger) and the
     :class:`~repro.telemetry.Telemetry` bundle is attached under the
     extra ``"telemetry"`` key; telemetry never perturbs the simulation,
-    so all other keys are identical either way.
+    so all other keys are identical either way.  ``sidecar_us``
+    overrides the per-hop sidecar cost and ``single_node`` the
+    placement (default: only NightCore runs on one node); the
+    ablations set them.
     """
     cost = cost or CostModel()
     env = Environment()
     telemetry = Telemetry.install(env) if with_telemetry else None
-    plat, ingress = _build_platform(config, env, cost)
+    if single_node is None:
+        single_node = config == "nightcore"
+    plat, ingress = build_boutique(
+        config, env, cost,
+        lambda p: deploy_boutique(p, single_node=single_node),
+        sidecar_us=sidecar_us)
     ingress.start()
     plat.start()
     path = CHAIN_PATHS[chain]
     fleet = ClientFleet(env, plat.cluster, ingress, path=path,
                         body_bytes=256, payload=path_payload(path),
                         timeout_us=5 * SEC)
-
-    def kickoff():
-        yield env.timeout(warmup_us)
-        fleet.spawn(clients)
-
-    env.process(kickoff(), name="kickoff")
+    after(env, warmup_us, lambda: fleet.spawn(clients))
     measure_from = warmup_us + duration_us * 0.3
     baseline = {}
     env.defer(measure_from, lambda: baseline.update(plat.usage_snapshot()))

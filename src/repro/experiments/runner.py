@@ -12,7 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["ExperimentResult", "format_table"]
+__all__ = ["ExperimentResult", "after", "format_table"]
+
+
+def after(env, delay_us: float, fn) -> None:
+    """Call ``fn()`` ``delay_us`` from now, from a process.
+
+    Not :meth:`~repro.sim.Environment.defer`: that would save the
+    process's start event and so move every pinned event count.
+    """
+    def fire():
+        yield env.timeout(delay_us)
+        fn()
+
+    env.process(fire(), name="kickoff")
 
 
 @dataclass

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.baselines import (
+    DATA_PLANES,
+    NIGHTCORE_GATEWAY_US,
     NIGHTCORE_IPC_US,
+    FuyaoEngine,
+    SprightEngine,
     build_cne,
     build_dne,
     build_fuyao,
@@ -11,8 +15,12 @@ from repro.baselines import (
     nightcore_engine_builder,
 )
 from repro.config import CostModel
+from repro.dne import CpuNetworkEngine, DpuNetworkEngine
+from repro.experiments.wiring import build_boutique
+from repro.ingress import PalladiumIngress, ProxyIngress, TcpWorkerAdapter
 from repro.platform import FunctionSpec, ServerlessPlatform, Tenant
 from repro.sim import Environment
+from repro.workloads import deploy_boutique
 
 
 def make_platform(builder, **kwargs):
@@ -180,8 +188,55 @@ def test_nightcore_single_node_rpc_works():
     assert replies == ["hi"]
 
 
-def test_nightcore_ipc_helper():
-    from repro.baselines import NIGHTCORE_IPC_US, nightcore_ipc_us
-    from repro.config import CostModel
-    assert nightcore_ipc_us(CostModel()) == NIGHTCORE_IPC_US
+def test_nightcore_ipc_costs_more_than_sk_msg():
     assert NIGHTCORE_IPC_US > CostModel().sk_msg_us  # queues cost more
+
+
+#: config id -> (engine class, proxy ingress mode or None for Palladium,
+#: worker0 adapter stack or None, intra-node IPC us or None for SK_MSG)
+WIRING = {
+    "palladium-dne": (DpuNetworkEngine, None, None, None),
+    "palladium-cne": (CpuNetworkEngine, None, None, None),
+    "fuyao": (FuyaoEngine, ProxyIngress.FSTACK, TcpWorkerAdapter.FSTACK, None),
+    "fuyao-f": (FuyaoEngine, ProxyIngress.FSTACK, TcpWorkerAdapter.FSTACK,
+                None),
+    "fuyao-k": (FuyaoEngine, ProxyIngress.KERNEL, TcpWorkerAdapter.KERNEL,
+                None),
+    "spright": (SprightEngine, ProxyIngress.FSTACK, TcpWorkerAdapter.FSTACK,
+                None),
+    "nightcore": (None, ProxyIngress.KERNEL, TcpWorkerAdapter.KERNEL,
+                  NIGHTCORE_IPC_US),
+}
+
+
+def test_data_plane_table_names_every_configuration():
+    assert set(DATA_PLANES) == set(WIRING)
+
+
+@pytest.mark.parametrize("config", sorted(WIRING))
+def test_data_plane_wiring(config):
+    engine_cls, mode, stack, ipc_us = WIRING[config]
+    cost = CostModel()
+    plat, ingress = build_boutique(
+        config, Environment(), cost,
+        lambda p: deploy_boutique(p, single_node=config == "nightcore"))
+    if engine_cls is None:
+        assert plat.engines == {}
+    else:
+        assert sorted(plat.engines) == ["worker0", "worker1"]
+        assert all(type(e) is engine_cls for e in plat.engines.values())
+    for runtime in plat.runtimes.values():
+        assert runtime.intra_ipc_us == (cost.sk_msg_us if ipc_us is None
+                                        else ipc_us)
+    gateway_us = NIGHTCORE_GATEWAY_US if config == "nightcore" else 0.0
+    assert ingress.cost.proxy_overhead_us == (cost.proxy_overhead_us
+                                              + gateway_us)
+    if mode is None:
+        assert type(ingress) is PalladiumIngress
+        assert plat.coordinator.placement[ingress.AGENT] == "ingress"
+        return
+    assert type(ingress) is ProxyIngress and ingress.mode == mode
+    assert list(ingress.adapters) == ["worker0"]
+    adapter = ingress.adapters["worker0"]
+    assert adapter.stack_kind == stack
+    assert adapter.cost is cost  # the gateway surcharge is ingress-only

@@ -1,10 +1,12 @@
 """Reachability census: list the ``src/repro`` functions no run reaches.
 
-Runs quick ``--all``, ``python3 -m pytest bench`` and every script in
-``examples/`` with a ``sys.setprofile`` hook in each interpreter they
-start, then prints every function defined under ``src/repro`` that
-none of them called, and their count.  Tests are deliberately not
-run: a function only tests reach is a deletion candidate.
+Runs the non-test CI steps: every gate (``tools/gate.py``: each quick
+entry with its checks, bands and the fluid probe), ``python3 -m pytest
+bench``, every script in ``examples/`` and the dashboard self-check,
+with a ``sys.setprofile`` hook in each interpreter they start.  Then it
+prints every function defined under ``src/repro`` that none of them
+called, and their count.  Tests are deliberately not run: a function
+only tests reach is a deletion candidate.
 
 Usage (from the repository root; takes tens of minutes)::
 
@@ -72,10 +74,12 @@ def main() -> int:
         Path(tmp, "sitecustomize.py").write_text(HOOK % tmp)
         env = dict(os.environ, PYTHONPATH=f"{tmp}{os.pathsep}{SRC}",
                    PYTHONHASHSEED="0", REPRO_JOBS="1")
-        runs = [["-m", "repro.experiments", "--quick", "--all"],
-                ["-m", "pytest", "-q", "bench"]]
+        runs = [["tools/gate.py"], ["-m", "pytest", "-q", "bench"]]
         runs += [[str(p.relative_to(ROOT))]
                  for p in sorted((ROOT / "examples").glob("*.py"))]
+        runs.append(["tools/dashboard.py", "--check",
+                     "--out", str(Path(tmp, "dashboard.html")),
+                     "--save-bundle", str(Path(tmp, "dashboard.json"))])
         for args in runs:
             print("census: running", " ".join(args), flush=True)
             proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
