@@ -218,7 +218,7 @@ class CostModel:
     container_sidecar_us: float = 9.0
     ebpf_sidecar_us: float = 0.7
     shared_sidecar_us: float = 0.5
-    #: Cross-security-domain explicit data copy (§3.1) uses
+    #: The cross-security-domain data copy (§3.1) uses
     #: `copy_bytes_per_us_cached`.
 
     def scaled(self, factor: float) -> "CostModel":

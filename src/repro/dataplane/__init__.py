@@ -6,7 +6,7 @@ buffer does in the paper (§3.5).  Historically this state was an
 untyped ``meta: Dict`` blob with magic underscore keys, defensively
 ``dict()``-copied at every hop — the simulator copied on every hop
 while modeling a zero-copy system.  This package replaces that with
-slotted, typed classes and an explicit ownership protocol:
+slotted, typed classes and a checked ownership protocol:
 
 * **routing** — ``kind``/``rid``/``src``/``dst``/``reply_to``/
   ``tenant`` plus ``via``, the transport that carried the last hop;

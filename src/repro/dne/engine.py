@@ -439,11 +439,6 @@ class NetworkEngine:
                     srq.consumed_since_replenish = 0
                     self._post_recv_buffers(tenant, consumed)
             self.conn_mgr.deactivate_idle()
-            # Shadow-pool pre-warming (off the critical path): inert
-            # under the default "none" policy — the guard keeps the
-            # event sequence identical to the pre-policy engine.
-            if self.conn_mgr.prewarm.active:
-                yield from self.conn_mgr.maintain_pools()
 
     def _post_recv_buffers(self, tenant: str, count: int) -> None:
         state = self._tenants[tenant]

@@ -135,7 +135,7 @@ EXPERIMENTS = {
     "conn-churn": (
         lambda jobs=None: run_ext_conn_churn(jobs=jobs),
         lambda jobs=None: run_ext_conn_churn(
-            scenarios=("cold", "warm-fixed", "shared"),
+            scenarios=("cold", "warm-fixed", "warm-predictive", "shared"),
             multipliers=(0.5, 2.0), day_us=600_000.0,
             max_instances=400, jobs=jobs),
     ),
@@ -414,6 +414,12 @@ GATES: Dict[str, Gate] = {
         claim("conn-churn: the warm pool saves handshakes",
               lambda r: _at(r, "setups", scenario="warm-fixed")
               < _at(r, "instances", scenario="warm-fixed")),
+        claim("conn-churn: predictive pre-warm matches warm-fixed TTFB "
+              "with at most a quarter of its pooled QPs",
+              lambda r: _at(r, "ttfb_p50_us", scenario="warm-predictive")
+              <= _at(r, "ttfb_p50_us", scenario="warm-fixed")
+              and 4 * _at(r, "pooled_qps", scenario="warm-predictive")
+              <= _at(r, "pooled_qps", scenario="warm-fixed")),
         claim("conn-churn: below the ceiling, completions track offered",
               lambda r: _at(r, "completed_per_s", scenario="ceiling@0.5x")
               > 0.9 * _at(r, "offered_per_s", scenario="ceiling@0.5x")),

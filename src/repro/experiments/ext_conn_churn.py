@@ -1,19 +1,19 @@
-"""Extension experiment: connection churn under the explicit control plane.
+"""Extension experiment: connection churn against the RDMA control plane.
 
 Swift (arXiv 2501.19051) argues the RDMA *control plane* — QP setup,
 CM round-trips, MR registration — is the bottleneck for elastic RDMA
-computing.  This experiment measures exactly that, using the explicit
-control plane of :mod:`repro.rdma.controlplane`: thousands of
-short-lived function instances arrive along the stylized diurnal trace
+computing.  This experiment measures exactly that, using the control
+plane of :mod:`repro.rdma.controlplane`: thousands of short-lived
+function instances arrive along the stylized diurnal trace
 (:func:`repro.workloads.diurnal.diurnal_schedule`) and each one wants
 to deliver a first byte to a peer node.  What the instance pays before
 that byte lands depends on the provisioning policy:
 
-* **cold** — per-function QPs (``share_scope="function"``), no
-  pre-warming, lazy MR registration: every instance walks the full
-  explicit handshake (verbs ladder + CM round-trips on the real
-  links) plus one ``ibv_reg_mr``;
-* **warm-fixed / warm-predictive** — tenant-scoped shadow pool kept
+* **cold** — a private pool per instance (pool key
+  ``"<tenant>/fn<index>"``), no pre-warming, and the MR registered
+  lazily at spin-up: every instance pays the full RC handshake plus
+  one ``ibv_reg_mr``;
+* **warm-fixed / warm-predictive** — tenant shadow pool kept
   pre-established by a pre-warm policy; the instance only *activates*
   a shadow QP (RoGUE's local promotion) and the region was registered
   eagerly at deploy time;
@@ -38,7 +38,9 @@ from ..hw import build_cluster
 from ..rdma import (
     RDMA_HEADER_BYTES,
     ConnectionManager,
-    ControlPlaneConfig,
+    DemandPredictivePrewarm,
+    FixedFloorPrewarm,
+    PrewarmPolicy,
     RdmaFabric,
 )
 from ..sim import AllOf, Environment
@@ -52,8 +54,12 @@ __all__ = ["run_ceiling_point", "run_churn_point", "run_ext_conn_churn"]
 #: the first byte every instance wants to land on the peer
 FIRST_BYTE_FRAME = 64 + RDMA_HEADER_BYTES
 
-#: known churn scenarios -> control-plane configuration
+#: known churn scenarios
 SCENARIOS = ("cold", "warm-fixed", "warm-predictive", "shared")
+
+#: shadow QPs the warm-fixed pool keeps established (its deploy-time
+#: warm-up and its pre-warm floor)
+WARM_FLOOR = 4
 
 
 def _arrivals(schedule: RateSchedule, offset_us: float,
@@ -83,23 +89,14 @@ def _arrivals(schedule: RateSchedule, offset_us: float,
     return times
 
 
-def _scenario_config(scenario: str, explicit: bool,
-                     ops_per_sec: Optional[float],
-                     prewarm_floor: int) -> ControlPlaneConfig:
-    if scenario == "cold":
-        return ControlPlaneConfig(
-            explicit=explicit, ops_per_sec=ops_per_sec,
-            share_scope="function", mr_policy="lazy")
+def _scenario_prewarm(scenario: str) -> Optional[PrewarmPolicy]:
+    """The pre-warm policy a scenario's tenant pool runs under."""
     if scenario == "warm-fixed":
-        return ControlPlaneConfig(
-            explicit=explicit, ops_per_sec=ops_per_sec,
-            prewarm="fixed", prewarm_floor=prewarm_floor)
+        return FixedFloorPrewarm(WARM_FLOOR)
     if scenario == "warm-predictive":
-        return ControlPlaneConfig(
-            explicit=explicit, ops_per_sec=ops_per_sec,
-            prewarm="predictive", prewarm_floor=1)
-    if scenario == "shared":
-        return ControlPlaneConfig(explicit=explicit, ops_per_sec=ops_per_sec)
+        return DemandPredictivePrewarm(floor=1)
+    if scenario in ("cold", "shared"):
+        return None
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -111,7 +108,8 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def _run_world(scenario: str, arrival_times: List[float], state_bytes: int,
-               config: ControlPlaneConfig, warmup_us: float,
+               prewarm: Optional[PrewarmPolicy],
+               ops_per_sec: Optional[float], warmup_us: float,
                maintenance_period_us: float = 5_000.0) -> Dict[str, float]:
     """One simulated world: arrivals churn, TTFBs are collected."""
     env = Environment()
@@ -120,8 +118,9 @@ def _run_world(scenario: str, arrival_times: List[float], state_bytes: int,
     fabric = RdmaFabric(env, cluster, cost)
     fabric.install_rnic("worker0")
     fabric.install_rnic("worker1")
-    mgr = ConnectionManager(env, fabric, "worker0", cost, config=config)
+    mgr = ConnectionManager(env, fabric, "worker0", cost, prewarm=prewarm)
     cp = mgr.cp
+    cp.set_ceiling(ops_per_sec)
     tenant = "churn"
     warm_pool = scenario in ("warm-fixed", "warm-predictive", "shared")
     # ceiling points churn cold too: every arrival is its own function
@@ -132,11 +131,10 @@ def _run_world(scenario: str, arrival_times: List[float], state_bytes: int,
     def setup():
         """Deploy-time work, off every instance's critical path."""
         if warm_pool:
-            floor = 1 if scenario == "warm-predictive" else 4
+            floor = 1 if scenario == "warm-predictive" else WARM_FLOOR
             yield from mgr.warm_up("worker1", tenant, count=floor)
             # tenant pool region registered eagerly at deploy
-            handle = cp.mr_handle(tenant, state_bytes)
-            yield from handle.acquire()
+            yield from cp.register_region(tenant, state_bytes)
 
     def maintenance():
         """The engine-core-thread stand-in: demote idlers, pre-warm."""
@@ -144,8 +142,7 @@ def _run_world(scenario: str, arrival_times: List[float], state_bytes: int,
             yield env.timeout(maintenance_period_us)
             if scenario != "shared":
                 mgr.deactivate_idle()
-            if mgr.prewarm.active:
-                yield from mgr.maintain_pools()
+            yield from mgr.maintain_pools()
 
     def instance(index: int, at_us: float):
         yield env.timeout(at_us)
@@ -156,23 +153,23 @@ def _run_world(scenario: str, arrival_times: List[float], state_bytes: int,
             # enqueue on the command queue at arrival — sequencing them
             # would head-of-line block the MR op behind every newer
             # arrival's handshake reservation).
-            handle = cp.mr_handle(tenant, state_bytes)
             conn = env.process(
-                mgr.get_connection("worker1", tenant, fn=f"fn{index}"),
+                mgr.get_connection("worker1", f"{tenant}/fn{index}"),
                 name=f"churn-conn{index}")
-            reg = env.process(handle.acquire(), name=f"churn-reg{index}")
+            reg = env.process(cp.register_region(tenant, state_bytes),
+                              name=f"churn-reg{index}")
             yield AllOf(env, [conn, reg])
             qp = conn.value
         else:
             qp = yield from mgr.get_connection("worker1", tenant)
-            handle = None
+            reg = None
         if not qp.is_errored:
             yield from fabric.link("worker0", "worker1").transmit(
                 FIRST_BYTE_FRAME)
             ttfbs.append(env.now - t0)
             done_times.append(env.now)
-        if handle is not None:
-            handle.release()
+        if reg is not None:
+            cp.deregister_region(reg.value)
         if scenario == "warm-fixed" or scenario == "warm-predictive":
             # instance teardown: its QP drops back to shadow state
             mgr.deactivate_idle()
@@ -213,17 +210,15 @@ def _run_world(scenario: str, arrival_times: List[float], state_bytes: int,
 
 def run_churn_point(scenario: str, day_us: float = 2_000_000.0,
                     base_rps: float = 400.0, peak_rps: float = 2_400.0,
-                    state_kb: int = 64, explicit: bool = True,
+                    state_kb: int = 64,
                     ops_per_sec: Optional[float] = None,
-                    prewarm_floor: int = 4,
                     max_instances: Optional[int] = None) -> Dict[str, float]:
     """One churn scenario under the diurnal trace; returns its metrics."""
     schedule = diurnal_schedule(day_us, base_rps, peak_rps)
     warmup_us = 50_000.0
     arrival_times = _arrivals(schedule, warmup_us, cap=max_instances)
-    config = _scenario_config(scenario, explicit, ops_per_sec, prewarm_floor)
-    return _run_world(scenario, arrival_times, state_kb * 1024, config,
-                      warmup_us)
+    return _run_world(scenario, arrival_times, state_kb * 1024,
+                      _scenario_prewarm(scenario), ops_per_sec, warmup_us)
 
 
 def run_ceiling_point(multiplier: float, ops_per_sec: float = 400.0,
@@ -242,9 +237,8 @@ def run_ceiling_point(multiplier: float, ops_per_sec: float = 400.0,
                              (duration_us, offered_per_s)])
     warmup_us = 10_000.0
     arrival_times = _arrivals(schedule, warmup_us)
-    config = _scenario_config("cold", True, ops_per_sec, 0)
     point = _run_world(f"ceiling@{multiplier:g}x", arrival_times,
-                       state_kb * 1024, config, warmup_us)
+                       state_kb * 1024, None, ops_per_sec, warmup_us)
     point["ceiling_per_s"] = capacity_per_s
     return point
 

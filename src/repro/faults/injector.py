@@ -10,7 +10,7 @@ the determinism property test compares across replays.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..memory import PoolExhausted
 from ..sim import Environment
@@ -42,6 +42,9 @@ class FaultInjector:
         self._hostages: Dict[str, list] = {}
         #: ingress gateways addressable by gateway-crash/-restart
         self._gateways: Dict[str, Any] = {}
+        #: node -> the control-plane ceiling a cp-throttle replaced,
+        #: put back by its cp-restore
+        self._ceilings: Dict[str, Optional[float]] = {}
         self.started = False
 
     def register_gateway(self, name: str, ingress) -> None:
@@ -116,9 +119,10 @@ class FaultInjector:
         if kind in ("cp-throttle", "cp-restore"):
             cp = self.platform.fabric.control_plane(event.target)
             if kind == "cp-throttle":
+                self._ceilings.setdefault(event.target, cp.ops_per_sec)
                 cp.set_ceiling(event.params["ops_per_sec"])
                 return cp.ops_per_sec
-            cp.set_ceiling(cp.config.ops_per_sec)
+            cp.set_ceiling(self._ceilings.pop(event.target, None))
             return cp.ops_per_sec
         if kind == "pool-exhaust":
             node, tenant = event.target.split(":", 1)

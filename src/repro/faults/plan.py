@@ -128,7 +128,8 @@ class FaultPlan:
 
         Models degraded RNIC firmware / a management-path brownout:
         QP setup and MR registration commands on ``node`` queue behind
-        an ``ops_per_sec`` FIFO until ``cp-restore`` lifts the clamp.
+        an ``ops_per_sec`` FIFO until ``cp-restore`` puts back the
+        ceiling the clamp replaced.
         The data plane is untouched — established QPs keep flowing.
         """
         self.add(FaultEvent(at_us, "cp-throttle", node,

@@ -101,7 +101,7 @@ class TcpWorkerAdapter:
                         ctx: object, complete):
         # Worker-side protocol termination: the duplicate processing
         # the paper's Fig. 4 (1) identifies.
-        resolve = getattr(self.runtime, "resolve_service", None)
+        resolve = self.runtime.resolve_service
         if resolve is not None:
             entry_fn = resolve(entry_fn)
         yield from self.stack.rx(request.wire_bytes)

@@ -260,7 +260,7 @@ class GatewayShard:
 class GatewayTier:
     """The assembled tier: ring + shards + failover + metrics.
 
-    Time is passed in explicitly (``now``) by the caller, the
+    Time is passed in (``now``) by the caller, the
     epoch-driven aggregate model.  Metric counters are plain ints,
     read through :meth:`counters`.
     """

@@ -2,7 +2,7 @@
 
 Palladium reserves equal-size buffers up front in hugepage-backed pools
 so functions never call ``malloc`` on the critical path.  The pool is
-fixed-size; exhausting it is an explicit error (back-pressure in the
+fixed-size; exhausting it raises an error (back-pressure in the
 callers keeps this from happening in steady state).
 
 Hugepage accounting matters for the RNIC: using 2 MB pages keeps the

@@ -189,7 +189,7 @@ class LiveMigrator:
             cp = plat.fabric.control_plane(dst_node)
             region = yield from cp.register_region(
                 tenant, state_bytes, cpu=dst_runtime.node.cpu,
-                hugepage_bytes=dst_runtime.node.spec.hugepage_bytes)
+                page_bytes=dst_runtime.node.spec.hugepage_bytes)
             record.mtt_entries = region.mtt_entries
             # Promote pooled shadow QPs toward every live peer so the
             # instance's traffic flows the moment routes flip (§3.3:

@@ -68,7 +68,6 @@ class ServerlessPlatform:
         sidecar_us: Optional[float] = None,
         intra_ipc_us: Optional[float] = None,
         recv_buffers: int = 128,
-        cp_config=None,
     ):
         self.env = env
         self.cost = cost or CostModel()
@@ -76,15 +75,6 @@ class ServerlessPlatform:
         self.fabric = RdmaFabric(env, self.cluster, self.cost)
         self.coordinator = Coordinator()
         self.recv_buffers = recv_buffers
-        # Pre-register the control-plane config for every endpoint
-        # before any engine builds its connection manager (first
-        # caller wins in the fabric registry).  None keeps the flat
-        # compatibility default — byte-identical to the historical
-        # one-timeout cost model.
-        if cp_config is not None:
-            for node_name in self.cluster.nodes:
-                self.fabric.control_plane(node_name, cp_config)
-
         self.runtimes: Dict[str, NodeRuntime] = {}
         self.engines: Dict[str, NetworkEngine] = {}
         for worker in self.cluster.workers:

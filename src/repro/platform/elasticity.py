@@ -70,7 +70,7 @@ class ElasticPlatform(ServerlessPlatform):
         self._failed_replicas: Dict[str, List[str]] = {}
         # Patch service resolution into every node's send path.
         for runtime in self.runtimes.values():
-            runtime.resolve_service = self._resolve  # type: ignore[attr-defined]
+            runtime.resolve_service = self.resolve_service
 
     # -- service lifecycle -----------------------------------------------------
     def deploy_service(self, spec: FunctionSpec, node_name: str,
@@ -177,6 +177,3 @@ class ElasticPlatform(ServerlessPlatform):
         if group is None:
             return dst
         return group.pick()
-
-    # backwards-compatible alias used by the runtime patch in __init__
-    _resolve = resolve_service

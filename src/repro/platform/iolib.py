@@ -13,7 +13,7 @@ arrows), performing the token-passing ownership transfer either way.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..config import CostModel
 from ..dataplane import Message
@@ -75,6 +75,10 @@ class NodeRuntime:
         #: when set, :meth:`FunctionInstance.invoke` gives up (raises
         #: :class:`InvokeTimeout`) after this many microseconds
         self.invoke_timeout_us: Optional[float] = None
+        #: logical service name -> replica id; an
+        #: :class:`~repro.platform.elasticity.ElasticPlatform` installs
+        #: its resolver here (None: names are function ids)
+        self.resolve_service: Optional[Callable[[str], str]] = None
 
     def add_pool(self, tenant: str, pool: MemoryPool) -> None:
         self.pools[tenant] = pool
@@ -131,8 +135,8 @@ class NodeRuntime:
         """True when sending to ``dst_fn`` leaves ``tenant``'s domain.
 
         Palladium's security model (§3.1): only functions of the same
-        tenant share memory; crossing domains requires an explicit
-        CPU copy.  Infrastructure endpoints (tenant None) are trusted.
+        tenant share memory; crossing domains requires a CPU copy.
+        Infrastructure endpoints (tenant None) are trusted.
         """
         dst_tenant = self.endpoint_tenants.get(dst_fn)
         return dst_tenant is not None and dst_tenant != tenant
@@ -226,7 +230,7 @@ class IoLibrary:
         buffer.write(src_agent, payload, size)
         # Logical-service resolution (elastic replicas; identity for
         # plain function names).
-        resolve = getattr(self.runtime, "resolve_service", None)
+        resolve = self.runtime.resolve_service
         if resolve is not None:
             dst_fn = resolve(dst_fn)
         message.dst = dst_fn
@@ -315,7 +319,7 @@ class IoLibrary:
     def _send_cross_domain(self, src_agent: str, dst_fn: str, buffer: Buffer,
                            payload, size: int, message: Message,
                            extra_cpu_us: float):
-        """Generator: explicit CPU copy across security domains (§3.1).
+        """Generator: the CPU copy across security domains (§3.1).
 
         The payload is copied out of the sender tenant's pool into a
         buffer of the *destination* tenant's pool; the sender's buffer

@@ -1,15 +1,12 @@
 """RDMA substrate: verbs, queue pairs, RNIC model, connections, locks,
-and the explicit control plane (QP setup, MR lifecycle, pre-warming)."""
+and the control plane (RC handshake, MR lifecycle, pre-warming)."""
 
 from .connection import ConnectionManager
 from .controlplane import (
-    ControlPlaneConfig,
     DemandPredictivePrewarm,
     FixedFloorPrewarm,
-    MrHandle,
     PrewarmPolicy,
     RdmaControlPlane,
-    make_prewarm_policy,
 )
 from .fabric import RdmaFabric
 from .locks import DistributedLock, LockStats
@@ -30,7 +27,6 @@ __all__ = [
     "AtomicWord",
     "Completion",
     "ConnectionManager",
-    "ControlPlaneConfig",
     "DemandPredictivePrewarm",
     "DistributedLock",
     "FixedFloorPrewarm",
@@ -39,7 +35,6 @@ __all__ = [
     "LockStats",
     "MemoryRegion",
     "MemoryRegionTable",
-    "MrHandle",
     "Opcode",
     "PrewarmPolicy",
     "QPState",
@@ -53,5 +48,4 @@ __all__ = [
     "Rnic",
     "SharedReceiveQueue",
     "WorkRequest",
-    "make_prewarm_policy",
 ]

@@ -1,7 +1,7 @@
 """RC connection management with pooling and shadow QPs (§3.3).
 
 Establishing an RC connection costs tens of milliseconds, so the DNE
-keeps a pool of pre-established connections per (remote node, scope)
+keeps a pool of pre-established connections per (remote node, tenant)
 and only *activates* them when they carry work.  Inactive (shadow) QPs
 consume no RNIC resources; the node-wide count of active QPs is what
 the RNIC's thrash model watches.  Activation needs no cross-node state
@@ -9,12 +9,9 @@ synchronization (RoGUE's scheme), only a small local cost.
 
 All simulated *time* for establishment and MR registration is charged
 by the node's :class:`~repro.rdma.controlplane.RdmaControlPlane` — the
-manager here owns pooling, sharing scope, pre-warm policy, and fault
-recovery, never the raw costs.  Pool scope is the tenant by default
-(every function of a tenant multiplexes the same QPs through the DNE
-proxy); ``share_scope="function"`` in the control-plane config gives
-each function a private pool instead, the cold-start baseline the
-connection-churn experiment measures against.
+manager here owns pooling, pre-warm policy, and fault recovery, never
+the raw costs.  Every function of a tenant multiplexes the same pooled
+QPs through the DNE proxy.
 
 Failure handling: a QP that errors out (peer crash, injected QP error)
 is *terminal* — it is evicted from the pool on the next touch and never
@@ -30,11 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..config import CostModel
 from ..sim import AllOf, Environment
 
-from .controlplane import (
-    ControlPlaneConfig,
-    PrewarmPolicy,
-    make_prewarm_policy,
-)
+from .controlplane import PrewarmPolicy
 from .fabric import RdmaFabric
 from .qp import QPState, QueuePair
 
@@ -58,7 +51,6 @@ class ConnectionManager:
         reconnect_base_us: float = 1_000.0,
         reconnect_cap_us: float = 64_000.0,
         tenant_retry_budget: Optional[int] = None,
-        config: Optional[ControlPlaneConfig] = None,
         prewarm: Optional[PrewarmPolicy] = None,
     ):
         self.env = env
@@ -66,11 +58,10 @@ class ConnectionManager:
         self.node = node
         self.cost = cost
         #: the node-global control plane charging all setup costs
-        self.cp = fabric.control_plane(node, config)
-        self.config = self.cp.config
-        #: pluggable shadow-pool pre-warm policy; the default "none"
-        #: policy keeps the maintenance loop entirely inert
-        self.prewarm = prewarm or make_prewarm_policy(self.config)
+        self.cp = fabric.control_plane(node)
+        #: shadow-pool pre-warm policy for :meth:`maintain_pools`
+        #: (None: no pre-warming)
+        self.prewarm = prewarm
         self.conns_per_peer = conns_per_peer
         #: maximum *active* QPs a single tenant may hold node-wide.
         #: The DNE's answer to the rogue tenant of §2.1 that "could
@@ -103,18 +94,6 @@ class ConnectionManager:
         self.reconnects_scheduled = 0
         self.reconnects_succeeded = 0
         self.budget_exhausted = 0
-
-    # -- sharing scope -----------------------------------------------------
-    def _scope(self, tenant: str, fn: Optional[str] = None) -> str:
-        """Pool-scope id: the tenant, or tenant/function when sharing
-        is disabled (``share_scope="function"``)."""
-        if fn is not None and self.config.share_scope == "function":
-            return f"{tenant}/{fn}"
-        return tenant
-
-    @staticmethod
-    def _scope_tenant(scope: str) -> str:
-        return scope.split("/", 1)[0]
 
     def _establish(self, remote_node: str, tenant: str):
         """Generator: full RC handshake (tens of milliseconds, §3.3).
@@ -158,15 +137,14 @@ class ConnectionManager:
         if len(history) > _DEMAND_HISTORY:
             del history[:len(history) - _DEMAND_HISTORY]
 
-    def warm_up(self, remote_node: str, tenant: str, count: int = 0,
-                fn: Optional[str] = None):
+    def warm_up(self, remote_node: str, tenant: str, count: int = 0):
         """Generator: pre-establish the connection pool to a peer.
 
         Palladium does this off the critical path so data transfers
         never pay the RC handshake.  The handshakes proceed in
         parallel (they are independent QPs).
         """
-        key = (remote_node, self._scope(tenant, fn))
+        key = (remote_node, tenant)
         pool = self._prune(key)
         target = count or self.conns_per_peer
         needed = target - len(pool)
@@ -185,17 +163,16 @@ class ConnectionManager:
     def maintain_pools(self):
         """Generator: top pools up to the pre-warm policy's target.
 
-        Called from the engine core thread's periodic loop.  With the
-        default "none" policy the loop guards on ``prewarm.active``
-        and never gets here; active policies re-establish shadow QPs
-        ahead of demand, off the critical path.
+        Called from a periodic maintenance loop; re-establishes shadow
+        QPs ahead of demand, off the critical path.  Without a policy
+        it does nothing.
         """
-        if not self.prewarm.active:
+        if self.prewarm is None:
             return 0
         warmed = 0
         keys = set(self._pool) | set(self._demand)
         for key in sorted(keys):
-            remote_node, scope = key
+            remote_node, tenant = key
             target = self.prewarm.target(
                 self.env.now, len(self._pool.get(key, [])),
                 self._demand.get(key, []))
@@ -204,7 +181,6 @@ class ConnectionManager:
             pool = self._prune(key)
             if len(pool) >= target:
                 continue
-            tenant = self._scope_tenant(scope)
             if not self.peer_alive(remote_node):
                 continue
             procs = [
@@ -218,8 +194,7 @@ class ConnectionManager:
             warmed += len(fresh)
         return warmed
 
-    def get_connection(self, remote_node: str, tenant: str,
-                       fn: Optional[str] = None):
+    def get_connection(self, remote_node: str, tenant: str):
         """Generator: return the least-congested usable QP to a peer.
 
         Prefers active QPs (no activation cost); activates a shadow QP
@@ -227,7 +202,7 @@ class ConnectionManager:
         connection only when the pool is empty (cold start).  Errored
         QPs are evicted first and never handed out from the pool.
         """
-        key = (remote_node, self._scope(tenant, fn))
+        key = (remote_node, tenant)
         pool = self._prune(key)
         if not pool:
             self._note_demand(key)
@@ -255,8 +230,7 @@ class ConnectionManager:
         yield from self._activate(best)
         return best
 
-    def ensure_active(self, remote_node: str, tenant: str,
-                      fn: Optional[str] = None):
+    def ensure_active(self, remote_node: str, tenant: str):
         """Generator: guarantee one ACTIVE QP toward a peer; returns it.
 
         The live-migration restore path: a migrated instance's traffic
@@ -265,7 +239,7 @@ class ConnectionManager:
         §3.3).  Falls back to a full RC handshake only when the pool is
         empty — the cold-start cost migration exists to avoid.
         """
-        key = (remote_node, self._scope(tenant, fn))
+        key = (remote_node, tenant)
         pool = self._prune(key)
         for qp in pool:
             if qp.is_active:
@@ -283,10 +257,10 @@ class ConnectionManager:
         return qp
 
     def tenant_active_count(self, tenant: str) -> int:
-        """Active QPs this tenant holds across all peers (all scopes)."""
+        """Active QPs this tenant holds across all peers."""
         return sum(
-            1 for (peer, scope), pool in self._pool.items()
-            if self._scope_tenant(scope) == tenant
+            1 for (peer, owner), pool in self._pool.items()
+            if owner == tenant
             for qp in pool if qp.is_active
         )
 
@@ -349,10 +323,10 @@ class ConnectionManager:
         bounds how many QPs error out (None = all matching).
         """
         failed = 0
-        for (peer, scope), pool in self._pool.items():
+        for (peer, owner), pool in self._pool.items():
             if remote is not None and peer != remote:
                 continue
-            if tenant is not None and self._scope_tenant(scope) != tenant:
+            if tenant is not None and owner != tenant:
                 continue
             for qp in pool:
                 if qp.is_errored:

@@ -1,36 +1,33 @@
-"""The explicit RDMA control plane: QP setup, MR lifecycle, pre-warming.
+"""The RDMA control plane: QP setup, MR lifecycle, pre-warming.
 
 Swift (arXiv 2501.19051) measures that for elastic RDMA computing the
 *control plane* — QP creation and the ``ibv_modify_qp`` ladder, CM
 round-trips, MR registration — is the bottleneck, not the data plane.
-This module makes those costs first-class instead of the historical
-one-flat-timeout model scattered across call sites:
+This module makes those costs first-class instead of scattering them
+across call sites:
 
 * :class:`RdmaControlPlane` is the **single place simulated time is
   charged** for RC setup and ``ibv_reg_mr`` (the dataplane lint bans
   ``cost.rc_setup_us`` / ``cost.mr_register_time`` elsewhere).  One
   instance per fabric endpoint, shared by every connection manager on
   that node, so the per-node ops/sec ceiling is global to the node.
-* :class:`ControlPlaneConfig` selects between the **flat
-  compatibility path** (default: one ``rc_setup_us`` timeout, byte-
-  identical to the historical model) and the **explicit path**: per-
-  transition ``ibv_modify_qp`` costs plus CM round-trips that ride the
-  simulated fabric links, so setup latency depends on RTT, link
-  health, and the node's control-plane ops/sec ceiling.
-* The MR lifecycle (:meth:`RdmaControlPlane.mr_handle`) supports eager
-  vs lazy registration and hugepage MTT compaction: hugepage-backed
-  regions need ~512x fewer MTT entries, which is both cheaper to
-  register and kinder to the on-NIC translation cache.
-* :class:`PrewarmPolicy` and friends decide how many shadow QPs a
-  connection manager keeps pre-established per (peer, scope) — none,
-  a fixed floor, or a demand-predictive target sized from the recent
-  cold-connect rate.
+* One RC handshake is one admission of four verbs commands (create +
+  three modifies) to the node's command queue, then one
+  ``rc_setup_us`` charge (§3.3: "tens of milliseconds").  With no
+  ceiling set the admission yields no event.
+* MR registration is charged per MTT entry; hugepage-backed regions
+  (the default page size, :data:`HUGEPAGE_BYTES`) need ~512x fewer
+  entries than 4 KB pages, which is both cheaper to register and
+  kinder to the on-NIC translation cache.
+* :class:`FixedFloorPrewarm` and :class:`DemandPredictivePrewarm`
+  decide how many shadow QPs a connection manager keeps pre-established
+  per (peer, tenant) pool: a fixed floor, or a target sized from the
+  recent cold-connect rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from ..config import CostModel
 from ..sim import Environment
@@ -39,103 +36,22 @@ from .mr import MemoryRegion
 from .qp import QPState, QueuePair
 
 __all__ = [
-    "CM_FRAME_BYTES",
-    "ControlPlaneConfig",
     "DemandPredictivePrewarm",
     "FixedFloorPrewarm",
-    "MrHandle",
+    "HUGEPAGE_BYTES",
     "PrewarmPolicy",
     "RdmaControlPlane",
-    "make_prewarm_policy",
 ]
 
-#: one CM MAD datagram (REQ/REP/RTU are 256-byte management frames)
-CM_FRAME_BYTES = 256
-
-
-@dataclass(frozen=True)
-class ControlPlaneConfig:
-    """Knobs of the explicit control plane.
-
-    The default (``explicit=False``) is the flat compatibility path:
-    every RC handshake is exactly one ``rc_setup_us`` timeout and MR
-    registration is one ``mr_register_time`` charge — byte-identical
-    to the historical model, which the seed experiments' determinism
-    gates pin.  ``explicit=True`` decomposes the handshake into the
-    verbs ladder plus CM round-trips on the real fabric links; the
-    per-edge defaults are calibrated so the total at LAN RTT lands
-    near ``rc_setup_us`` (~19.8 ms + 3 RTTs).
-    """
-
-    explicit: bool = False
-    # -- explicit-handshake decomposition -------------------------------
-    #: CM REQ/REP/RTU exchanges riding the fabric (3 = full CM dance)
-    cm_round_trips: int = 3
-    #: CM listener processing per round trip (mlx-style firmware path)
-    cm_processing_us: float = 3_200.0
-    #: ibv_modify_qp RESET->INIT (access flags, pkey)
-    reset_to_init_us: float = 1_400.0
-    #: ibv_modify_qp INIT->RTR (path MTU, remote QPN, PSNs, MRA)
-    init_to_rtr_us: float = 5_200.0
-    #: ibv_modify_qp RTR->RTS (timeouts, retry counts, SQ PSN)
-    rtr_to_rts_us: float = 3_600.0
-    #: per-node control-plane verbs ops/sec ceiling (None = unlimited).
-    #: Real RNIC firmware serializes QP/MR commands; past the ceiling,
-    #: setup requests queue FIFO and latency grows with load.
-    ops_per_sec: Optional[float] = None
-    # -- MR lifecycle ---------------------------------------------------
-    #: "eager": register at provision time; "lazy": first-use
-    mr_policy: str = "eager"
-    #: hugepage MTT compaction (§3.4): one entry per 2 MB instead of 4 KB
-    huge_pages: bool = True
-    page_bytes: int = 4096
-    hugepage_bytes: int = 2 * 1024 * 1024
-    # -- shadow-pool pre-warming ---------------------------------------
-    #: "none" | "fixed" | "predictive"
-    prewarm: str = "none"
-    prewarm_floor: int = 0
-    #: demand-predictive window & sizing headroom
-    predictive_window_us: float = 250_000.0
-    predictive_headroom: float = 1.5
-    predictive_ceiling: int = 32
-    # -- connection sharing --------------------------------------------
-    #: "tenant": all functions of a tenant multiplex one QP pool per
-    #: peer (Palladium's DNE proxy model); "function": each function
-    #: gets a private pool (the churn experiment's cold baseline)
-    share_scope: str = "tenant"
-
-    def __post_init__(self):
-        if self.mr_policy not in ("eager", "lazy"):
-            raise ValueError(f"unknown mr_policy {self.mr_policy!r}")
-        if self.prewarm not in ("none", "fixed", "predictive"):
-            raise ValueError(f"unknown prewarm policy {self.prewarm!r}")
-        if self.share_scope not in ("tenant", "function"):
-            raise ValueError(f"unknown share_scope {self.share_scope!r}")
+#: default MR page size: hugepage MTT compaction (§3.4), one MTT entry
+#: per 2 MB instead of per 4 KB
+HUGEPAGE_BYTES = 2 * 1024 * 1024
 
 
 # -- pre-warming policies ----------------------------------------------------
 
-class PrewarmPolicy:
-    """Decides the pre-established shadow-pool floor per (peer, scope).
-
-    ``active`` gates the maintenance loop entirely: the default "none"
-    policy never runs it, keeping the pre-policy platforms event-for-
-    event identical.
-    """
-
-    name = "none"
-    active = False
-
-    def target(self, now_us: float, pool_size: int,
-               demand_times: List[float]) -> int:
-        return 0
-
-
-class FixedFloorPrewarm(PrewarmPolicy):
+class FixedFloorPrewarm:
     """Keep at least ``floor`` shadow QPs established per pool."""
-
-    name = "fixed"
-    active = True
 
     def __init__(self, floor: int):
         if floor < 0:
@@ -147,16 +63,13 @@ class FixedFloorPrewarm(PrewarmPolicy):
         return self.floor
 
 
-class DemandPredictivePrewarm(PrewarmPolicy):
+class DemandPredictivePrewarm:
     """Size the pool from the recent cold-connect rate.
 
     Counts cold connects observed in the trailing window, scales by a
     headroom factor, and clamps to ``[floor, ceiling]`` — a stand-in
     for the predictive pre-provisioning knee autoscalers chase.
     """
-
-    name = "predictive"
-    active = True
 
     def __init__(self, window_us: float = 250_000.0, headroom: float = 1.5,
                  floor: int = 1, ceiling: int = 32):
@@ -173,54 +86,9 @@ class DemandPredictivePrewarm(PrewarmPolicy):
         return max(self.floor, min(want, self.ceiling))
 
 
-def make_prewarm_policy(config: ControlPlaneConfig) -> PrewarmPolicy:
-    """The policy named by ``config`` (the pluggable default wiring)."""
-    if config.prewarm == "fixed":
-        return FixedFloorPrewarm(config.prewarm_floor)
-    if config.prewarm == "predictive":
-        return DemandPredictivePrewarm(
-            window_us=config.predictive_window_us,
-            headroom=config.predictive_headroom,
-            floor=max(1, config.prewarm_floor),
-            ceiling=config.predictive_ceiling,
-        )
-    return PrewarmPolicy()
-
-
-# -- MR lifecycle ------------------------------------------------------------
-
-class MrHandle:
-    """One registerable region with policy-deferred registration.
-
-    Eager callers drive :meth:`acquire` at provision time; lazy
-    callers at first use.  ``acquire`` is idempotent, so the two call
-    sites can coexist — whoever gets there first pays.
-    """
-
-    def __init__(self, cp: "RdmaControlPlane", tenant: str, nbytes: int,
-                 hugepage_bytes: Optional[int] = None):
-        self.cp = cp
-        self.tenant = tenant
-        self.nbytes = nbytes
-        self.hugepage_bytes = hugepage_bytes
-        self.region: Optional[MemoryRegion] = None
-
-    def acquire(self, cpu=None):
-        """Generator: register the region unless already registered."""
-        if self.region is None:
-            self.region = yield from self.cp.register_region(
-                self.tenant, self.nbytes, cpu=cpu,
-                hugepage_bytes=self.hugepage_bytes)
-        return self.region
-
-    @property
-    def registered(self) -> bool:
-        return self.region is not None
-
-    def release(self) -> None:
-        if self.region is not None:
-            self.cp.deregister_region(self.region)
-            self.region = None
+#: what decides the pre-established shadow-pool floor per (peer,
+#: tenant): ``target(now_us, pool_size, demand_times)`` shadow QPs
+PrewarmPolicy = Union[FixedFloorPrewarm, DemandPredictivePrewarm]
 
 
 # -- the control plane -------------------------------------------------------
@@ -234,15 +102,15 @@ class RdmaControlPlane:
     so the ops/sec ceiling and the setup ledgers are node-global.
     """
 
-    def __init__(self, env: Environment, fabric, node: str, cost: CostModel,
-                 config: Optional[ControlPlaneConfig] = None):
+    def __init__(self, env: Environment, fabric, node: str, cost: CostModel):
         self.env = env
         self.fabric = fabric
         self.node = node
         self.cost = cost
-        self.config = config or ControlPlaneConfig()
-        #: mutable ceiling (fault injection can throttle it at runtime)
-        self.ops_per_sec = self.config.ops_per_sec
+        #: per-node verbs ops/sec ceiling (None = unlimited).  Real RNIC
+        #: firmware serializes QP/MR commands; past the ceiling, setup
+        #: requests queue FIFO and latency grows with load.
+        self.ops_per_sec: Optional[float] = None
         #: virtual-time FIFO server for the verbs-command ceiling
         self._free_at = 0.0
         # -- ledgers -------------------------------------------------------
@@ -256,7 +124,7 @@ class RdmaControlPlane:
 
     # -- ops/sec ceiling ---------------------------------------------------
     def set_ceiling(self, ops_per_sec: Optional[float]) -> None:
-        """Change the verbs-command ceiling (cp-throttle fault hook)."""
+        """Change the verbs-command ceiling (None lifts it)."""
         self.ops_per_sec = ops_per_sec
 
     def _admit(self, ops: int = 1):
@@ -264,9 +132,8 @@ class RdmaControlPlane:
 
         Models RNIC firmware serializing QP/MR commands as a
         deterministic virtual-time FIFO: each op books ``1e6/rate`` µs
-        of server time starting at ``max(now, free_at)``.  Unlimited
-        ceilings (the default) yield no events at all — the flat
-        compatibility path stays event-for-event identical.
+        of server time starting at ``max(now, free_at)``.  An unlimited
+        ceiling (the default) yields no event at all.
         """
         self.ops_admitted += ops
         rate = self.ops_per_sec
@@ -287,42 +154,24 @@ class RdmaControlPlane:
                 peer_alive: Optional[Callable[[str], bool]] = None):
         """Generator: one full RC handshake; returns the local QP.
 
-        The QP comes back RTS and INACTIVE (a shadow QP, §3.3), with
-        its remote end wired, or in ERROR when the peer is dead — the
-        handshake toward a dead peer still burns the full setup time
-        (the CM retries its REQ until the timeout budget is spent),
-        and posting on the errored QP flushes, surfacing the failure.
+        All four verbs commands are admitted to the command queue up
+        front — one handshake is one FIFO admission, so a backlog
+        delays whole handshakes instead of starving in-flight ones of
+        their later rungs — and the handshake then costs one
+        ``rc_setup_us``.  The QP comes back RTS and INACTIVE (a shadow
+        QP, §3.3), with its remote end wired, or in ERROR when the peer
+        is dead — the handshake toward a dead peer still burns the full
+        setup time (the CM retries its REQ until the timeout budget is
+        spent), and posting on the errored QP flushes, surfacing the
+        failure.
         """
         alive = peer_alive if peer_alive is not None else (lambda remote: True)
         t0 = self.env.now
-        if not self.config.explicit:
-            # Flat compatibility path: exactly one timeout event, as
-            # the historical ConnectionManager._establish charged.
-            yield self.env.timeout(self.cost.rc_setup_us)
-            local = QueuePair(self.env, self.node, remote_node, tenant)
-            local.transition(QPState.INIT)
-            local.transition(QPState.RTR)
-        else:
-            local = QueuePair(self.env, self.node, remote_node, tenant)
-            # All four verbs commands (create + three modifies) are
-            # reserved on the command queue up-front — one handshake is
-            # one FIFO admission, so a backlog delays whole handshakes
-            # instead of starving in-flight ones of their later stages.
-            yield from self._admit(4)
-            yield self.env.timeout(self.config.reset_to_init_us)
-            local.transition(QPState.INIT)
-            # CM REQ/REP(/RTU): management datagrams on the real links,
-            # so setup latency tracks RTT, link health and contention.
-            fwd = self.fabric.link(self.node, remote_node)
-            rev = self.fabric.link(remote_node, self.node)
-            for _ in range(self.config.cm_round_trips):
-                yield from fwd.transmit(CM_FRAME_BYTES)
-                yield self.env.timeout(self.config.cm_processing_us)
-                yield from rev.transmit(CM_FRAME_BYTES)
-            # modify INIT->RTR then RTR->RTS (admitted above)
-            yield self.env.timeout(self.config.init_to_rtr_us)
-            local.transition(QPState.RTR)
-            yield self.env.timeout(self.config.rtr_to_rts_us)
+        yield from self._admit(4)  # create + three ibv_modify_qp
+        yield self.env.timeout(self.cost.rc_setup_us)
+        local = QueuePair(self.env, self.node, remote_node, tenant)
+        local.transition(QPState.INIT)
+        local.transition(QPState.RTR)
         local.setup_us = self.env.now - t0
         self.setup_time_spent += local.setup_us
         if not alive(remote_node):
@@ -363,18 +212,14 @@ class RdmaControlPlane:
                 self.node, outcome).observe(qp.setup_us, trace_id=qp.qp_id)
 
     # -- MR lifecycle ------------------------------------------------------
-    def entries_for(self, nbytes: int,
-                    hugepage_bytes: Optional[int] = None) -> int:
-        """MTT entries a region of ``nbytes`` needs under the paging
-        policy: hugepage compaction divides the count by ~512."""
-        if self.config.huge_pages:
-            page = hugepage_bytes or self.config.hugepage_bytes
-        else:
-            page = self.config.page_bytes
-        return max(1, -(-int(nbytes) // page))
+    @staticmethod
+    def entries_for(nbytes: int, page_bytes: int = HUGEPAGE_BYTES) -> int:
+        """MTT entries a region of ``nbytes`` needs at ``page_bytes``
+        pages: hugepages (the default) divide the count by ~512."""
+        return max(1, -(-int(nbytes) // page_bytes))
 
     def register_region(self, tenant: str, nbytes: int, cpu=None,
-                        hugepage_bytes: Optional[int] = None):
+                        page_bytes: int = HUGEPAGE_BYTES):
         """Generator: charge one ``ibv_reg_mr`` and install the region.
 
         The time cost is proportional to the MTT entry count (pinning
@@ -382,9 +227,10 @@ class RdmaControlPlane:
         charge to a host core (the registration is a syscall on the
         caller's CPU) instead of a bare timeout.  Returns the
         :class:`MemoryRegion`, whose entries count toward the MTT
-        cache thrash model like any pool's.
+        cache thrash model like any pool's; release it with
+        :meth:`deregister_region`.
         """
-        entries = self.entries_for(nbytes, hugepage_bytes)
+        entries = self.entries_for(nbytes, page_bytes)
         yield from self._admit(1)
         register_us = self.cost.mr_register_time(entries)
         if cpu is not None:
@@ -406,12 +252,3 @@ class RdmaControlPlane:
     def deregister_region(self, region: MemoryRegion) -> None:
         """Release a standalone region (dereg is cheap: no MTT writes)."""
         self.fabric.rnic(self.node).mrt.deregister_region(region)
-
-    def mr_handle(self, tenant: str, nbytes: int,
-                  hugepage_bytes: Optional[int] = None) -> MrHandle:
-        """A region handle honouring the eager/lazy registration policy."""
-        return MrHandle(self, tenant, nbytes, hugepage_bytes=hugepage_bytes)
-
-    @property
-    def wants_eager_mr(self) -> bool:
-        return self.config.mr_policy == "eager"

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..config import CostModel
 from ..hw import Cluster, Link
 from ..sim import Environment
 
-from .controlplane import ControlPlaneConfig, RdmaControlPlane
+from .controlplane import RdmaControlPlane
 from .rnic import Rnic
 
 __all__ = ["RdmaFabric"]
@@ -32,21 +32,16 @@ class RdmaFabric:
             self._rnics[node] = Rnic(self.env, self, node, self.cost)
         return self._rnics[node]
 
-    def control_plane(self, node: str,
-                      config: Optional[ControlPlaneConfig] = None
-                      ) -> RdmaControlPlane:
+    def control_plane(self, node: str) -> RdmaControlPlane:
         """The node's :class:`RdmaControlPlane` (created on first use).
 
         One instance per endpoint: every connection manager and
         provisioning path on a node shares its ops/sec ceiling and
-        setup ledgers.  ``config`` applies only on first creation
-        (first caller wins); platforms pre-register configs before
-        building engines to override the flat default.
+        setup ledgers.
         """
         cp = self._control_planes.get(node)
         if cp is None:
-            cp = RdmaControlPlane(self.env, self, node, self.cost,
-                                  config=config)
+            cp = RdmaControlPlane(self.env, self, node, self.cost)
             self._control_planes[node] = cp
         return cp
 

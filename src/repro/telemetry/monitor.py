@@ -20,7 +20,7 @@ Three rule shapes cover the Prometheus recording-rule idioms used here:
   deltas.
 
 SLOs (:class:`Slo`) are declarative: a good/total SLI (either a latency
-histogram + threshold, or explicit good/total counter sets) plus an
+histogram + threshold, or named good/total counter sets) plus an
 objective.  Alerting follows the multi-window burn-rate recipe: a
 *fast* (long, short) window pair pages on sharp budget burn, a *slow*
 pair tickets on sustained burn; both the long and short window of a

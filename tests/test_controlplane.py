@@ -1,18 +1,20 @@
-"""Tests for the explicit RDMA control plane: QP state machines, MR
-lifecycle, pre-warm policies, the ops/sec ceiling, and the reconnect
-edge cases around them."""
+"""Tests for the RDMA control plane: QP state machines, the RC
+handshake and its ops/sec admission, MR lifecycle, pre-warm policies,
+the conn-churn gate, and the reconnect edge cases around them."""
+
+import copy
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CostModel
+from repro.experiments.__main__ import EXPERIMENTS, GATES
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw import build_cluster
 from repro.platform import ElasticPlatform, FunctionSpec, Tenant
 from repro.rdma import (
     ConnectionManager,
-    ControlPlaneConfig,
     DemandPredictivePrewarm,
     FixedFloorPrewarm,
     IllegalTransition,
@@ -34,10 +36,9 @@ def make_fabric(cost=None, workers=2):
     return env, cost, fabric
 
 
-def run_connect(config=None, peer_alive=None, **mgr_kwargs):
+def run_connect(peer_alive=None, **mgr_kwargs):
     env, cost, fabric = make_fabric()
-    mgr = ConnectionManager(env, fabric, "worker0", cost, config=config,
-                            **mgr_kwargs)
+    mgr = ConnectionManager(env, fabric, "worker0", cost, **mgr_kwargs)
     if peer_alive is not None:
         mgr.peer_alive = peer_alive
     out = {}
@@ -151,7 +152,7 @@ def test_property_handed_out_qps_are_rts(ops):
 
 
 # ---------------------------------------------------------------------------
-# flat vs explicit handshakes
+# the RC handshake and the ops/sec ceiling
 # ---------------------------------------------------------------------------
 
 def test_flat_default_charges_exactly_rc_setup():
@@ -163,49 +164,35 @@ def test_flat_default_charges_exactly_rc_setup():
         CostModel().rc_setup_us + CostModel().qp_activate_us)
 
 
-def test_explicit_handshake_decomposes_the_ladder():
-    config = ControlPlaneConfig(explicit=True)
-    env, mgr, qp = run_connect(config=config)
-    assert qp.is_rts and qp.peer is not None and qp.peer.is_rts
-    floor = (config.reset_to_init_us + config.init_to_rtr_us
-             + config.rtr_to_rts_us
-             + config.cm_round_trips * config.cm_processing_us)
-    # the CM datagrams ride the real links, so the total exceeds the
-    # sum of the command costs by the round-trip latency
-    assert qp.setup_us > floor
-    # ...and the defaults are calibrated near the flat rc_setup_us
-    assert qp.setup_us == pytest.approx(CostModel().rc_setup_us, rel=0.05)
-
-
-def test_explicit_dead_peer_burns_time_and_errors():
-    config = ControlPlaneConfig(explicit=True)
-    env, mgr, qp = run_connect(config=config,
-                               peer_alive=lambda remote: False)
+def test_dead_peer_burns_time_and_errors():
+    env, mgr, qp = run_connect(peer_alive=lambda remote: False)
     assert qp.is_errored
     assert mgr.connect_failures == 1
     assert mgr.cp.connect_failures == 1
     assert env.now > 0  # the failed handshake still burned setup time
 
 
-def test_ceiling_fifo_queues_concurrent_setups():
+def _concurrent_cold_connects():
+    """Two cold connects at once, each to its own pool, under a
+    100 ops/s control-plane ceiling."""
     env, cost, fabric = make_fabric()
-    config = ControlPlaneConfig(explicit=True, ops_per_sec=100.0)
-    mgr = ConnectionManager(env, fabric, "worker0", cost, config=config)
+    mgr = ConnectionManager(env, fabric, "worker0", cost)
+    mgr.cp.set_ceiling(100.0)
     qps = []
 
     def one(i):
-        qp = yield from mgr.get_connection("worker1", "t", fn=f"f{i}")
+        qp = yield from mgr.get_connection("worker1", f"t{i}")
         qps.append(qp)
 
-    # function scope => no pool sharing => both pay full handshakes
-    cfg = ControlPlaneConfig(explicit=True, ops_per_sec=100.0,
-                             share_scope="function")
-    mgr.config = cfg
-    mgr.cp.config = cfg
     env.process(one(0))
     env.process(one(1))
     env.run()
     assert len(qps) == 2
+    return mgr, qps
+
+
+def test_ceiling_fifo_queues_concurrent_setups():
+    mgr, qps = _concurrent_cold_connects()
     # 4 verbs ops at 100/s = 40 ms of command-queue time per handshake:
     # the second handshake queued behind the first
     assert mgr.cp.throttle_wait_us > 0
@@ -214,8 +201,16 @@ def test_ceiling_fifo_queues_concurrent_setups():
     assert slow >= fast + 30_000.0
 
 
+def test_ceiling_delays_a_cold_handshake_on_the_default_path():
+    mgr, qps = _concurrent_cold_connects()
+    slow = max(qp.setup_us for qp in qps)
+    assert slow >= CostModel().rc_setup_us + 40_000.0
+    assert mgr.cp.throttle_wait_us > 0
+    assert mgr.cp.ops_admitted == 8
+
+
 def test_unlimited_ceiling_adds_no_wait():
-    env, mgr, qp = run_connect(config=ControlPlaneConfig(explicit=True))
+    env, mgr, qp = run_connect()
     assert mgr.cp.throttle_wait_us == 0.0
 
 
@@ -231,9 +226,23 @@ def test_cp_throttle_fault_clamps_and_restores():
     env.run(until=5_000.0)
     assert cp.ops_per_sec == 50.0
     env.run(until=20_000.0)
-    assert cp.ops_per_sec == cp.config.ops_per_sec
+    assert cp.ops_per_sec is None  # the ceiling the throttle replaced
     kinds = [kind for _, kind, _, _ in injector.timeline]
     assert kinds == ["cp-throttle", "cp-restore"]
+
+
+def test_cp_restore_puts_back_the_replaced_ceiling():
+    env = Environment()
+    plat = ElasticPlatform(env)
+    cp = plat.fabric.control_plane("worker0")
+    cp.set_ceiling(200.0)
+    plan = FaultPlan().cp_throttle(1_000.0, "worker0", ops_per_sec=50.0,
+                                   duration_us=9_000.0)
+    FaultInjector(env, plat, plan).start()
+    env.run(until=5_000.0)
+    assert cp.ops_per_sec == 50.0
+    env.run(until=20_000.0)
+    assert cp.ops_per_sec == 200.0
 
 
 # ---------------------------------------------------------------------------
@@ -242,69 +251,49 @@ def test_cp_throttle_fault_clamps_and_restores():
 
 def test_hugepage_compaction_entry_count():
     env, cost, fabric = make_fabric()
-    huge = fabric.control_plane("worker0", ControlPlaneConfig())
+    cp = fabric.control_plane("worker0")
     four_mb = 4 * 1024 * 1024
-    assert huge.entries_for(four_mb) == 2  # 2 MB pages
-    assert huge.entries_for(1) == 1
-    flat_cfg = ControlPlaneConfig(huge_pages=False)
-    env2, cost2, fabric2 = make_fabric()
-    small = fabric2.control_plane("worker0", flat_cfg)
-    assert small.entries_for(four_mb) == 1024  # 4 KB pages
-    assert small.entries_for(four_mb) == 512 * huge.entries_for(four_mb)
+    assert cp.entries_for(four_mb) == 2  # 2 MB pages
+    assert cp.entries_for(1) == 1
+    assert cp.entries_for(four_mb, page_bytes=4096) == 1024  # 4 KB pages
+    assert (cp.entries_for(four_mb, page_bytes=4096)
+            == 512 * cp.entries_for(four_mb))
 
 
 def test_register_region_cost_scales_with_entries():
-    def charge(nbytes, huge_pages):
+    def charge(nbytes, page_bytes):
         env, cost, fabric = make_fabric()
-        cp = fabric.control_plane(
-            "worker0", ControlPlaneConfig(huge_pages=huge_pages))
+        cp = fabric.control_plane("worker0")
 
         def body():
-            yield from cp.register_region("t", nbytes)
+            yield from cp.register_region("t", nbytes, page_bytes=page_bytes)
 
         env.process(body())
         env.run()
         return env.now, cp
 
-    small_t, _ = charge(4 * 1024 * 1024, huge_pages=True)
-    big_t, cp = charge(4 * 1024 * 1024, huge_pages=False)
+    small_t, _ = charge(4 * 1024 * 1024, page_bytes=2 * 1024 * 1024)
+    big_t, cp = charge(4 * 1024 * 1024, page_bytes=4096)
     assert big_t > small_t  # 1024 MTT entries vs 2
     assert cp.mr_registered_bytes == 4 * 1024 * 1024
     assert cp.mr_regions_registered == 1
 
 
-def test_mr_handle_is_idempotent_and_releases():
+def test_deregister_region_releases_mtt_entries():
     env, cost, fabric = make_fabric()
     cp = fabric.control_plane("worker0")
-    handle = cp.mr_handle("t", 1 << 20)
-    assert not handle.registered
+    out = {}
 
     def body():
-        yield from handle.acquire()
-        first = env.now
-        yield from handle.acquire()  # no second charge
-        assert env.now == first
+        out["region"] = yield from cp.register_region("t", 1 << 20)
 
     env.process(body())
     env.run()
-    assert handle.registered
     assert cp.mr_regions_registered == 1
     mrt = fabric.rnic("worker0").mrt
     registered = mrt.total_mtt_entries
-    handle.release()
-    assert not handle.registered
+    cp.deregister_region(out["region"])
     assert mrt.total_mtt_entries < registered
-    handle.release()  # idempotent
-
-
-def test_lazy_policy_defers_eager_registers():
-    env, cost, fabric = make_fabric()
-    eager = fabric.control_plane("worker0", ControlPlaneConfig())
-    assert eager.wants_eager_mr
-    env2, cost2, fabric2 = make_fabric()
-    lazy = fabric2.control_plane("worker0",
-                                 ControlPlaneConfig(mr_policy="lazy"))
-    assert not lazy.wants_eager_mr
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +302,6 @@ def test_lazy_policy_defers_eager_registers():
 
 def test_fixed_floor_policy_target():
     policy = FixedFloorPrewarm(3)
-    assert policy.active
     assert policy.target(0.0, 0, []) == 3
     assert policy.target(1e6, 10, [1.0] * 50) == 3
 
@@ -333,9 +321,8 @@ def test_predictive_policy_scales_with_recent_demand():
 
 def test_maintain_pools_tops_up_to_floor():
     env, cost, fabric = make_fabric()
-    config = ControlPlaneConfig(prewarm="fixed", prewarm_floor=3)
-    mgr = ConnectionManager(env, fabric, "worker0", cost, config=config)
-    assert mgr.prewarm.active
+    mgr = ConnectionManager(env, fabric, "worker0", cost,
+                            prewarm=FixedFloorPrewarm(3))
     warmed = {}
 
     def body():
@@ -352,7 +339,7 @@ def test_maintain_pools_tops_up_to_floor():
 def test_default_none_policy_keeps_maintenance_inert():
     env, cost, fabric = make_fabric()
     mgr = ConnectionManager(env, fabric, "worker0", cost)
-    assert not mgr.prewarm.active
+    assert mgr.prewarm is None
 
     def body():
         yield from mgr.get_connection("worker1", "t")
@@ -373,8 +360,8 @@ def test_tenant_scope_multiplexes_across_functions():
     mgr = ConnectionManager(env, fabric, "worker0", cost)
 
     def body():
-        a = yield from mgr.get_connection("worker1", "t", fn="fnA")
-        b = yield from mgr.get_connection("worker1", "t", fn="fnB")
+        a = yield from mgr.get_connection("worker1", "t")
+        b = yield from mgr.get_connection("worker1", "t")
         assert a is b  # one tenant pool, both functions share it
 
     env.process(body())
@@ -382,21 +369,37 @@ def test_tenant_scope_multiplexes_across_functions():
     assert mgr.connections_established == 1
 
 
-def test_function_scope_gives_private_pools():
-    env, cost, fabric = make_fabric()
-    config = ControlPlaneConfig(share_scope="function")
-    mgr = ConnectionManager(env, fabric, "worker0", cost, config=config)
+# ---------------------------------------------------------------------------
+# the conn-churn gate
+# ---------------------------------------------------------------------------
 
-    def body():
-        a = yield from mgr.get_connection("worker1", "t", fn="fnA")
-        b = yield from mgr.get_connection("worker1", "t", fn="fnB")
-        assert a is not b
+_PREDICTIVE_CLAIM = ("conn-churn: predictive pre-warm matches warm-fixed "
+                     "TTFB with at most a quarter of its pooled QPs")
 
-    env.process(body())
-    env.run()
-    assert mgr.connections_established == 2
-    # tenant-level accounting still sees both scopes
-    assert mgr.tenant_active_count("t") == 2
+
+def _churn_failures(result):
+    return [text for check in GATES["conn-churn"].checks
+            for text in check(result)]
+
+
+def _doctor(result, column, value):
+    doctored = copy.deepcopy(result)
+    row = next(row for row in doctored.rows if row[0] == "warm-predictive")
+    row[doctored.columns.index(column)] = value
+    return doctored
+
+
+def test_conn_churn_gate_rejects_a_doctored_predictive_pool():
+    quick = EXPERIMENTS["conn-churn"][1]
+    result = quick(jobs=1)
+    assert _churn_failures(result) == []
+    fixed = result.find_row(scenario="warm-fixed")
+    # as many pooled QPs as the fixed floor keeps
+    assert _PREDICTIVE_CLAIM in _churn_failures(
+        _doctor(result, "pooled_qps", fixed["pooled_qps"]))
+    # a slower first byte than the fixed pool's
+    assert _PREDICTIVE_CLAIM in _churn_failures(
+        _doctor(result, "ttfb_p50_us", 2 * fixed["ttfb_p50_us"]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Runs the non-test CI steps: every gate (``tools/gate.py``: each quick
 entry with its checks, bands and the fluid probe), ``python3 -m pytest
-bench``, every script in ``examples/`` and the dashboard self-check,
+bench``, the experiment CLI (``--list`` and a quick ``--json`` save),
+every script in ``examples/`` and the dashboard self-check,
 with a ``sys.setprofile`` hook in each interpreter they start.  Then it
 prints every function defined under ``src/repro`` that none of them
 called, and their count.  Tests are deliberately not run: a function
@@ -74,7 +75,10 @@ def main() -> int:
         Path(tmp, "sitecustomize.py").write_text(HOOK % tmp)
         env = dict(os.environ, PYTHONPATH=f"{tmp}{os.pathsep}{SRC}",
                    PYTHONHASHSEED="0", REPRO_JOBS="1")
-        runs = [["tools/gate.py"], ["-m", "pytest", "-q", "bench"]]
+        runs = [["tools/gate.py"], ["-m", "pytest", "-q", "bench"],
+                ["-m", "repro.experiments", "--list"],
+                ["-m", "repro.experiments", "--quick", "table1", "fig09",
+                 "--json", str(Path(tmp, "cli"))]]
         runs += [[str(p.relative_to(ROOT))]
                  for p in sorted((ROOT / "examples").glob("*.py"))]
         runs.append(["tools/dashboard.py", "--check",
