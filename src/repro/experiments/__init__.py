@@ -5,7 +5,7 @@ from .fig09_comch import run_fig09
 from .fig11_offpath import run_fig11
 from .fig12_primitives import run_fig12
 from .fig13_ingress import run_fig13
-from .fig14_scaling import run_fig14
+from .fig14_scaling import run_fig14, run_fig14_panels
 from .fig15_tenancy import run_fig15, run_tenancy
 from .ext_conn_churn import (
     run_ceiling_point,
@@ -84,6 +84,7 @@ __all__ = [
     "run_fig12",
     "run_fig13",
     "run_fig14",
+    "run_fig14_panels",
     "run_fig15",
     "run_fig16",
     "run_table1",

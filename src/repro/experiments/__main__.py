@@ -8,15 +8,16 @@ Regenerate any (or every) figure/table of the paper's evaluation:
     python -m repro.experiments --quick fig16
 
 ``--quick`` shrinks parameters for a fast sanity pass; the defaults
-match EXPERIMENTS.md.  ``GATES`` declares, per experiment, what its
-quick run must reproduce; ``tools/gate.py`` runs them.
+match EXPERIMENTS.md.  Every experiment fans its points out over
+``REPRO_JOBS`` workers (default 1: serial), with the same output for
+any count.  ``GATES`` declares, per experiment, what its quick run
+must reproduce; ``tools/gate.py`` runs them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import sys
 import time
@@ -36,7 +37,7 @@ from . import (
     run_fig11,
     run_fig12,
     run_fig13,
-    run_fig14,
+    run_fig14_panels,
     run_fig15,
     run_fig16,
     run_multi_ingress,
@@ -49,127 +50,107 @@ from . import (
 )
 from . import validation
 from ..telemetry import CYCLE_CATEGORIES
+from .parallel import Sweep, joined
 from .report import save, to_json
 from .runner import ExperimentResult
 
 
-def _fig14_all(**kwargs):
-    return [run_fig14(kind, **kwargs)
-            for kind in ("palladium", "f-ingress", "k-ingress")]
-
-
-#: experiment id -> (full-run callable, quick-run callable)
-EXPERIMENTS = {
+#: experiment id -> (full sweep, quick sweep); call a sweep to run it
+EXPERIMENTS: Dict[str, Tuple[Sweep, Sweep]] = {
     "fig09": (
-        lambda: run_fig09(duration_us=40_000),
-        lambda: run_fig09(function_counts=(1, 6, 10), duration_us=15_000),
+        run_fig09.sweep(duration_us=40_000),
+        run_fig09.sweep(function_counts=(1, 6, 10), duration_us=15_000),
     ),
     "fig11": (
-        lambda: run_fig11(duration_us=60_000),
-        lambda: run_fig11(payload_sizes=(64, 4096), concurrencies=(1, 32),
-                          duration_us=30_000),
+        run_fig11.sweep(duration_us=60_000),
+        run_fig11.sweep(payload_sizes=(64, 4096), concurrencies=(1, 32),
+                        duration_us=30_000),
     ),
     "fig12": (
-        lambda jobs=None: run_fig12(duration_us=40_000, jobs=jobs),
-        lambda jobs=None: run_fig12(sizes=(64, 4096), duration_us=20_000,
-                                    jobs=jobs),
+        run_fig12.sweep(duration_us=40_000),
+        run_fig12.sweep(sizes=(64, 4096), duration_us=20_000),
     ),
     "fig13": (
-        lambda: run_fig13(duration_us=150_000),
-        lambda: run_fig13(client_counts=(1, 16, 64), duration_us=60_000),
+        run_fig13.sweep(duration_us=150_000),
+        run_fig13.sweep(client_counts=(1, 16, 64), duration_us=60_000),
     ),
     "fig14": (
-        lambda: _fig14_all(steps=10),
-        lambda: _fig14_all(steps=4, time_scale=0.02, cost_scale=8.0),
+        run_fig14_panels.sweep(steps=10),
+        run_fig14_panels.sweep(steps=4, time_scale=0.02, cost_scale=8.0),
     ),
     "fig15": (
-        lambda: list(run_fig15(time_scale=1 / 120.0).values()),
-        lambda: list(run_fig15(time_scale=1 / 480.0).values()),
+        run_fig15.sweep(time_scale=1 / 120.0),
+        run_fig15.sweep(time_scale=1 / 480.0),
     ),
     "fig16": (
-        lambda jobs=None: run_fig16(client_counts=(20, 80),
-                                    duration_us=120_000, jobs=jobs),
-        lambda jobs=None: run_fig16(chains=("Home Query",),
-                                    client_counts=(20, 80),
-                                    duration_us=80_000, jobs=jobs),
+        run_fig16.sweep(client_counts=(20, 80), duration_us=120_000),
+        run_fig16.sweep(chains=("Home Query",), client_counts=(20, 80),
+                        duration_us=80_000),
     ),
-    "table1": (run_table1, run_table1),
+    "table1": (Sweep([], lambda _: run_table1()),) * 2,
     "table2": (
-        lambda: run_table2(chains=("Home Query",), duration_us=120_000),
-        lambda: run_table2(client_counts=(20,), chains=("Home Query",),
-                           configs=("palladium-dne", "nightcore"),
-                           duration_us=80_000),
+        run_table2.sweep(chains=("Home Query",), duration_us=120_000),
+        run_table2.sweep(client_counts=(20,), chains=("Home Query",),
+                         configs=("palladium-dne", "nightcore"),
+                         duration_us=80_000),
     ),
     "sidecar": (
-        lambda: run_sidecar_ablation(duration_us=100_000),
-        lambda: run_sidecar_ablation(clients=20, duration_us=60_000),
+        run_sidecar_ablation.sweep(duration_us=100_000),
+        run_sidecar_ablation.sweep(clients=20, duration_us=60_000),
     ),
     "placement": (
-        lambda: run_placement_ablation(duration_us=100_000),
-        lambda: run_placement_ablation(clients=20, duration_us=60_000),
+        run_placement_ablation.sweep(duration_us=100_000),
+        run_placement_ablation.sweep(clients=20, duration_us=60_000),
     ),
     "multi-ingress": (
-        lambda: run_multi_ingress(duration_us=250_000),
-        lambda: run_multi_ingress(duration_us=150_000),
+        run_multi_ingress.sweep(duration_us=250_000),
+        run_multi_ingress.sweep(duration_us=150_000),
     ),
     "fault-recovery": (
-        lambda jobs=None: run_ext_fault_recovery(jobs=jobs),
-        lambda jobs=None: run_ext_fault_recovery(
+        run_ext_fault_recovery.sweep(),
+        run_ext_fault_recovery.sweep(
             configs=("palladium-dne", "palladium-dne-no-recovery"),
-            clients=8, down_us=80_000.0, post_us=60_000.0, jobs=jobs),
+            clients=8, down_us=80_000.0, post_us=60_000.0),
     ),
     "migration": (
-        lambda jobs=None: run_ext_migration(jobs=jobs),
-        lambda jobs=None: run_ext_migration(
-            state_kbs=(64, 4096), clients=6,
-            move_at_us=80_000.0, disruption_us=50_000.0,
-            post_us=80_000.0, jobs=jobs),
+        run_ext_migration.sweep(),
+        run_ext_migration.sweep(
+            state_kbs=(64, 4096), clients=6, move_at_us=80_000.0,
+            disruption_us=50_000.0, post_us=80_000.0),
     ),
     "gateway-scale": (
-        lambda jobs=None: run_ext_gateway_scale(jobs=jobs),
-        lambda jobs=None: run_ext_gateway_scale(
-            gateway_counts=(1, 2, 4), scale=0.02,
-            duration_us=200_000.0, crash_post_us=100_000.0,
-            table_capacity=8_192, jobs=jobs),
+        run_ext_gateway_scale.sweep(),
+        run_ext_gateway_scale.sweep(
+            gateway_counts=(1, 2, 4), scale=0.02, duration_us=200_000.0,
+            crash_post_us=100_000.0, table_capacity=8_192),
     ),
     "conn-churn": (
-        lambda jobs=None: run_ext_conn_churn(jobs=jobs),
-        lambda jobs=None: run_ext_conn_churn(
+        run_ext_conn_churn.sweep(),
+        run_ext_conn_churn.sweep(
             scenarios=("cold", "warm-fixed", "warm-predictive", "shared"),
-            multipliers=(0.5, 2.0), day_us=600_000.0,
-            max_instances=400, jobs=jobs),
+            multipliers=(0.5, 2.0), day_us=600_000.0, max_instances=400),
     ),
     "cycle-breakdown": (
-        run_ext_cycle_breakdown,
-        lambda: run_ext_cycle_breakdown(
-            configs=("spright", "palladium-dne"),
-            clients=8, duration_us=60_000.0),
+        run_ext_cycle_breakdown.sweep(),
+        run_ext_cycle_breakdown.sweep(configs=("spright", "palladium-dne"),
+                                      clients=8, duration_us=60_000.0),
     ),
     "slo": (
-        lambda jobs=None: [run_slo_overload(jobs=jobs),
-                           run_slo_fault(jobs=jobs)],
-        lambda jobs=None: [
-            run_slo_overload(configs=("palladium-dne", "spright"),
-                             multipliers=(0.8, 2.0), jobs=jobs),
-            run_slo_fault(configs=("palladium-dne",
-                                   "palladium-dne-no-recovery"),
-                          jobs=jobs),
-        ],
+        joined(run_slo_overload.sweep(), run_slo_fault.sweep()),
+        joined(run_slo_overload.sweep(configs=("palladium-dne", "spright"),
+                                      multipliers=(0.8, 2.0)),
+               run_slo_fault.sweep(configs=("palladium-dne",
+                                            "palladium-dne-no-recovery"))),
     ),
     "critpath": (
-        lambda jobs=None: run_critpath(client_counts=(20, 40, 80),
-                                       jobs=jobs),
-        lambda jobs=None: run_critpath(client_counts=(20, 80),
-                                       duration_us=60_000.0, jobs=jobs),
+        run_critpath.sweep(client_counts=(20, 40, 80)),
+        run_critpath.sweep(client_counts=(20, 80), duration_us=60_000.0),
     ),
     "overload": (
-        lambda jobs=None: [run_ext_overload(jobs=jobs),
-                           run_overload_isolation()],
-        lambda jobs=None: [
-            run_ext_overload(multipliers=(0.8, 2.0),
-                             duration_us=80_000.0, jobs=jobs),
-            run_overload_isolation(duration_us=80_000.0),
-        ],
+        joined(run_ext_overload.sweep(), run_overload_isolation.sweep()),
+        joined(run_ext_overload.sweep(multipliers=(0.8, 2.0),
+                                      duration_us=80_000.0),
+               run_overload_isolation.sweep(duration_us=80_000.0)),
     ),
 }
 
@@ -182,7 +163,7 @@ def claim(text: str, holds: Callable[[Any], bool]) -> Check:
     def check(outcome) -> List[str]:
         try:
             return [] if holds(outcome) else [text]
-        except KeyError as missing:  # ``find_row`` on a point not run
+        except KeyError as missing:  # a row, panel or window not run
             return [f"{text}: point missing: {missing.args[0]}"]
     return check
 
@@ -222,22 +203,28 @@ def _at(result: ExperimentResult, column: str, **match):
 
 
 def _panel(outcome, suffix: str) -> ExperimentResult:
-    return next(r for r in outcome if r.name.endswith(suffix))
+    for result in outcome:
+        if result.name.endswith(suffix):
+            return result
+    raise KeyError(f"no panel named *{suffix}")
 
 
 def _window_ratio(result: ExperimentResult, lo_s: float, hi_s: float):
     rows = [r for r in result.rows if lo_s <= r[0] <= hi_s]
-    return sum(r[1] for r in rows) / sum(r[2] for r in rows)
+    t2 = sum(r[2] for r in rows)
+    if not t2:
+        raise KeyError(f"{result.name}: no tenant-2 rps in {lo_s}-{hi_s} s")
+    return sum(r[1] for r in rows) / t2
 
 
 def _fluid_models() -> Tuple[Dict[str, Any], List[str]]:
     """Pin every fluid model of the quick and full gateway sweeps.
 
-    Both sweeps run serially here, so each :class:`FlowAggregateModel`
-    is built in this process; its latency samples, completion counts,
-    tier counters and ledger are hashed at full precision (the table
-    rounds them).  The full sweep is the one run that checks the
-    million-client claims: it takes about 2 s.
+    Both sweeps' points run here, outside ``parallel_map``, so each
+    :class:`FlowAggregateModel` is built in this process; its latency
+    samples, completion counts, tier counters and ledger are hashed at
+    full precision (the table rounds them).  The full sweep is the one
+    run that checks the million-client claims: it takes about 2 s.
     """
     from ..workloads import FlowAggregateModel
 
@@ -260,12 +247,16 @@ def _fluid_models() -> Tuple[Dict[str, Any], List[str]]:
         models.clear()
         return out
 
+    def here(sweep: Sweep):
+        return sweep.assemble([fn(*args, **kwargs)
+                               for fn, args, kwargs in sweep.calls])
+
     full, quick = EXPERIMENTS["gateway-scale"]
     FlowAggregateModel.run = run
     try:
-        quick(jobs=1)
+        here(quick)
         digests: Dict[str, Any] = {"models": hashes()}
-        result = full(jobs=1)
+        result = here(full)
         digests["full"] = {"models": hashes(), "result": digest(result)}
     finally:
         FlowAggregateModel.run = original
@@ -488,10 +479,6 @@ def main(argv=None) -> int:
                         help="list experiment ids and exit")
     parser.add_argument("--json", metavar="DIR", default=None,
                         help="also write results as JSON/CSV under DIR")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for sweep experiments "
-                             "(default: $REPRO_JOBS or 1 = serial; the "
-                             "merged output is byte-identical either way)")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -510,11 +497,7 @@ def main(argv=None) -> int:
         full, quick = EXPERIMENTS[name]
         started = time.time()
         print(f"\n### {name} {'(quick)' if args.quick else ''}")
-        chosen = quick if args.quick else full
-        if "jobs" in inspect.signature(chosen).parameters:
-            outcome = chosen(jobs=args.jobs)
-        else:  # experiments without a sweep ignore --jobs
-            outcome = chosen()
+        outcome = (quick if args.quick else full)()
         results = _results(outcome)
         for index, result in enumerate(results):
             print(result)

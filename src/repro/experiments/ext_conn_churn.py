@@ -25,8 +25,8 @@ The second half sweeps offered churn against a per-node control-plane
 **ops/sec ceiling**: below the ceiling, completed setups track offered
 load; past it, the verbs FIFO saturates and completions plateau — the
 throughput knee.  Everything is deterministic (arrivals are integrated
-from the rate curve, no RNG), so the sweep is safe for
-``parallel_map`` and the serial-vs-jobs byte gate.
+from the rate curve, no RNG), so scenario and ceiling points share
+one ``parallel_map`` and merge byte-identically for any worker count.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..rdma import (
 from ..sim import AllOf, Environment
 from ..workloads.diurnal import RateSchedule, diurnal_schedule
 
-from .parallel import parallel_map
+from .parallel import Plan, sweep
 from .runner import ExperimentResult
 
 __all__ = ["run_ceiling_point", "run_churn_point", "run_ext_conn_churn"]
@@ -243,6 +243,7 @@ def run_ceiling_point(multiplier: float, ops_per_sec: float = 400.0,
     return point
 
 
+@sweep
 def run_ext_conn_churn(
     scenarios: Sequence[str] = SCENARIOS,
     multipliers: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
@@ -252,9 +253,16 @@ def run_ext_conn_churn(
     ops_per_sec: float = 400.0,
     state_kb: int = 64,
     max_instances: Optional[int] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
+) -> Plan:
     """The connection-churn study: policy TTFBs + the ceiling knee."""
+    calls = [(run_churn_point, (scenario,),
+              dict(day_us=day_us, base_rps=base_rps, peak_rps=peak_rps,
+                   state_kb=state_kb, max_instances=max_instances))
+             for scenario in scenarios]
+    calls += [(run_ceiling_point, (multiplier,),
+               dict(ops_per_sec=ops_per_sec, state_kb=state_kb))
+              for multiplier in multipliers]
+    points = yield calls
     result = ExperimentResult(
         name="ext_conn_churn (control-plane churn: TTFB by policy + "
              "ops-ceiling knee)",
@@ -263,21 +271,6 @@ def run_ext_conn_churn(
                  "ttfb_mean_us", "setups", "pooled_qps", "prewarm_ms",
                  "cp_wait_ms"],
     )
-    calls = [((scenario,), dict(day_us=day_us, base_rps=base_rps,
-                                peak_rps=peak_rps, state_kb=state_kb,
-                                max_instances=max_instances))
-             for scenario in scenarios]
-    calls.extend(((multiplier,), dict(ops_per_sec=ops_per_sec,
-                                      state_kb=state_kb))
-                 for multiplier in multipliers)
-    fns = [run_churn_point] * len(scenarios) + \
-        [run_ceiling_point] * len(multipliers)
-    # One heterogeneous sweep: dispatch through a picklable trampoline
-    # so scenario and ceiling points share the worker pool.
-    points = parallel_map(_dispatch_point,
-                          [((fn.__name__,) + tuple(args), kwargs)
-                           for fn, (args, kwargs) in zip(fns, calls)],
-                          jobs=jobs)
     for point in points:
         result.add_row(
             point["scenario"], point["instances"],
@@ -305,10 +298,3 @@ def run_ext_conn_churn(
                 " -> ".join(f"{p['completed_per_s']:.0f}/s"
                             for p in knees)))
     return result
-
-
-def _dispatch_point(kind: str, *args, **kwargs) -> Dict[str, float]:
-    """Picklable trampoline for the heterogeneous sweep."""
-    fn = {"run_churn_point": run_churn_point,
-          "run_ceiling_point": run_ceiling_point}[kind]
-    return fn(*args, **kwargs)

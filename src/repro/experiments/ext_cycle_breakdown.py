@@ -29,6 +29,7 @@ from ..config import CostModel
 from ..telemetry import CYCLE_CATEGORIES, validate_chrome_trace
 
 from .fig16_boutique import run_boutique_point
+from .parallel import Plan, sweep
 from .runner import ExperimentResult
 
 __all__ = ["run_cycle_point", "run_ext_cycle_breakdown", "run_trace_smoke",
@@ -67,24 +68,31 @@ def run_cycle_point(
     return point
 
 
+def _cycle_cell(config: str, chain: str, clients: int, duration_us: float,
+                cost: Optional[CostModel]) -> Dict[str, object]:
+    """:func:`run_cycle_point`, its live telemetry cut to a snapshot."""
+    point = run_cycle_point(config, chain, clients, duration_us, cost=cost)
+    point["metrics"] = point.pop("telemetry").metrics.snapshot()
+    return point
+
+
+@sweep
 def run_ext_cycle_breakdown(
     configs: Tuple[str, ...] = CYCLE_CONFIGS,
     chain: str = "Home Query",
     clients: int = 20,
     duration_us: float = 150_000.0,
     cost: Optional[CostModel] = None,
-) -> ExperimentResult:
+) -> Plan:
     """The Fig. 4/5-style breakdown table across data planes."""
+    points = yield [(_cycle_cell, (config, chain, clients, duration_us, cost),
+                     {}) for config in configs]
     result = ExperimentResult(
         "Ext - CPU cycle breakdown (Fig 4/5 motivation)",
         columns=["config"] + [f"{c}_pct" for c in CYCLE_CATEGORIES]
                 + ["overhead_pct", "total_core_us", "rps"],
     )
-    last_telemetry = None
-    for config in configs:
-        point = run_cycle_point(config, chain, clients, duration_us,
-                                cost=cost)
-        last_telemetry = point["telemetry"]
+    for config, point in zip(configs, points):
         result.add_row(
             config,
             *(round(100.0 * point[c], 1) for c in CYCLE_CATEGORIES),
@@ -92,8 +100,8 @@ def run_ext_cycle_breakdown(
             round(point["total_core_us"]),
             round(point["rps"]),
         )
-    if last_telemetry is not None:
-        result.attach_metrics(last_telemetry.metrics)
+    if points:
+        result.metrics = points[-1]["metrics"]
     result.note(
         "paper Fig. 4/5: SPRIGHT's cycles go mostly to copies + kernel "
         "protocol; the DNE eliminates copies and leaves descriptor work"

@@ -39,7 +39,7 @@ from ..sim import Environment
 from ..telemetry import BurnWindow, RateRule, Selector, Slo, Telemetry
 from ..workloads import BOUTIQUE_TENANT, ClientFleet, boutique_specs, path_payload
 
-from .parallel import parallel_map
+from .parallel import Plan, sweep
 from .runner import ExperimentResult, after
 from .wiring import build_boutique
 
@@ -210,26 +210,23 @@ def run_fault_point(
     return metrics
 
 
+@sweep
 def run_ext_fault_recovery(
     configs=FAULT_CONFIGS,
     clients: int = 12,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
     **point_kwargs,
-) -> ExperimentResult:
+) -> Plan:
     """Goodput through a worker-node crash, per configuration."""
+    configs = tuple(configs)
+    points = yield [(run_fault_point, (config,),
+                     dict(clients=clients, cost=cost, **point_kwargs))
+                    for config in configs]
     result = ExperimentResult(
         "EXT - failure recovery (worker1 crash + restart)",
         columns=["config", "pre_rps", "outage_rps", "post_rps",
                  "restored_pct", "recover_ms", "avail_pct",
                  "client_errors", "qp_reconnects", "flushed_cqes"],
-    )
-    configs = tuple(configs)
-    points = parallel_map(
-        run_fault_point,
-        [((config,), dict(clients=clients, cost=cost, **point_kwargs))
-         for config in configs],
-        jobs=jobs,
     )
     for config, m in zip(configs, points):
         result.add_row(config, round(m["pre_rps"]), round(m["outage_rps"]),

@@ -35,7 +35,7 @@ from typing import Dict, Optional, Sequence
 from ..config import CostModel
 from ..workloads import ClientClass, FlowAggregateModel
 
-from .parallel import parallel_map
+from .parallel import Plan, sweep
 from .runner import ExperimentResult
 
 __all__ = ["gateway_scale_classes", "run_gateway_scale_point",
@@ -146,6 +146,7 @@ def run_gateway_scale_point(
     return metrics
 
 
+@sweep
 def run_ext_gateway_scale(
     gateway_counts: Sequence[int] = GATEWAY_COUNTS,
     *,
@@ -153,32 +154,28 @@ def run_ext_gateway_scale(
     duration_us: float = 400_000.0,
     crash_post_us: float = 150_000.0,
     table_capacity: int = 131_072,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Aggregate goodput and p99 vs gateway count, crash at the top.
 
     Every row is an independent run; the largest gateway count also
     takes the mid-sweep fail-stop so the failover path is exercised
-    at full scale.  Rows merge deterministically under ``--jobs``.
+    at full scale.  Rows merge deterministically for any ``REPRO_JOBS``.
     """
     counts = tuple(gateway_counts)
     if not counts:
         raise ValueError("need at least one gateway count")
     crash_n = max(counts)
+    points = yield [(run_gateway_scale_point, (n,),
+                     dict(scale=scale, duration_us=duration_us,
+                          crash=(n == crash_n and n >= 2),
+                          crash_post_us=crash_post_us,
+                          table_capacity=table_capacity))
+                    for n in counts]
     result = ExperimentResult(
         "EXT - gateway-tier scale-out (flow-aggregate clients)",
         columns=["gateways", "clients", "goodput_rps", "p99_us",
                  "hot_pct", "rejected", "crashed", "post_rps",
                  "blip_p99_us", "flows_synced", "lost"],
-    )
-    points = parallel_map(
-        run_gateway_scale_point,
-        [((n,), dict(scale=scale, duration_us=duration_us,
-                     crash=(n == crash_n and n >= 2),
-                     crash_post_us=crash_post_us,
-                     table_capacity=table_capacity))
-         for n in counts],
-        jobs=jobs,
     )
     for m in points:
         result.add_row(

@@ -42,7 +42,7 @@ from ..migration import kill_and_cold_start
 from ..sim import Environment, LatencyStats
 from ..workloads import ClientFleet, boutique_specs, path_payload
 
-from .parallel import parallel_map
+from .parallel import Plan, sweep
 from .runner import ExperimentResult, after
 from .wiring import build_boutique
 
@@ -245,29 +245,28 @@ def run_drain_point(
     }
 
 
+@sweep
 def run_ext_migration(
     state_kbs=MIGRATION_STATE_KBS,
     config: str = "palladium-dne",
     clients: int = 8,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
     **point_kwargs,
-) -> ExperimentResult:
+) -> Plan:
     """Migration downtime/blip vs state size, against kill-and-cold-start."""
+    state_kbs = tuple(state_kbs)
+    shared = dict(config=config, clients=clients, cost=cost)
+    moves = [(kb, "migrate") for kb in state_kbs] + [(state_kbs[0], "cold")]
+    calls = [(run_migration_point, move, {**shared, **point_kwargs})
+             for move in moves]
+    calls.append((run_drain_point, (), {**shared, "state_kb": state_kbs[0]}))
+    *points, drain = yield calls
     result = ExperimentResult(
         "EXT - live migration vs kill-and-cold-start (currency moves)",
         columns=["mode", "state_kb", "downtime_ms", "steady_p99_ms",
                  "blip_p99_ms", "blip_ratio", "redirected",
                  "client_errors", "post_rps"],
     )
-    state_kbs = tuple(state_kbs)
-    calls = [((kb, "migrate"), dict(config=config, clients=clients,
-                                    cost=cost, **point_kwargs))
-             for kb in state_kbs]
-    calls.append(((state_kbs[0], "cold"),
-                  dict(config=config, clients=clients, cost=cost,
-                       **point_kwargs)))
-    points = parallel_map(run_migration_point, calls, jobs=jobs)
     labels = [("migrate", kb) for kb in state_kbs] + [("cold", "-")]
     for (mode, kb), m in zip(labels, points):
         result.add_row(mode, kb, round(m["downtime_us"] / 1000.0, 3),
@@ -276,8 +275,6 @@ def run_ext_migration(
                        round(m["blip_ratio"], 2),
                        int(m["redirected"]), int(m["client_errors"]),
                        round(m["post_rps"]))
-    drain = run_drain_point(config=config, state_kb=state_kbs[0],
-                            clients=clients, cost=cost)
     result.add_row("drain", state_kbs[0], round(drain["drain_ms"], 3),
                    "-", "-", "-", int(drain["migrated"]),
                    int(drain["client_errors"]), round(drain["post_rps"]))

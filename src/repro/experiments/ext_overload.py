@@ -41,7 +41,7 @@ from ..telemetry import (QuantileRule, RateRule, RatioRule, Selector, Slo,
                          Telemetry)
 from ..workloads import OpenLoopSource
 
-from .parallel import parallel_map
+from .parallel import Plan, sweep
 from .runner import ExperimentResult, after
 from .wiring import wire_ingress
 
@@ -351,28 +351,25 @@ def run_overload_point(
     return metrics
 
 
+@sweep
 def run_ext_overload(
     configs=OVERLOAD_CONFIGS,
     multipliers=(0.5, 0.8, 1.0, 1.5, 2.0, 3.0),
     duration_us: float = 200_000.0,
     warmup_us: float = 160_000.0,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Goodput vs offered load past saturation, per data plane."""
+    configs = tuple(configs)
+    multipliers = tuple(multipliers)
+    all_points = yield [(run_overload_point,
+                         (config, m, duration_us, warmup_us, cost), {})
+                        for config in configs for m in multipliers]
     result = ExperimentResult(
         "Ext - goodput under overload (QoS vs tail-drop)",
         columns=["config", "multiplier", "offered_rps", "goodput_rps",
                  "pct_peak", "rejected", "late", "lost", "sched_dropped",
                  "fairness"],
-    )
-    configs = tuple(configs)
-    multipliers = tuple(multipliers)
-    all_points = parallel_map(
-        run_overload_point,
-        [((config, m, duration_us, warmup_us, cost), {})
-         for config in configs for m in multipliers],
-        jobs=jobs,
     )
     for ci, config in enumerate(configs):
         points = all_points[ci * len(multipliers):(ci + 1) * len(multipliers)]
@@ -393,13 +390,14 @@ def run_ext_overload(
     return result
 
 
+@sweep
 def run_overload_isolation(
     multiplier: float = 1.0,
     hog_multiplier: float = 5.0,
     duration_us: float = 200_000.0,
     warmup_us: float = 160_000.0,
     cost: Optional[CostModel] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Per-tenant isolation: a best-effort hog vs a guaranteed tenant.
 
     gold and silver offer their fair share; best offers
@@ -407,10 +405,9 @@ def run_overload_isolation(
     QoS stack should shed the hog at the gate while the weight-10
     guaranteed tenant keeps its goodput.
     """
-    point = run_overload_point(
-        "palladium-dne", multiplier, duration_us, warmup_us, cost,
-        tenant_multipliers={"best": hog_multiplier},
-    )
+    point, = yield [(run_overload_point,
+                     ("palladium-dne", multiplier, duration_us, warmup_us,
+                      cost), {"tenant_multipliers": {"best": hog_multiplier}})]
     result = ExperimentResult(
         "Ext - per-tenant isolation under a best-effort hog",
         columns=["tenant", "class", "weight", "offered_rps",

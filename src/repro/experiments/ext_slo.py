@@ -18,9 +18,9 @@ Three monitored views over existing experiments, all built on the
   load, queueing-bound past saturation).
 
 Monitored points run through :func:`parallel_map` like every other
-sweep, so each worker extracts a JSON-safe summary before returning —
-the :class:`Telemetry` bundle itself (it holds the live simulation
-graph) never crosses a process boundary.
+sweep, so each point reduces its run to a JSON-safe summary before
+returning: the :class:`Telemetry` bundle itself (it holds the live
+simulation graph) never crosses a process boundary.
 
 :func:`build_dashboard_bundle` packages a small set of monitored runs
 into one JSON-safe dict for ``tools/dashboard.py``.
@@ -36,7 +36,7 @@ from ..telemetry import analyze
 from .ext_fault_recovery import run_fault_point
 from .ext_overload import OVERLOAD_CONFIGS, run_overload_point
 from .fig16_boutique import run_boutique_point
-from .parallel import parallel_map
+from .parallel import Plan, sweep
 from .runner import ExperimentResult
 
 __all__ = [
@@ -67,6 +67,16 @@ def _span_counts(spans: List[Dict[str, Any]]) -> Tuple[int, int]:
     return pages, tickets
 
 
+def _alert_summary(monitor) -> Dict[str, Any]:
+    """A monitor's alert timeline, spans and SLO states, JSON-safe."""
+    return {
+        "timeline": list(monitor.timeline),
+        "alert_spans": monitor.alert_spans(),
+        "first_firing_us": monitor.first_firing_us(),
+        "snapshot": monitor.snapshot(),
+    }
+
+
 def _monitored_overload_cell(config: str, multiplier: float,
                              duration_us: float, warmup_us: float,
                              cost: Optional[CostModel] = None,
@@ -75,41 +85,34 @@ def _monitored_overload_cell(config: str, multiplier: float,
     point = run_overload_point(config, multiplier, duration_us=duration_us,
                                warmup_us=warmup_us, cost=cost,
                                with_monitor=True)
-    monitor = point.pop("telemetry").monitor
     return {
         "config": config,
         "multiplier": multiplier,
         "offered_rps": point["offered_rps"],
         "goodput_rps": point["goodput_rps"],
         "rejected": point["rejected"],
-        "timeline": list(monitor.timeline),
-        "alert_spans": monitor.alert_spans(),
-        "first_firing_us": monitor.first_firing_us(),
-        "snapshot": monitor.snapshot(),
+        **_alert_summary(point.pop("telemetry").monitor),
     }
 
 
+@sweep
 def run_slo_overload(
     configs: Sequence[str] = OVERLOAD_CONFIGS,
     multipliers: Sequence[float] = SLO_MULTIPLIERS,
     duration_us: float = SLO_DURATION_US,
     warmup_us: float = SLO_WARMUP_US,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Burn-rate alerts across the overload sweep, per data plane."""
+    configs = tuple(configs)
+    multipliers = tuple(multipliers)
+    cells = yield [(_monitored_overload_cell,
+                    (config, m, duration_us, warmup_us), {"cost": cost})
+                   for config in configs for m in multipliers]
     result = ExperimentResult(
         "EXT - SLO burn-rate alerts under overload",
         columns=["config", "multiplier", "goodput_rps", "pct_peak",
                  "pages", "tickets", "first_alert_ms"],
-    )
-    configs = tuple(configs)
-    multipliers = tuple(multipliers)
-    cells = parallel_map(
-        _monitored_overload_cell,
-        [((config, m, duration_us, warmup_us), {"cost": cost})
-         for config in configs for m in multipliers],
-        jobs=jobs,
     )
     collapse_vs_alert: List[str] = []
     for ci, config in enumerate(configs):
@@ -146,18 +149,15 @@ def run_slo_overload(
 def _monitored_fault_cell(config: str, **kwargs: Any) -> Dict[str, Any]:
     """One monitored crash run, reduced to a JSON-safe summary."""
     point = run_fault_point(config, with_monitor=True, **kwargs)
-    monitor = point.pop("telemetry").monitor
     return {
         "config": config,
         "restored_pct": point["restored_pct"],
         "recover_ms": point["recover_ms"],
-        "timeline": list(monitor.timeline),
-        "alert_spans": monitor.alert_spans(),
-        "first_firing_us": monitor.first_firing_us(),
-        "snapshot": monitor.snapshot(),
+        **_alert_summary(point.pop("telemetry").monitor),
     }
 
 
+@sweep
 def run_slo_fault(
     configs: Sequence[str] = ("palladium-dne", "palladium-dne-no-recovery",
                               "spright"),
@@ -166,21 +166,16 @@ def run_slo_fault(
     down_us: float = 80_000.0,
     post_us: float = 60_000.0,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Availability burn-rate alerts through a worker-node crash."""
+    cells = yield [(_monitored_fault_cell, (config,),
+                    dict(clients=clients, crash_at_us=crash_at_us,
+                         down_us=down_us, post_us=post_us, cost=cost))
+                   for config in configs]
     result = ExperimentResult(
         "EXT - SLO alerts through a node crash",
         columns=["config", "restored_pct", "recover_ms", "pages",
                  "tickets", "first_alert_ms", "crash_ms"],
-    )
-    configs = tuple(configs)
-    cells = parallel_map(
-        _monitored_fault_cell,
-        [((config,), dict(clients=clients, crash_at_us=crash_at_us,
-                          down_us=down_us, post_us=post_us, cost=cost))
-         for config in configs],
-        jobs=jobs,
     )
     for p in cells:
         pages, tickets = _span_counts(p["alert_spans"])
@@ -214,44 +209,46 @@ def _critpath_cell(config: str, chain: str, clients: int,
     return summary
 
 
+def _shift_rows(client_counts: Sequence[int],
+                cells: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The dominant p99 stage per sweep point, marking where it moves."""
+    rows: List[Dict[str, Any]] = []
+    for clients, summary in zip(client_counts, cells):
+        stage = summary["dominant_stage_p99"]
+        rows.append({
+            "point": f"{clients} clients",
+            "dominant_stage": stage,
+            "share": summary["dominant_share_p99"],
+            "p99_total_us": summary["p99_total_us"],
+            "named_coverage": summary["named_coverage_p99"],
+            "shifted": bool(rows) and stage != rows[-1]["dominant_stage"],
+        })
+    return rows
+
+
+@sweep
 def run_critpath(
     config: str = "palladium-dne",
     chain: str = "Home Query",
     client_counts: Sequence[int] = (20, 80),
     duration_us: float = 120_000.0,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Per-stage latency attribution across a client-count sweep."""
+    client_counts = tuple(client_counts)
+    cells = yield [(_critpath_cell, (config, chain, clients, duration_us),
+                    {"cost": cost}) for clients in client_counts]
     result = ExperimentResult(
         f"EXT - critical path ({config}, {chain})",
         columns=["clients", "stage", "p50_us", "p50_share", "p99_us",
                  "p99_share", "mean_share"],
     )
-    client_counts = tuple(client_counts)
-    cells = parallel_map(
-        _critpath_cell,
-        [((config, chain, clients, duration_us), {"cost": cost})
-         for clients in client_counts],
-        jobs=jobs,
-    )
-    shift_rows: List[Dict[str, Any]] = []
-    prev_stage: Optional[str] = None
     for clients, summary in zip(client_counts, cells):
         for row in summary["table"]:
             result.add_row(clients, row["stage"], row["p50_us"],
                            row["p50_share"], row["p99_us"],
                            row["p99_share"], row["mean_share"])
-        stage = summary["dominant_stage_p99"]
-        shift_rows.append({
-            "point": f"{clients} clients",
-            "dominant_stage": stage,
-            "share": summary["dominant_share_p99"],
-            "p99_total_us": summary["p99_total_us"],
-            "named_coverage": summary["named_coverage_p99"],
-            "shifted": prev_stage is not None and stage != prev_stage,
-        })
-        prev_stage = stage
+    shift_rows = _shift_rows(client_counts, cells)
     result.add_series("dominant_shift", shift_rows)
     shifts = " -> ".join(
         f"{r['point']}: {r['dominant_stage']} ({r['share']:.0%} of "
@@ -263,14 +260,14 @@ def run_critpath(
     return result
 
 
+@sweep
 def build_dashboard_bundle(
     overload_configs: Sequence[str] = ("palladium-dne", "spright"),
     overload_multiplier: float = 2.0,
     critpath_clients: Sequence[int] = (20, 80),
     duration_us: float = SLO_DURATION_US,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-) -> Dict[str, Any]:
+) -> Plan:
     """Everything ``tools/dashboard.py`` renders, as one JSON-safe dict.
 
     A couple of monitored overload runs at a collapsing multiplier
@@ -278,32 +275,17 @@ def build_dashboard_bundle(
     client sweep.  Keep the run list small — this backs the CI smoke
     job as well as the human-facing dashboard.
     """
-    overload = parallel_map(
-        _monitored_overload_cell,
-        [((config, overload_multiplier, duration_us, SLO_WARMUP_US),
-          {"cost": cost}) for config in overload_configs],
-        jobs=jobs,
-    )
-    critpath = parallel_map(
-        _critpath_cell,
-        [(("palladium-dne", "Home Query", clients, 120_000.0),
-          {"cost": cost}) for clients in critpath_clients],
-        jobs=jobs,
-    )
-    shift_rows: List[Dict[str, Any]] = []
-    prev_stage: Optional[str] = None
-    for clients, summary in zip(critpath_clients, critpath):
-        stage = summary["dominant_stage_p99"]
-        shift_rows.append({
-            "point": f"{clients} clients",
-            "dominant_stage": stage,
-            "share": summary["dominant_share_p99"],
-            "p99_total_us": summary["p99_total_us"],
-            "shifted": prev_stage is not None and stage != prev_stage,
-        })
-        prev_stage = stage
+    n = len(overload_configs)
+    cells = yield (
+        [(_monitored_overload_cell,
+          (config, overload_multiplier, duration_us, SLO_WARMUP_US),
+          {"cost": cost}) for config in overload_configs]
+        + [(_critpath_cell, ("palladium-dne", "Home Query", clients,
+                             120_000.0), {"cost": cost})
+           for clients in critpath_clients])
     return {
         "title": "Palladium repro - SLO dashboard",
-        "overload": overload,
-        "critpath": {"points": critpath, "shift": shift_rows},
+        "overload": cells[:n],
+        "critpath": {"points": cells[n:],
+                     "shift": _shift_rows(critpath_clients, cells[n:])},
     }

@@ -22,6 +22,7 @@ from ..hw import build_cluster
 from ..memory import Buffer, BufferDescriptor
 from ..sim import Environment, LatencyStats
 
+from .parallel import Plan, sweep
 from .runner import ExperimentResult
 
 __all__ = ["run_fig09", "CHANNELS", "run_channel"]
@@ -82,21 +83,23 @@ def run_channel(
     return latency.mean(), rps
 
 
+@sweep
 def run_fig09(
     function_counts=(1, 2, 4, 6, 8, 10),
     duration_us: float = 50_000.0,
     cost: Optional[CostModel] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Reproduce Fig. 9: RTT and descriptor RPS vs function count."""
     cost = cost or CostModel()
+    grid = [(name, n) for name in CHANNELS for n in function_counts]
+    points = yield [(run_channel, (CHANNELS[name], n, duration_us, cost), {})
+                    for name, n in grid]
     result = ExperimentResult(
         "Fig 9 - DPU/host descriptor channels",
         columns=["channel", "functions", "mean_rtt_us", "rps"],
     )
-    for name, cls in CHANNELS.items():
-        for n in function_counts:
-            rtt, rps = run_channel(cls, n, duration_us, cost)
-            result.add_row(name, n, round(rtt, 2), round(rps))
+    for (name, n), (rtt, rps) in zip(grid, points):
+        result.add_row(name, n, round(rtt, 2), round(rps))
     result.note(
         "paper: Comch-P >8x lower RTT than TCP but overloads beyond 6 "
         "functions; Comch-E 2.7-3.8x better than TCP and stable"

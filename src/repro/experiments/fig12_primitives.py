@@ -31,7 +31,7 @@ from ..rdma import (
 )
 from ..sim import Environment, LatencyStats
 
-from .parallel import parallel_map
+from .parallel import Plan, sweep
 from .runner import ExperimentResult
 
 __all__ = ["run_fig12", "VARIANTS"]
@@ -253,11 +253,7 @@ def run_variant(variant: str, cost: CostModel, size: int, concurrency: int,
 
 def _fig12_cell(variant: str, size: int, concurrency: int,
                 duration_us: float, cost: CostModel) -> dict:
-    """One (variant, size) cell: latency run + throughput run.
-
-    Module-level and returning a plain dict so the sweep can fan cells
-    out to worker processes (:mod:`repro.experiments.parallel`).
-    """
+    """One (variant, size) cell: latency run + throughput run."""
     warm = 21_000.0  # RC setup happens once at t=0 (20 ms)
     lat_bench = run_variant(variant, cost, size, 1, warm + duration_us)
     thr_bench = run_variant(variant, cost, size, concurrency,
@@ -268,25 +264,21 @@ def _fig12_cell(variant: str, size: int, concurrency: int,
     }
 
 
+@sweep
 def run_fig12(
     sizes=(64, 1024, 4096),
     concurrency: int = 8,
     duration_us: float = 40_000.0,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Reproduce Fig. 12: latency (concurrency=1) and RPS per variant."""
     cost = cost or CostModel()
+    grid = [(variant, size) for variant in VARIANTS for size in sizes]
+    cells = yield [(_fig12_cell, (variant, size, concurrency, duration_us,
+                                  cost), {}) for variant, size in grid]
     result = ExperimentResult(
         "Fig 12 - RDMA primitive selection",
         columns=["variant", "size_bytes", "mean_rtt_us", "rps"],
-    )
-    grid = [(variant, size) for variant in VARIANTS for size in sizes]
-    cells = parallel_map(
-        _fig12_cell,
-        [((variant, size, concurrency, duration_us, cost), {})
-         for variant, size in grid],
-        jobs=jobs,
     )
     for (variant, size), cell in zip(grid, cells):
         rps = cell["completed"] / (duration_us / 1e6)

@@ -23,6 +23,7 @@ from ..platform import ServerlessPlatform
 from ..sim import Environment
 from ..workloads import ClientFleet, deploy_http_echo, ECHO_TENANT
 
+from .parallel import Plan, sweep
 from .runner import ExperimentResult, after
 from .wiring import wire_ingress
 
@@ -58,23 +59,23 @@ def run_ingress_point(
     return rps, fleet.mean_latency_us(), fleet.total_errors()
 
 
+@sweep
 def run_fig13(
     client_counts=(1, 4, 16, 32, 64),
     duration_us: float = 200_000.0,
     cost: Optional[CostModel] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Reproduce Fig. 13: latency and RPS per ingress vs client count."""
     cost = cost or CostModel()
+    grid = [(kind, n) for kind in INGRESS_KINDS for n in client_counts]
+    points = yield [(run_ingress_point, (kind, n, duration_us),
+                     {"cost": cost}) for kind, n in grid]
     result = ExperimentResult(
         "Fig 13 - cluster ingress designs (1 core)",
         columns=["ingress", "clients", "rps", "mean_latency_us", "errors"],
     )
-    for kind in INGRESS_KINDS:
-        for clients in client_counts:
-            rps, latency, errors = run_ingress_point(
-                kind, clients, duration_us, cost=cost
-            )
-            result.add_row(kind, clients, round(rps), round(latency, 1), errors)
+    for (kind, clients), (rps, latency, errors) in zip(grid, points):
+        result.add_row(kind, clients, round(rps), round(latency, 1), errors)
     result.note(
         "paper: Palladium ingress up to 3.2x RPS of F-Ingress and "
         "11.4x of K-Ingress; K-Ingress latency degrades up to 11.7x"

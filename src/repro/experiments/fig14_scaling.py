@@ -34,10 +34,11 @@ from ..platform import ServerlessPlatform
 from ..sim import Environment, TimeSeries
 from ..workloads import ClientFleet, ECHO_TENANT, deploy_http_echo
 
+from .parallel import Plan, sweep
 from .runner import ExperimentResult
 from .wiring import wire_ingress
 
-__all__ = ["run_fig14"]
+__all__ = ["run_fig14", "run_fig14_panels"]
 
 
 def _cpu_series(env: Environment, pools, series: TimeSeries, period_us: float):
@@ -133,3 +134,10 @@ def run_fig14(
     result.note(f"disconnected clients: {fleet.disconnected_count()}")
     result.note(f"time_scale={time_scale}, cost_scale={cost_scale}")
     return result
+
+
+@sweep
+def run_fig14_panels(**kwargs) -> Plan:
+    """Every ingress design under the same ramp, one point per design."""
+    return (yield [(run_fig14, (kind,), kwargs)
+                   for kind in ("palladium", "f-ingress", "k-ingress")])

@@ -26,6 +26,7 @@ from ..platform import ServerlessPlatform, Tenant
 from ..sim import Environment
 from ..workloads import DirectDriver, TenantTrace, deploy_echo_pair, fig15_traces
 
+from .parallel import Plan, sweep
 from .runner import ExperimentResult
 
 __all__ = ["run_fig15", "run_tenancy"]
@@ -121,10 +122,9 @@ def run_tenancy(
     return result
 
 
+@sweep
 def run_fig15(time_scale: float = 1.0 / 120.0,
-              cost: Optional[CostModel] = None) -> Dict[str, ExperimentResult]:
-    """Both panels of Fig. 15: FCFS (1) and Palladium's DWRR (2)."""
-    return {
-        "fcfs": run_tenancy("fcfs", time_scale, cost=cost),
-        "dwrr": run_tenancy("dwrr", time_scale, cost=cost),
-    }
+              cost: Optional[CostModel] = None) -> Plan:
+    """Both panels of Fig. 15: FCFS (1), then Palladium's DWRR (2)."""
+    return (yield [(run_tenancy, (scheduler, time_scale), {"cost": cost})
+                   for scheduler in ("fcfs", "dwrr")])

@@ -25,7 +25,7 @@ from ..sim import Environment
 from ..telemetry import Telemetry
 from ..workloads import CHAIN_PATHS, ClientFleet, deploy_boutique, path_payload
 
-from .parallel import parallel_map
+from .parallel import Plan, sweep
 from .runner import ExperimentResult, after
 from .wiring import build_boutique
 
@@ -105,30 +105,26 @@ def run_boutique_point(
     return metrics
 
 
+@sweep
 def run_fig16(
     chains=EVAL_CHAINS,
     client_counts=(20, 60, 80),
     configs=CONFIGS,
     duration_us: float = 250_000.0,
     cost: Optional[CostModel] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Reproduce Fig. 16: RPS + utilization per chain/config/clients."""
     cost = cost or CostModel()
-    result = ExperimentResult(
-        "Fig 16 - Online Boutique",
-        columns=["chain", "config", "clients", "rps", "latency_ms",
-                 "engine_cpu_pct", "adapter_cpu_pct", "dpu_pct"],
-    )
     grid = [(chain, config, clients)
             for chain in chains
             for config in configs
             for clients in client_counts]
-    points = parallel_map(
-        run_boutique_point,
-        [((config, chain, clients, duration_us), {"cost": cost})
-         for chain, config, clients in grid],
-        jobs=jobs,
+    points = yield [(run_boutique_point, (config, chain, clients, duration_us),
+                     {"cost": cost}) for chain, config, clients in grid]
+    result = ExperimentResult(
+        "Fig 16 - Online Boutique",
+        columns=["chain", "config", "clients", "rps", "latency_ms",
+                 "engine_cpu_pct", "adapter_cpu_pct", "dpu_pct"],
     )
     for (chain, config, clients), m in zip(grid, points):
         result.add_row(chain, config, clients, round(m["rps"]),
@@ -143,29 +139,27 @@ def run_fig16(
     return result
 
 
+@sweep
 def run_table2(
     client_counts=(20, 60, 80),
     configs=CONFIGS,
     chains=EVAL_CHAINS,
     duration_us: float = 250_000.0,
     cost: Optional[CostModel] = None,
-) -> ExperimentResult:
+) -> Plan:
     """Table 2: mean latency (ms) per chain / config / client count."""
     cost = cost or CostModel()
+    cells = [(chain, n) for chain in chains for n in client_counts]
+    points = yield [(run_boutique_point, (config, chain, clients, duration_us),
+                     {"cost": cost})
+                    for config in configs for chain, clients in cells]
     result = ExperimentResult(
         "Table 2 - mean latency (ms) of Online Boutique chains",
-        columns=["config"] + [
-            f"{chain}@{n}" for chain in chains for n in client_counts
-        ],
+        columns=["config"] + [f"{chain}@{n}" for chain, n in cells],
     )
-    for config in configs:
-        row = [config]
-        for chain in chains:
-            for clients in client_counts:
-                m = run_boutique_point(config, chain, clients,
-                                       duration_us, cost=cost)
-                row.append(round(m["latency_ms"], 2))
-        result.add_row(*row)
+    for i, config in enumerate(configs):
+        row = points[i * len(cells):(i + 1) * len(cells)]
+        result.add_row(config, *(round(m["latency_ms"], 2) for m in row))
     result.note("paper Table 2: e.g. Home@20/60/80 = DNE 1.12/2.55/3.19, "
                 "CNE 1.43/4.39/5.62, NightCore 10.77/32.4/42.8 ms")
     return result

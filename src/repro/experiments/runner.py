@@ -59,11 +59,6 @@ class ExperimentResult:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def attach_metrics(self, registry) -> None:
-        """Attach a metrics registry (or snapshot dict) to the result."""
-        snapshot = getattr(registry, "snapshot", None)
-        self.metrics = snapshot() if callable(snapshot) else dict(registry)
-
     def attach_alerts(self, monitor, **tags: Any) -> None:
         """Append a monitor's alert timeline, tagging every transition
         with the given run coordinates (e.g. config=..., multiplier=...)."""

@@ -390,8 +390,7 @@ def _doctor(result, column, value):
 
 
 def test_conn_churn_gate_rejects_a_doctored_predictive_pool():
-    quick = EXPERIMENTS["conn-churn"][1]
-    result = quick(jobs=1)
+    result = EXPERIMENTS["conn-churn"][1]()
     assert _churn_failures(result) == []
     fixed = result.find_row(scenario="warm-fixed")
     # as many pooled QPs as the fixed floor keeps

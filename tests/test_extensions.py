@@ -247,3 +247,26 @@ def test_every_experiment_has_a_gate_and_a_digest():
     assert list(GATES) == list(EXPERIMENTS)
     assert sorted(digests) == sorted(EXPERIMENTS)
     assert all(len(d["result"]) == 64 for d in digests.values())
+
+
+def test_fig15_gate_check_fails_on_a_doctored_outcome_instead_of_crashing():
+    from repro.experiments import ExperimentResult
+
+    columns = ["paper_time_s", "tenant-1_rps", "tenant-2_rps",
+               "tenant-3_rps"]
+    fcfs = ExperimentResult("Fig 15 - tenant bandwidth sharing (fcfs)",
+                            columns=columns)
+    fcfs.add_row(60.0, 30_000, 30_000, 30_000)
+    dwrr = ExperimentResult("Fig 15 - tenant bandwidth sharing (dwrr)",
+                            columns=columns)
+    dwrr.add_row(60.0, 60_000, 10_000, 20_000)
+    late = ExperimentResult(dwrr.name, columns=columns)
+    late.add_row(120.0, 60_000, 10_000, 20_000)
+    check, = GATES["fig15"].checks
+    assert check([fcfs, dwrr]) == []
+    # no (dwrr) panel at all, and a (dwrr) panel with no 40-80 s rows
+    for doctored in ([fcfs], [fcfs, late]):
+        failures = check(doctored)
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            "fig15: DWRR t1/t2 within (4, 8) over 40-80 s: point missing")

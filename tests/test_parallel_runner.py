@@ -3,17 +3,19 @@
 The contract (docs/PERFORMANCE.md): fanning a sweep's independent
 points out over worker processes must be invisible in the output —
 results merge in submission order and every point function is free of
-process-global state, so serial and ``jobs=N`` runs are byte-identical
-and simulation event counts match the seed exactly.
+process-global state, so serial and ``REPRO_JOBS=N`` runs are
+byte-identical and simulation event counts match the seed exactly.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.ext_overload import run_ext_overload
+from repro.experiments.__main__ import digest
+from repro.experiments.ext_overload import (run_ext_overload,
+                                           run_overload_isolation)
 from repro.experiments.fig12_primitives import run_fig12
-from repro.experiments.parallel import default_jobs, parallel_map
+from repro.experiments.parallel import default_jobs, joined, parallel_map
 from repro.experiments.report import to_json
 from repro.sim import Environment
 
@@ -22,13 +24,24 @@ def _affine(x, offset=0):
     return {"x": x, "y": 2 * x + offset}
 
 
+def _square(x):
+    return x * x
+
+
 @settings(max_examples=10, deadline=None)
 @given(xs=st.lists(st.integers(-1_000, 1_000), max_size=12),
        jobs=st.integers(min_value=0, max_value=4))
 def test_parallel_map_matches_serial_in_order(xs, jobs):
-    calls = [((x,), {"offset": 7}) for x in xs]
-    assert parallel_map(_affine, calls, jobs=jobs) == \
-        parallel_map(_affine, calls, jobs=1)
+    # One call list mixing two point functions: no trampoline needed.
+    calls = [(_affine, (x,), {"offset": 7}) if x % 2 else (_square, (x,), {})
+             for x in xs]
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("REPRO_JOBS", "1")
+        serial = parallel_map(calls)
+        env.setenv("REPRO_JOBS", str(jobs))
+        assert parallel_map(calls) == serial
+    assert serial == [_affine(x, offset=7) if x % 2 else _square(x)
+                      for x in xs]
 
 
 def test_default_jobs_reads_env(monkeypatch):
@@ -36,6 +49,9 @@ def test_default_jobs_reads_env(monkeypatch):
     assert default_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "4")
     assert default_jobs() == 4
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    with pytest.raises(ValueError):
+        default_jobs()
 
 
 def _count_events(fn, *args, **kwargs):
@@ -56,21 +72,29 @@ def _count_events(fn, *args, **kwargs):
 
 
 class TestByteIdentity:
-    def test_fig12_serial_vs_parallel(self):
+    def test_fig12_serial_vs_parallel(self, monkeypatch):
         kwargs = dict(sizes=(64,), concurrency=2, duration_us=5_000.0)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
         serial, events = _count_events(run_fig12, **kwargs)
-        fanned = run_fig12(jobs=4, **kwargs)
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        fanned = run_fig12(**kwargs)
         assert to_json(serial) == to_json(fanned)
         # Pinned to the seed kernel: the fast-path rewrite (free-lists,
         # flattened run loop) must not add, drop, or reorder events.
         assert events == 128_191
 
-    def test_ext_overload_serial_vs_parallel(self):
-        kwargs = dict(configs=("palladium-dne",), multipliers=(0.8, 2.0),
-                      duration_us=20_000.0, warmup_us=15_000.0)
-        serial = run_ext_overload(**kwargs)
-        fanned = run_ext_overload(jobs=4, **kwargs)
-        assert to_json(serial) == to_json(fanned)
+    def test_ext_overload_serial_vs_parallel(self, monkeypatch):
+        scale = dict(duration_us=20_000.0, warmup_us=15_000.0)
+        sweep = run_ext_overload.sweep(configs=("palladium-dne",),
+                                       multipliers=(0.8, 2.0), **scale)
+        # The second case is a multi-result entry: the sweep and its
+        # isolation point share one map.
+        for entry in (sweep,
+                      joined(sweep, run_overload_isolation.sweep(**scale))):
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+            serial = entry()
+            monkeypatch.setenv("REPRO_JOBS", "4")
+            assert digest(entry()) == digest(serial)
 
 
 @pytest.mark.parametrize("runs", [2])

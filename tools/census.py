@@ -78,7 +78,7 @@ def main() -> int:
         runs = [["tools/gate.py"], ["-m", "pytest", "-q", "bench"],
                 ["-m", "repro.experiments", "--list"],
                 ["-m", "repro.experiments", "--quick", "table1", "fig09",
-                 "--json", str(Path(tmp, "cli"))]]
+                 "fig15", "--json", str(Path(tmp, "cli"))]]
         runs += [[str(p.relative_to(ROOT))]
                  for p in sorted((ROOT / "examples").glob("*.py"))]
         runs.append(["tools/dashboard.py", "--check",

@@ -312,15 +312,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="print the terminal summary")
     parser.add_argument("--check", action="store_true",
                         help="run the structural self-check on the page")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the monitored runs")
     args = parser.parse_args(argv)
 
     if args.bundle:
         bundle = json.loads(Path(args.bundle).read_text())
     else:
         from repro.experiments import build_dashboard_bundle
-        bundle = build_dashboard_bundle(jobs=args.jobs)
+        bundle = build_dashboard_bundle()
 
     if args.save_bundle:
         Path(args.save_bundle).write_text(json.dumps(bundle, indent=1))

@@ -13,11 +13,11 @@ Usage::
     PYTHONPATH=src python tools/gate.py fig12 slo        # some gates
     PYTHONPATH=src python tools/gate.py fig13 --update   # re-pin digests
 
-With several ids, each gate runs in a fresh interpreter.  Sweeps fan
-out over ``REPRO_JOBS`` workers; the digests are the same for any
-worker count and any ``PYTHONHASHSEED``.  ``--update`` rewrites the
-named entries.  A change that moves one must say which table values
-moved and why.
+With several ids, each gate runs in a fresh interpreter.  Every
+experiment's points fan out over ``REPRO_JOBS`` workers; the digests
+are the same for any worker count and any ``PYTHONHASHSEED``.
+``--update`` rewrites the named entries.  A change that moves one must
+say which table values moved and why.
 """
 
 from __future__ import annotations
