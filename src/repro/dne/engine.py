@@ -193,9 +193,11 @@ class NetworkEngine:
         )
 
     def _charge_cycles(self, tel, charges) -> None:
-        factor = self.core.factor if self.core is not None else 1.0
+        core = self.core
+        factor = core.factor if core is not None else 1.0
+        charge, where = tel.cycles.charge, self.name
         for category, host_us in charges:
-            tel.cycles.charge(category, host_us * factor, where=self.name)
+            charge(category, host_us * factor, where)
 
     # -- configuration --------------------------------------------------------
     def setup_tenant(

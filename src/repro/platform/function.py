@@ -103,6 +103,10 @@ class FunctionInstance:
         self.iolib = iolib
         self.cpu = iolib.cpu
         self.agent = f"fn:{spec.name}"
+        #: the name of this function's execution spans and the
+        #: cycle-ledger site of its receive wakeups (telemetry only)
+        self._exec_span = f"fn.exec:{spec.name}"
+        self._recv_site = f"recv:{spec.name}"
         self.inbox: Store = Store(env, name=f"inbox:{spec.name}")
         self._requests: Store = Store(env, name=f"reqs:{spec.name}")
         self._pending: Dict[int, Event] = {}
@@ -252,7 +256,7 @@ class FunctionInstance:
                     via = descriptor.message.via
                     category = "protocol" if via == "tcp" else "descriptor"
                     tel.cycles.charge(category, recv_us,
-                                      where=f"recv:{self.spec.name}")
+                                      where=self._recv_site)
                 yield from self.cpu.execute(recv_us)
                 header = descriptor.message
                 if header.is_response:
@@ -294,7 +298,7 @@ class FunctionInstance:
                 tel = self.env.telemetry
                 if tel is not None:
                     ctx.span = tel.tracer.start_span(
-                        f"fn.exec:{self.spec.name}",
+                        self._exec_span,
                         parent=message.header.trace, category="function",
                         node=self.iolib.runtime.node.name, actor=self.spec.name,
                         tenant=self.spec.tenant)

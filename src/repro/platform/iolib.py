@@ -155,6 +155,8 @@ class IoLibrary:
         self.fn_id = fn_id
         self.tenant = tenant
         self.cpu = runtime.node.cpu
+        #: the cycle-ledger site of this library's charges
+        self._cycle_site = f"iolib:{runtime.node.name}"
         self.intra_sends = 0
         self.inter_sends = 0
         self.cross_domain_sends = 0
@@ -246,7 +248,7 @@ class IoLibrary:
                 span = self._send_span(tel, message, dst_fn, size, "skmsg")
                 tel.cycles.charge("descriptor",
                                   extra_cpu_us + self.cost.sk_msg_us,
-                                  where=f"iolib:{self.runtime.node.name}")
+                                  where=self._cycle_site)
                 tel.cycles.charge("protocol", self.runtime.sidecar_us,
                                   where="sidecar")
             descriptor = BufferDescriptor(buffer=buffer, length=size,
@@ -287,7 +289,7 @@ class IoLibrary:
                 span = self._send_span(tel, message, dst_fn, size, "engine")
                 tel.cycles.charge("descriptor",
                                   extra_cpu_us + engine.channel.fn_cpu_us,
-                                  where=f"iolib:{self.runtime.node.name}")
+                                  where=self._cycle_site)
                 tel.cycles.charge("protocol", self.runtime.sidecar_us,
                                   where="sidecar")
             descriptor = BufferDescriptor(buffer=buffer, length=size,
@@ -342,7 +344,7 @@ class IoLibrary:
                               where="xdomain-copy")
             tel.cycles.charge("descriptor",
                               extra_cpu_us + self.cost.sk_msg_us,
-                              where=f"iolib:{self.runtime.node.name}")
+                              where=self._cycle_site)
             tel.cycles.charge("protocol", self.runtime.sidecar_us,
                               where="sidecar")
         # The copy itself plus sidecar access control, on the host core.

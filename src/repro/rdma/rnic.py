@@ -94,6 +94,8 @@ class Rnic:
         #: touching it; the no-fault path is one attribute check.
         self.dead = False
         self.flushed_cqes = 0
+        #: the owner name of buffers and headers in this NIC's custody
+        self.agent = f"rnic:{node}"
 
     # -- fault injection --------------------------------------------------------
     def fail(self) -> None:
@@ -175,7 +177,7 @@ class Rnic:
             # so their message context is left untouched.
             span = tel.tracer.start_span(
                 f"rdma.{wr.opcode}", parent=wr.message.trace,
-                category="rdma", node=self.node, actor=f"rnic:{self.node}",
+                category="rdma", node=self.node, actor=self.agent,
                 tenant=qp.tenant, dst=qp.remote_node, bytes=wr.length)
             if wr.opcode == Opcode.SEND:
                 wr.message.trace = span.context
@@ -388,11 +390,11 @@ class Rnic:
             yield from pipe.use(remote._pipe_time(wr.length))
         rbr_buffer = srq.rbr.consume(recv_wr_id)
         assert rbr_buffer is recv_buffer, "RBR table out of sync with shared RQ"
-        agent = f"rnic:{remote.node}"
+        agent = remote.agent
         # The application header crosses with the payload: ownership
         # moves from the sending NIC's domain to the receiving NIC's.
         if wr.message is not None:
-            wr.message.transfer(f"rnic:{self.node}", agent)
+            wr.message.transfer(self.agent, agent)
         if wr.length > recv_buffer.capacity:
             # Message too large for the posted buffer: local length error.
             recv_buffer.owner = agent

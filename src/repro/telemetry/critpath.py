@@ -23,7 +23,8 @@ traces keeps its spans.  Reads spans only, never the simulation.
 
 from __future__ import annotations
 
-import heapq
+from itertools import count, islice
+from operator import itemgetter, sub
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -56,20 +57,50 @@ _PREFIX_STAGES = [
 ]
 
 
-def stage_of(span: Span) -> str:
-    """Map a span to its stage name (``other:*`` when unrecognized)."""
-    name = span.name
-    if name.startswith("request:") or name.startswith("invoke:"):
+#: name -> stage for the names that decide their stage alone, and
+#: (name, category) -> stage for the others (see :func:`_stage`)
+_STAGES: Dict[Any, str] = {}
+
+_DEPTH = itemgetter(0)
+_START = itemgetter(1)
+_END = itemgetter(2)
+
+
+def _named_stage(name: str) -> str:
+    """The stage ``name`` alone decides, or ``""``."""
+    if name.startswith(REQUEST_ROOTS):
         # A root's *self* time is queueing: nobody worked the request.
         return "queueing"
     for prefix, stage in _PREFIX_STAGES:
         if name.startswith(prefix):
             return stage
+    return ""
+
+
+def stage_of(span: Span) -> str:
+    """Map a span to its stage name (``other:*`` when unrecognized)."""
+    stage = _named_stage(span.name)
+    if stage:
+        return stage
     if span.category == "rdma":
         return "rdma.send"
     if span.category == "function":
         return "fn.exec"
-    return f"other:{span.category or name.split(':')[0]}"
+    return f"other:{span.category or span.name.split(':')[0]}"
+
+
+def _stage(span: Span) -> str:
+    """:func:`stage_of`, memoised in ``_STAGES`` (the loop in
+    :func:`_attribute` looks the name up there first)."""
+    name = span.name
+    stage = _STAGES.get(name)
+    if stage is None:
+        key = (name, span.category)
+        stage = _STAGES.get(key)
+        if stage is None:
+            stage = stage_of(span)
+            _STAGES[name if _named_stage(name) else key] = stage
+    return stage
 
 
 class CriticalPathReport:
@@ -180,87 +211,75 @@ class CriticalPathReport:
         }
 
 
-def _attribute(root: Span, members: List[Tuple[Span, int]],
-               out: Dict[str, float]) -> None:
-    """Attribute [root.start, root.end) to stages by an event sweep.
+def _attribute(spans: List[Span], lo: float, hi: float) -> Dict[str, float]:
+    """Stage -> µs of the root's window ``[lo, hi)``, ``lo < hi``.
 
-    ``members`` is the root's subtree as (span, depth) pairs.  Spans
-    are causality chains, not nested intervals — a child routinely
-    outlives its parent — so each elementary interval between span
-    boundaries is charged to the *deepest* span covering it (ties to
-    the later-started one).  Intervals covered only by the root charge
-    the root's own stage (queueing).
+    ``spans`` is the trace in start order, root first, so every parent
+    comes before its children: one pass gives each finished span that
+    reaches the root through finished spans its depth.  Spans are
+    causality chains, not nested intervals — a child routinely outlives
+    its parent — so each elementary interval between span boundaries
+    is charged to the *deepest* span covering it, ties to the
+    later-started one; intervals covered only by the root charge the
+    root's own stage (queueing).  Painting the spans over the intervals
+    in ascending (depth, start) order leaves each interval with that
+    span, and each stage sums its intervals in time order.
     """
-    lo, hi = root.start_us, root.end_us
-    if hi <= lo:
-        return
-    clipped: List[Tuple[float, float, int, Span]] = []
-    bounds = {lo, hi}
-    for span, depth in members:
-        cs, ce = max(span.start_us, lo), min(span.end_us, hi)
-        if ce <= cs:
+    root = spans[0]
+    depth_of = {root.span_id: 0}
+    #: (depth, start, end, stage) of the spans that cover some of the
+    #: window, clipped to it
+    members: List[Tuple[int, float, float, str]] = []
+    known = _STAGES
+    for span in islice(spans, 1, None):
+        end = span.end_us
+        if end is None:
             continue
-        clipped.append((cs, ce, depth, span))
-        bounds.add(cs)
-        bounds.add(ce)
-    clipped.sort(key=lambda item: item[0])
+        try:
+            depth = depth_of[span.parent_id] + 1
+        except KeyError:  # the parent is unfinished or unreachable
+            continue
+        depth_of[span.span_id] = depth
+        start = span.start_us
+        if start < lo:
+            start = lo
+        if end > hi:
+            end = hi
+        if end > start:
+            try:
+                stage = known[span.name]
+            except KeyError:
+                stage = _stage(span)
+            members.append((depth, start, end, stage))
+    bounds = {lo, hi}
+    bounds.update(map(_START, members))
+    bounds.update(map(_END, members))
     edges = sorted(bounds)
-    # Active-set sweep: a max-heap of (depth, start, span_id) with lazy
-    # expiry — the top after popping expired entries is the deepest
-    # span covering the current elementary interval.
-    heap: List[Tuple[float, float, float, float, str]] = []
-    nxt = 0
-    for t0, t1 in zip(edges, edges[1:]):
-        while nxt < len(clipped) and clipped[nxt][0] <= t0:
-            cs, ce, depth, span = clipped[nxt]
-            nxt += 1
-            heapq.heappush(heap,
-                           (-depth, -cs, -span.span_id, ce, stage_of(span)))
-        while heap and heap[0][3] <= t0:
-            heapq.heappop(heap)
-        stage = heap[0][4] if heap else stage_of(root)
-        out[stage] = out.get(stage, 0.0) + (t1 - t0)
-
-
-def _subtree(root: Span,
-             children_of: Dict[int, List[Span]]) -> List[Tuple[Span, int]]:
-    """Finished spans reachable from ``root`` with their tree depth."""
-    members: List[Tuple[Span, int]] = []
-    stack: List[Tuple[Span, int]] = [(root, 0)]
-    while stack:
-        span, depth = stack.pop()
-        members.append((span, depth))
-        for child in children_of.get(span.span_id, ()):
-            if child.finished:
-                stack.append((child, depth + 1))
-    return members
+    index = dict(zip(edges, count()))
+    owner = [_stage(root)] * (len(edges) - 1)
+    members.sort(key=_DEPTH)  # stable: start order within a depth
+    for _depth, start, end, stage in members:
+        first, last = index[start], index[end]
+        owner[first:last] = [stage] * (last - first)
+    stages = dict.fromkeys(owner, 0.0)
+    for stage, span_us in zip(owner, map(sub, islice(edges, 1, None), edges)):
+        stages[stage] += span_us
+    return stages
 
 
 def trace_rows(spans: List[Span]) -> List[Dict[str, Any]]:
-    """Critical-path rows, one per finished root, of one trace's spans."""
-    children_of: Dict[int, List[Span]] = {}
-    roots: List[Span] = []
-    for span in spans:
-        if span.parent_id is None:
-            roots.append(span)
-        else:
-            children_of.setdefault(span.parent_id, []).append(span)
-    for siblings in children_of.values():
-        siblings.sort(key=lambda s: (s.start_us, s.span_id))
-
-    rows: List[Dict[str, Any]] = []
-    for root in roots:
-        if not root.finished:
-            continue
-        stages: Dict[str, float] = {}
-        _attribute(root, _subtree(root, children_of), stages)
-        rows.append({
-            "trace_id": root.trace_id,
-            "name": root.name,
-            "total_us": root.duration_us,
-            "stages": stages,
-        })
-    return rows
+    """Critical-path rows of one trace (in start order, root first):
+    one row if its root is finished."""
+    root = spans[0]
+    lo, hi = root.start_us, root.end_us
+    if hi is None:
+        return []
+    return [{
+        "trace_id": root.trace_id,
+        "name": root.name,
+        "total_us": hi - lo,
+        "stages": _attribute(spans, lo, hi) if hi > lo else {},
+    }]
 
 
 def analyze(tracer: SpanTracer,

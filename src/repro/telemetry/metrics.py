@@ -159,7 +159,9 @@ class Histogram:
         if trace_id is not None:
             seen = self._exemplar_seen.get(idx, 0)
             self._exemplar_seen[idx] = seen + 1
-            slot = self._exemplars.setdefault(idx, [])
+            slot = self._exemplars.get(idx)
+            if slot is None:
+                slot = self._exemplars[idx] = []
             if len(slot) < EXEMPLAR_RESERVOIR:
                 slot.append((value, trace_id))
             else:
@@ -227,6 +229,12 @@ class Histogram:
         return snap
 
 
+#: types of the label values whose raw tuples :meth:`MetricFamily.labels`
+#: caches: no ``str`` equals a ``bool``, so a cache hit made of these
+#: types has the same ``str()`` key; ``int`` stays out as ``True == 1``
+_RAW_LABEL_TYPES = frozenset((str, bool))
+
+
 class MetricFamily:
     """All children of one metric name (one per label-value tuple).
 
@@ -243,28 +251,38 @@ class MetricFamily:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
+        self.kind: str = factory.kind
         self._factory = factory
         self._factory_kwargs = factory_kwargs
         self._children: Dict[Tuple[str, ...], object] = {}
+        #: raw label values -> child, for the tuples whose every value
+        #: has a type in ``_RAW_LABEL_TYPES``
+        self._bound: Dict[tuple, object] = {}
         self._registry = registry
         self._max_series = max_series
         self._overflow = None
 
-    @property
-    def kind(self) -> str:
-        return self._factory.kind
-
     def labels(self, *values) -> object:
+        """The child for ``values``, each keyed by ``str(value)``."""
+        child = self._bound.get(values)
+        if child is not None:
+            for value in values:
+                if type(value) not in _RAW_LABEL_TYPES:
+                    break  # equal to a cached value, maybe not its str()
+            else:
+                return child
         if len(values) != len(self.labelnames):
             raise ValueError(
                 f"{self.name}: expected {len(self.labelnames)} label "
                 f"value(s) {self.labelnames}, got {len(values)}")
-        key = tuple(str(v) for v in values)
+        key = tuple(map(str, values))
         child = self._children.get(key)
         if child is None:
             if self._max_series and len(self._children) >= self._max_series:
                 return self._dropped_series()
             child = self._children[key] = self._factory(**self._factory_kwargs)
+        if _RAW_LABEL_TYPES.issuperset(map(type, values)):
+            self._bound[values] = child
         return child
 
     def _dropped_series(self):

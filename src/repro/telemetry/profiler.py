@@ -29,7 +29,8 @@ arithmetic — charging never touches the event loop.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["CYCLE_CATEGORIES", "CycleLedger"]
 
@@ -51,7 +52,8 @@ class CycleLedger:
         self.host_ghz = host_ghz
         self._by_category: Dict[str, float] = {c: 0.0 for c in CYCLE_CATEGORIES}
         #: (category, where) -> us, for drill-down
-        self._by_site: Dict[Tuple[str, str], float] = {}
+        self._by_site: DefaultDict[Tuple[str, str], float] = \
+            defaultdict(float)
 
     def charge(self, category: str, core_us: float, where: str = "") -> None:
         """Attribute ``core_us`` core-microseconds to ``category``."""
@@ -62,8 +64,7 @@ class CycleLedger:
             return
         self._by_category[category] += core_us
         if where:
-            key = (category, where)
-            self._by_site[key] = self._by_site.get(key, 0.0) + core_us
+            self._by_site[category, where] += core_us
 
     # -- queries -------------------------------------------------------------
     def us(self, category: str) -> float:

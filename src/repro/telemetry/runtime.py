@@ -10,6 +10,15 @@ Instrumentation sites all follow the same pattern::
 the disabled cost is one attribute read per site.  Installing a
 :class:`Telemetry` flips every site on at once.
 
+Enabled, a site stays cheap because nothing in it is rebuilt per call
+that could be built once: ``labels()`` hands back a cached child for
+a label tuple it has seen, and a component keeps its constant span
+names, actor names and cycle-ledger sites as attributes (the RNIC's
+``agent``, a function's execution-span name, an I/O library's
+``iolib:<node>`` site).  A site never keeps its family or child
+across calls: the family lookup is where the SLO monitor's
+``observer`` fires, before the site's increment.
+
 Invariant (enforced by the determinism test): nothing reachable from
 ``Telemetry`` ever creates simulation events, yields, schedules, or
 draws random numbers.  Telemetry observes the simulation; it is never

@@ -29,7 +29,8 @@ change simulation behaviour.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .critpath import REQUEST_ROOTS, trace_rows
 
@@ -43,49 +44,53 @@ Context = Tuple[int, int]
 #: so retention is deterministic and cannot perturb the simulation.
 KEEP_EVERY = 64
 
+_STATUS = attrgetter("status")
+_new_span = object.__new__
+
 
 class Span:
-    """One timed operation; part of a trace tree."""
+    """One timed operation; part of a trace tree.
+
+    A record that :meth:`SpanTracer.start_span` fills in (the only
+    place spans are made, so there is no ``__init__`` to call):
+    ``end_us`` is None and ``status`` is ``"open"`` until
+    :meth:`SpanTracer.end_span`; ``events`` is an empty tuple until the
+    first (most spans never get one, and a list each is GC work);
+    ``context`` is the ``(trace_id, span_id)`` tuple to stamp into a
+    message.
+    """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "category",
                  "node", "actor", "start_us", "end_us", "status", "tags",
-                 "events")
+                 "events", "context")
 
-    def __init__(self, trace_id: int, span_id: int, parent_id: Optional[int],
-                 name: str, category: str, node: str, actor: str,
-                 start_us: float, tags: Dict[str, Any]):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.category = category
-        self.node = node
-        self.actor = actor
-        self.start_us = start_us
-        self.end_us: Optional[float] = None
-        self.status = "open"
-        self.tags = tags
-        self.events: List[Dict[str, Any]] = []
-
-    @property
-    def context(self) -> Context:
-        """The ``(trace_id, span_id)`` tuple to stamp into a message."""
-        return (self.trace_id, self.span_id)
+    trace_id: int
+    span_id: int
+    parent_id: Optional[int]
+    name: str
+    category: str
+    node: str
+    actor: str
+    start_us: float
+    end_us: Optional[float]
+    status: str
+    tags: Dict[str, Any]
+    events: Sequence[Dict[str, Any]]
+    context: Context
 
     @property
     def finished(self) -> bool:
         return self.end_us is not None
-
-    @property
-    def duration_us(self) -> float:
-        return (self.end_us - self.start_us) if self.finished else 0.0
 
     def event(self, name: str, ts_us: float, **attrs) -> None:
         """Attach a point-in-time annotation (e.g. a fault incident)."""
         record = {"name": name, "ts": ts_us}
         if attrs:
             record.update(attrs)
-        self.events.append(record)
+        if self.events:
+            self.events.append(record)
+        else:
+            self.events = [record]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r} trace={self.trace_id} id={self.span_id} "
@@ -116,8 +121,6 @@ class SpanTracer:
         #: spans of the kept traces, trace by trace in close order
         self.spans: List[Span] = []
         self.dropped = 0
-        #: spans started, kept or not
-        self.recorded = 0
         #: critical-path rows of the closed traces (see ``critpath``)
         self.attributed: List[Dict[str, Any]] = []
         #: fault incidents: global instant events, also mirrored onto
@@ -142,17 +145,29 @@ class SpanTracer:
                    category: str = "", node: str = "", actor: str = "",
                    **tags) -> Span:
         """Open a span; ``parent`` is a Span, a meta context, or None."""
-        if isinstance(parent, Span):
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        elif parent is not None:
-            trace_id, parent_id = parent
-        else:
+        if parent is None:
             trace_id, parent_id = self._next_trace, None
-            self._next_trace += 1
-        span = Span(trace_id, self._next_span, parent_id, name, category,
-                    node, actor, self.env.now, tags)
-        self._next_span += 1
-        self.recorded += 1
+            self._next_trace = trace_id + 1
+        elif isinstance(parent, Span):
+            trace_id, parent_id = parent.context
+        else:
+            trace_id, parent_id = parent
+        span_id = self._next_span
+        self._next_span = span_id + 1
+        span = _new_span(Span)
+        span.trace_id = trace_id
+        span.span_id = span_id
+        span.parent_id = parent_id
+        span.name = name
+        span.category = category
+        span.node = node
+        span.actor = actor
+        span.start_us = self.env.now
+        span.end_us = None
+        span.status = "open"
+        span.tags = tags
+        span.events = ()
+        span.context = (trace_id, span_id)
         live = self._live.get(trace_id)
         if live is not None:
             live.append(span)
@@ -166,7 +181,7 @@ class SpanTracer:
 
     def end_span(self, span: Span, status: str = "ok") -> None:
         """Close a span (idempotent; keeps the first end time)."""
-        if span.finished:
+        if span.end_us is not None:
             return
         span.end_us = self.env.now
         span.status = status
@@ -191,7 +206,7 @@ class SpanTracer:
         return ((trace_id - 1) % KEEP_EVERY == 0
                 or not root.name.startswith(REQUEST_ROOTS)
                 or any(ev["name"].startswith("fault:") for ev in root.events)
-                or any(s.status != "ok" for s in spans))
+                or set(map(_STATUS, spans)) != {"ok"})
 
     def _retain(self, trace_id: int, spans: List[Span]) -> None:
         if len(self.spans) + len(spans) > self.max_spans:
@@ -199,6 +214,11 @@ class SpanTracer:
             return
         self.spans.extend(spans)
         self._kept.add(trace_id)
+
+    @property
+    def recorded(self) -> int:
+        """Spans started, kept or not."""
+        return self._next_span - 1
 
     def live_traces(self) -> List[List[Span]]:
         """Spans of every trace that still has an open span."""

@@ -8,7 +8,9 @@ land in *named* stages.  The streaming tests hold the tracer's
 close-time attribution to a post-hoc oracle over every span started.
 """
 
+import heapq
 import json
+from typing import Dict, List, Tuple
 from unittest import mock
 
 import pytest
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from repro.experiments import run_boutique_point
 from repro.telemetry import CriticalPathReport, SpanTracer, analyze, dominant_shift
 from repro.telemetry import spans as spans_mod
-from repro.telemetry.critpath import _attribute, _subtree, stage_of
+from repro.telemetry.critpath import stage_of
+from repro.telemetry.spans import Span
 
 
 class FakeClock:
@@ -231,6 +234,67 @@ class TestBoutiqueAcceptance:
 
 
 # -- streaming attribution against a post-hoc oracle -------------------------
+#
+# ``_attribute`` and ``_subtree`` are the oracle's own attribution — a
+# child map and a depth-first walk per root, then the sweep — kept
+# apart from ``critpath`` so the oracle never checks the module against
+# itself.
+
+def _attribute(root: Span, members: List[Tuple[Span, int]],
+               out: Dict[str, float]) -> None:
+    """Attribute [root.start, root.end) to stages by an event sweep.
+
+    ``members`` is the root's subtree as (span, depth) pairs.  Spans
+    are causality chains, not nested intervals — a child routinely
+    outlives its parent — so each elementary interval between span
+    boundaries is charged to the *deepest* span covering it (ties to
+    the later-started one).  Intervals covered only by the root charge
+    the root's own stage (queueing).
+    """
+    lo, hi = root.start_us, root.end_us
+    if hi <= lo:
+        return
+    clipped: List[Tuple[float, float, int, Span]] = []
+    bounds = {lo, hi}
+    for span, depth in members:
+        cs, ce = max(span.start_us, lo), min(span.end_us, hi)
+        if ce <= cs:
+            continue
+        clipped.append((cs, ce, depth, span))
+        bounds.add(cs)
+        bounds.add(ce)
+    clipped.sort(key=lambda item: item[0])
+    edges = sorted(bounds)
+    # Active-set sweep: a max-heap of (depth, start, span_id) with lazy
+    # expiry — the top after popping expired entries is the deepest
+    # span covering the current elementary interval.
+    heap: List[Tuple[float, float, float, float, str]] = []
+    nxt = 0
+    for t0, t1 in zip(edges, edges[1:]):
+        while nxt < len(clipped) and clipped[nxt][0] <= t0:
+            cs, ce, depth, span = clipped[nxt]
+            nxt += 1
+            heapq.heappush(heap,
+                           (-depth, -cs, -span.span_id, ce, stage_of(span)))
+        while heap and heap[0][3] <= t0:
+            heapq.heappop(heap)
+        stage = heap[0][4] if heap else stage_of(root)
+        out[stage] = out.get(stage, 0.0) + (t1 - t0)
+
+
+def _subtree(root: Span,
+             children_of: Dict[int, List[Span]]) -> List[Tuple[Span, int]]:
+    """Finished spans reachable from ``root`` with their tree depth."""
+    members: List[Tuple[Span, int]] = []
+    stack: List[Tuple[Span, int]] = [(root, 0)]
+    while stack:
+        span, depth = stack.pop()
+        members.append((span, depth))
+        for child in children_of.get(span.span_id, ()):
+            if child.finished:
+                stack.append((child, depth + 1))
+    return members
+
 
 def oracle(spans, root_prefixes=("request:", "invoke:")):
     """Post-hoc attribution over every span started: the whole-run
@@ -254,7 +318,7 @@ def oracle(spans, root_prefixes=("request:", "invoke:")):
         requests.append({
             "trace_id": root.trace_id,
             "name": root.name,
-            "total_us": root.duration_us,
+            "total_us": root.end_us - root.start_us,
             "stages": stages,
         })
     return CriticalPathReport(requests)
@@ -315,6 +379,18 @@ class TestStreamingAttribution:
     # the root ends first; its child still counts up to the root's end
     @example([("root", 0), ("child", 0, 3), ("tick", 1.0), ("end", 0, "ok"),
               ("tick", 1.0), ("end", 0, "ok")], 64)
+    # a finished grandchild of a span that never ends stays excluded
+    @example([("root", 0), ("child", 0, 0), ("child", 1, 2), ("tick", 1.0),
+              ("end", 2, "ok"), ("tick", 1.0), ("end", 0, "ok")], 64)
+    # a child that starts exactly at its sibling's end
+    @example([("root", 0), ("child", 0, 0), ("tick", 1.0), ("end", 1, "ok"),
+              ("child", 0, 1), ("tick", 1.0), ("end", 1, "ok"),
+              ("tick", 1.0), ("end", 0, "ok")], 64)
+    # late spans of closed traces: trace 1 is kept, trace 2 is not
+    @example([("root", 0), ("tick", 1.0), ("end", 0, "ok"),
+              ("child", 0, 3), ("tick", 1.0), ("end", 0, "ok"),
+              ("root", 0), ("tick", 1.0), ("end", 0, "ok"),
+              ("child", 2, 2), ("tick", 1.0), ("end", 0, "ok")], 64)
     def test_streamed_report_equals_post_hoc_oracle(self, ops, keep_every):
         tracer, started = _replay(ops, keep_every)
         assert_same_report(analyze(tracer), oracle(started))

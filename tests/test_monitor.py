@@ -263,6 +263,23 @@ class TestMonitorMechanics:
         assert len(mon.series["rps"]) == 5
         assert mon.dropped_points > 0
 
+    def test_a_site_past_a_boundary_sees_its_own_increment_after_it(self):
+        # Each site looks its family up (firing the observer) before it
+        # increments its child, so the boundary a site crosses is
+        # evaluated on the count from before that site's increment —
+        # also when the child comes back from the family's cache.
+        env, reg, mon = make_monitor(step_us=1_000.0)
+        mon.add_rule(RateRule("rps", "req_total", 1_000.0,
+                              where={"tenant": "a"}))
+        for t_us, amount in ((500.0, 1), (1_500.0, 10), (2_500.0, 100),
+                             (3_500.0, 1_000)):
+            env.now = t_us
+            reg.counter("req_total", labels=("tenant",)).labels("a").inc(
+                amount)
+        # samples: 1 at 1 ms, 11 at 2 ms, 111 at 3 ms (not 11/111/1111)
+        assert mon.series["rps"] == [
+            (1_000.0, 0.0), (2_000.0, 10_000.0), (3_000.0, 100_000.0)]
+
     def test_install_publishes_on_telemetry(self):
         env = Environment()
         tel = Telemetry.install(env)

@@ -338,6 +338,53 @@ class TestCardinalityGuard:
         assert c.value("a") == 2.0
 
 
+class TestLabelKeys:
+    """A child is keyed by ``str()`` of each label value, however
+    ``labels`` finds it again."""
+
+    def test_equal_values_that_print_differently_stay_apart(self):
+        for order in ([True, 1, "1", 1.0], ["1", 1.0, 1, True]):
+            reg = MetricsRegistry()
+            family = reg.counter("hits_total", labels=("v",))
+            for rounds in (1, 2, 3):
+                for value in order:
+                    family.labels(value).inc(rounds)
+            assert {key: child.value for key, child in family.children()} \
+                == {("1",): 12.0, ("1.0",): 6.0, ("True",): 6.0}
+
+    def test_a_str_subclass_keeps_its_own_str(self):
+        class Shout(str):
+            def __str__(self):
+                return self.upper()
+
+        reg = MetricsRegistry()
+        family = reg.counter("hits_total", labels=("node", "ok"))
+        for _ in range(2):
+            family.labels("w0", False).inc()
+            family.labels(Shout("w0"), False).inc()
+        assert {key: child.value for key, child in family.children()} == {
+            ("W0", "False"): 2.0, ("w0", "False"): 2.0}
+
+    def test_a_repeated_over_cap_tuple_is_counted_every_time(self):
+        reg = MetricsRegistry(max_series_per_family=1)
+        family = reg.counter("req_total", labels=("tenant",))
+        family.labels("a").inc()
+        for _ in range(5):
+            family.labels("b").inc()
+        assert reg.get(MetricsRegistry.DROPPED_SERIES).value(
+            "req_total") == 5.0
+        assert [key for key, _ in family.children()] == [("a",)]
+        assert family.value("a") == 1.0
+
+    def test_a_wrong_label_count_raises_on_every_call(self):
+        reg = MetricsRegistry()
+        family = reg.counter("req_total", labels=("tenant", "node"))
+        family.labels("a", "w0").inc()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                family.labels("a")
+
+
 def _golden_registry() -> MetricsRegistry:
     """A small hand-built registry with stable, exporter-covering state."""
     reg = MetricsRegistry()
@@ -456,3 +503,25 @@ def test_streamed_spans_stay_within_their_memory_budget():
     rss_mb, kept, recorded = json.loads(out.stdout)
     assert rss_mb < 48, f"peak RSS {rss_mb:.1f} MB >= 48 MB"
     assert 0 < kept < recorded // 16
+
+
+def test_telemetry_off_runs_no_telemetry_code():
+    """With telemetry off every instrumentation site is one attribute
+    read: no function under ``repro/telemetry/`` is ever called."""
+    import repro.telemetry
+
+    package = os.path.dirname(repro.telemetry.__file__)
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        point = run_boutique_point("palladium-dne", "Home Query", clients=4,
+                                   duration_us=5_000.0, with_telemetry=False)
+    finally:
+        sys.setprofile(None)
+    assert point["rps"] > 0
+    assert called == set()
