@@ -1,8 +1,8 @@
 """Benchmark configuration: each bench runs its workload once.
 
-The experiment gates live in ``tools/gate.py``; what remains here is
-the kernel microbench and the ablation and elasticity benches, which
-isolate single constants and mechanisms.
+The experiment gates live in ``tools/gate.py`` and the ablation
+checks in ``tests/test_ablations.py``; what remains here is the kernel
+microbench.
 """
 
 import pytest

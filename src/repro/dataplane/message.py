@@ -170,11 +170,6 @@ class Message:
             setattr(msg, key, value)
         return msg
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "retired" if self._retired else f"owner={self._owner!r}"
-        return (f"<Message {self.kind} rid={self.rid} {self.src!r}->"
-                f"{self.dst!r} via={self.via!r} {state}>")
-
 
 class DescriptorChain:
     """An ordered scatter-gather chain of descriptors under one message.
@@ -225,7 +220,3 @@ class DescriptorChain:
             buffer = descriptor.buffer
             if buffer.pool is not None:
                 buffer.pool.put(buffer, agent)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<DescriptorChain {len(self._descriptors)} descriptors "
-                f"{self.total_length}B {self.message!r}>")

@@ -172,11 +172,6 @@ class ComchP(DescriptorChannel):
         self.dne_cpu_us = cost.comch_p_cpu_us
         self.fn_cpu_us = cost.comch_p_cpu_us
 
-    @property
-    def dedicated_cores(self) -> int:
-        """DPU cores consumed by the attached producer rings."""
-        return min(len(self.endpoints), self.cost.comch_p_core_budget)
-
     def _delivery_delay(self) -> float:
         excess = len(self.endpoints) - self.cost.comch_p_core_budget
         if excess <= 0:

@@ -36,7 +36,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..config import CostModel
 from ..hw import Node, PinnedCore
-from ..memory import Buffer, BufferDescriptor, MemoryPool, PoolExhausted, RemoteMap
+from ..memory import BufferDescriptor, MemoryPool, PoolExhausted, RemoteMap
 from ..rdma import (
     Completion,
     ConnectionManager,
@@ -162,9 +162,6 @@ class NetworkEngine:
         self._qos_credit_sources: frozenset = frozenset()
 
     # -- subclass hooks -----------------------------------------------------
-    def _allocate_core(self) -> PinnedCore:
-        raise NotImplementedError
-
     def _ingest_cost_us(self) -> float:
         """Host-core-equivalent cost to ingest one TX descriptor."""
         return self.channel.ingest_cost_us()
@@ -215,10 +212,6 @@ class NetworkEngine:
         self._tenants[tenant] = _TenantState(pool, remote_map, weight, recv_buffers)
         if isinstance(self.scheduler, DwrrScheduler):
             self.scheduler.set_weight(tenant, weight)
-
-    def add_route(self, fn_id: str, node: str) -> None:
-        """Install an inter-node route (driven by the coordinator)."""
-        self.routes.set_route(fn_id, node)
 
     # -- QoS / overload protection (repro.qos) --------------------------------
     def qos_backlog(self) -> int:

@@ -2,7 +2,8 @@
 
 * The **intra-node routing table** lives in the unified memory pool on
   the host and is read-only for functions: it answers "is this
-  destination function local, and which socket do I redirect to?".
+  destination function local?" (the sockmap then redirects by function
+  id).
 * The **inter-node routing table** lives on the DPU and maps remote
   function ids to their hosting node, letting the DNE pick the right
   RC connection.
@@ -14,7 +15,7 @@ routes are replaced, not accumulated.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Set
 
 __all__ = ["IntraNodeRoutes", "InterNodeRoutes", "RouteError"]
 
@@ -24,33 +25,24 @@ class RouteError(LookupError):
 
 
 class IntraNodeRoutes:
-    """Host-side: function id -> present-on-this-node marker."""
+    """Host-side: the function ids present on this node."""
 
     def __init__(self, node: str):
         self.node = node
-        self._local: Dict[str, str] = {}  # fn id -> socket key
+        self._local: Set[str] = set()
         self.version = 0
 
-    def add_function(self, fn_id: str, socket_key: Optional[str] = None) -> None:
-        self._local[fn_id] = socket_key or fn_id
+    def add_function(self, fn_id: str) -> None:
+        self._local.add(fn_id)
         self.version += 1
 
     def remove_function(self, fn_id: str) -> None:
-        if self._local.pop(fn_id, None) is not None:
+        if fn_id in self._local:
+            self._local.remove(fn_id)
             self.version += 1
 
     def is_local(self, fn_id: str) -> bool:
         return fn_id in self._local
-
-    def socket_for(self, fn_id: str) -> str:
-        try:
-            return self._local[fn_id]
-        except KeyError:
-            raise RouteError(f"{fn_id!r} is not local to {self.node}") from None
-
-    @property
-    def functions(self) -> List[str]:
-        return list(self._local)
 
 
 class InterNodeRoutes:
@@ -74,9 +66,6 @@ class InterNodeRoutes:
             return self._routes[fn_id]
         except KeyError:
             raise RouteError(f"no inter-node route for {fn_id!r} on {self.node}") from None
-
-    def has_route(self, fn_id: str) -> bool:
-        return fn_id in self._routes
 
     @property
     def routes(self) -> Dict[str, str]:

@@ -5,14 +5,15 @@ Deficit Weighted Round Robin (DWRR) scheduler (Shreedhar & Varghese)
 with per-tenant weights; the evaluation's baseline is plain FCFS, which
 lets bursty tenants starve steady ones.
 
-Both implement the same interface: ``enqueue(tenant, item, nbytes)``
-and ``dequeue() -> (tenant, item) | None``.  The engine's
-run-to-completion loop calls ``dequeue`` once per TX opportunity.
+Both implement the same interface: ``enqueue(tenant, item, nbytes)``,
+``dequeue() -> (tenant, item) | None``, ``pending()`` and
+``backlog(tenant)``.  The engine's run-to-completion loop calls
+``dequeue`` once per TX opportunity.
 
 Queues are unbounded by default.  The QoS subsystem can install
 :class:`~repro.qos.QueueBounds` via ``configure_bounds`` to give every
-tenant queue a capacity and a shed policy (tail-drop, head-drop-
-stalest, or CoDel); shed items are reported through the ``on_drop``
+tenant queue a capacity and a shed policy (tail-drop or CoDel); shed
+items are reported through the ``on_drop``
 callback so the engine can retire headers, recycle buffers, and repay
 credits — a bounded queue never silently loses an owned message.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, Dict, Optional, Tuple
 
-from ..qos.bounded import BoundedQueueMixin, DROP_CODEL, DROP_HEAD, DROP_TAIL
+from ..qos.bounded import BoundedQueueMixin, DROP_CODEL, DROP_TAIL
 
 __all__ = ["FcfsScheduler", "DwrrScheduler", "TenantScheduler"]
 
@@ -41,18 +42,6 @@ class TenantScheduler(BoundedQueueMixin):
     enqueued: int = 0
     dequeued: int = 0
     peak_backlog: int = 0
-
-    def enqueue(self, tenant: str, item: object, nbytes: int = 1) -> None:
-        raise NotImplementedError
-
-    def dequeue(self) -> Optional[Tuple[str, object]]:
-        raise NotImplementedError
-
-    def pending(self) -> int:
-        raise NotImplementedError
-
-    def backlog(self, tenant: str) -> int:
-        raise NotImplementedError
 
     def weight(self, tenant: str) -> float:
         """Share weight (1.0 unless the discipline is weighted)."""
@@ -122,18 +111,9 @@ class FcfsScheduler(TenantScheduler):
         nbytes = max(1, nbytes)
         bounds = self._bounds
         if bounds is not None and self._per_tenant.get(tenant, 0) >= bounds.capacity:
-            if bounds.policy == DROP_HEAD:
-                # Evict the tenant's stalest entry, accept the new one.
-                for index, entry in enumerate(self._queue):
-                    if entry[0] == tenant:
-                        del self._queue[index]
-                        self._per_tenant[tenant] -= 1
-                        self._shed(tenant, entry[1], entry[2], DROP_HEAD)
-                        break
-            else:
-                # tail-drop (also CoDel's capacity backstop).
-                self._shed(tenant, item, nbytes, DROP_TAIL)
-                return
+            # tail-drop (also CoDel's capacity backstop).
+            self._shed(tenant, item, nbytes, DROP_TAIL)
+            return
         self._queue.append((tenant, item, nbytes, self._now()))
         self._per_tenant[tenant] = self._per_tenant.get(tenant, 0) + 1
         self._note_enqueue(tenant, nbytes)
@@ -204,15 +184,9 @@ class DwrrScheduler(TenantScheduler):
             self._queues[tenant] = queue
         bounds = self._bounds
         if bounds is not None and len(queue) >= bounds.capacity:
-            if bounds.policy == DROP_HEAD:
-                # Shed the stalest queued message, keep the fresh one.
-                old_item, old_bytes, _ts = queue.popleft()
-                self._pending -= 1
-                self._shed(tenant, old_item, old_bytes, DROP_HEAD)
-            else:
-                # tail-drop (also CoDel's capacity backstop).
-                self._shed(tenant, item, nbytes, DROP_TAIL)
-                return
+            # tail-drop (also CoDel's capacity backstop).
+            self._shed(tenant, item, nbytes, DROP_TAIL)
+            return
         if not queue:
             # Tenant becomes backlogged: joins the active round list
             # with an empty deficit (standard DWRR).

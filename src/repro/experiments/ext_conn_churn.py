@@ -94,7 +94,7 @@ def _scenario_prewarm(scenario: str) -> Optional[PrewarmPolicy]:
     if scenario == "warm-fixed":
         return FixedFloorPrewarm(WARM_FLOOR)
     if scenario == "warm-predictive":
-        return DemandPredictivePrewarm(floor=1)
+        return DemandPredictivePrewarm()
     if scenario in ("cold", "shared"):
         return None
     raise ValueError(f"unknown scenario {scenario!r}")

@@ -134,7 +134,7 @@ def run_trace_smoke(
     return {
         "spans": len(tracer.spans),
         "recorded": tracer.recorded,
-        "traces": len(tracer.trace_ids()),
+        "traces": len({s.trace_id for s in tracer.spans}),
         "events": len(trace["traceEvents"]),
         "schema_errors": errors,
         "integrity_violations": violations,

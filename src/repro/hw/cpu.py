@@ -152,11 +152,6 @@ class CorePool:
         self.resource = Resource(env, capacity=cores, name=name)
         self.pinned: List[PinnedCore] = []
 
-    @property
-    def free_cores(self) -> int:
-        """Cores not currently claimed by pinned loops or scheduled work."""
-        return self.total_cores - self.resource.count
-
     def allocate_pinned(self, name: str = "") -> PinnedCore:
         """Create and pin a dedicated core for a busy-poll loop."""
         core = PinnedCore(self.env, self, name=name)

@@ -49,7 +49,3 @@ class SocDmaEngine:
             self.bytes_moved += nbytes
         finally:
             self._engine.release(req)
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean engine occupancy since ``since``."""
-        return self._engine.utilization(since)

@@ -122,9 +122,6 @@ class Link:
         self.frames += 1
         self.bytes_sent += nbytes
 
-    def utilization(self, since: float = 0.0) -> float:
-        return self._tx.utilization(since)
-
 
 class Node:
     """A server node: host cores, optional DPU cores + SoC DMA."""
@@ -143,9 +140,6 @@ class Node:
                 name=f"{spec.name}-dpu",
             )
             self.soc_dma = SocDmaEngine(env, cost, name=f"{spec.name}-soc-dma")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Node {self.name} dpu={self.spec.has_dpu}>"
 
 
 class Cluster:

@@ -125,7 +125,3 @@ class IngressLoadBalancer:
         for conn_id in stale:
             del self._owner[conn_id]
         return len(stale)
-
-    # -- aggregate metrics ----------------------------------------------------
-    def completed(self) -> int:
-        return sum(i.stats.completed for i in self.instances)

@@ -133,20 +133,6 @@ class FlowTable:
         self.evictions = 0
         self.quota_rejections = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, flow_id: object) -> bool:
-        return flow_id in self._entries
-
-    @property
-    def occupied(self) -> int:
-        """Flow slots in use (≤ capacity)."""
-        return self._occupied
-
-    def tenant_occupancy(self, tenant: str) -> int:
-        return self._per_tenant.get(tenant, 0)
-
     def lookup(self, flow_id: object, count: int = 1) -> bool:
         """True = hot hit (entry refreshed); False = cold punt.
 

@@ -84,21 +84,6 @@ class Buffer:
         self.check_owner(agent)
         return self.payload
 
-    def descriptor(self, **fields: Any) -> "BufferDescriptor":
-        """Build a descriptor naming this buffer.
-
-        ``fields`` populate the typed :class:`~repro.dataplane.Message`
-        header (``dst=...``, ``tenant=...``, ...).
-        """
-        return BufferDescriptor(buffer=self, length=self.length,
-                                message=Message(**fields))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Buffer {self.buffer_id} {self.state} owner={self.owner!r} "
-            f"len={self.length}/{self.capacity}>"
-        )
-
 
 class BufferDescriptor:
     """The 16-byte token exchanged over IPC / Comch / RDMA send queues.
@@ -131,7 +116,3 @@ class BufferDescriptor:
         """
         return BufferDescriptor(buffer=self.buffer, length=self.length,
                                 message=self.message.clone(**overrides))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<BufferDescriptor buf={self.buffer.buffer_id} "
-                f"len={self.length} {self.message!r}>")

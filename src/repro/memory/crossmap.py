@@ -95,17 +95,6 @@ class RemoteMap:
     def pool(self) -> MemoryPool:
         return self.descriptor.pool
 
-    @property
-    def tenant(self) -> str:
-        return self.descriptor.tenant
-
-    def require_pci(self) -> None:
-        """Assert the ARM cores were granted access."""
-        if CrossProcessorExporter.GRANT_PCI not in self.descriptor.grants:
-            raise MappingError(
-                f"pool {self.pool.name}: no PCI grant for DPU core access"
-            )
-
     def require_rdma(self) -> None:
         """Assert the RNIC was granted access."""
         if CrossProcessorExporter.GRANT_RDMA not in self.descriptor.grants:

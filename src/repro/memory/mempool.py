@@ -13,7 +13,7 @@ model consumes via :attr:`MemoryPool.mtt_entries`.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 from ..sim import Environment, Store
 
@@ -115,6 +115,3 @@ class MemoryPool:
         buffer.length = 0
         self.puts += 1
         self._free.put_nowait(buffer)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MemoryPool {self.name} free={self.free_count}/{self.buffer_count}>"

@@ -15,7 +15,7 @@ replicas come and go, exercising exactly the control-plane path of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from ..sim import Environment, TimeSeries
 
@@ -80,11 +80,8 @@ class FunctionAutoscaler:
         self._running = True
         self.env.process(self._loop(), name=f"fn-autoscale:{self.spec.name}")
 
-    def stop(self) -> None:
-        self._running = False
-
     def _loop(self):
-        while self._running:
+        while True:
             yield self.env.timeout(self.period_us)
             count = self.platform.replica_count(self.spec.name)
             backlog = self.mean_backlog()

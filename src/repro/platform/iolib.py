@@ -29,6 +29,8 @@ __all__ = ["NodeRuntime", "IoLibrary", "KernelTcpFallback", "SendError",
 
 #: TCP/IP framing on the kernel-stack fallback hop
 TCP_FRAME_OVERHEAD = 66
+#: retransmissions a reliable send makes before raising SendError
+MAX_SEND_RETRIES = 2
 
 
 class SendError(Exception):
@@ -166,8 +168,7 @@ class IoLibrary:
 
     # -- send path -------------------------------------------------------------
     def send(self, src_agent: str, dst_fn: str, payload: Any, size: int,
-             message: Message, timeout_us: Optional[float] = None,
-             max_retries: int = 2):
+             message: Message, timeout_us: Optional[float] = None):
         """Generator: allocate a buffer, fill it, and route it to ``dst_fn``.
 
         With ``timeout_us`` set, the send is *reliable*: an ack event
@@ -175,7 +176,7 @@ class IoLibrary:
         whichever transport carries it; a nack or timeout triggers a
         retransmission (a :meth:`~repro.dataplane.Message.clone` — the
         original instance was consumed by whatever path dropped it),
-        and after ``max_retries`` retransmissions the failure surfaces
+        and after ``MAX_SEND_RETRIES`` retransmissions the failure surfaces
         as :class:`SendError`.  The default (``timeout_us=None``) path
         is untouched fire-and-forget — no extra events, no overhead.
         """
@@ -189,7 +190,7 @@ class IoLibrary:
         attempts = 0
         pristine_trace = message.trace
         current = message
-        current.retries_left = max_retries
+        current.retries_left = MAX_SEND_RETRIES
         while True:
             buffer = yield from pool.get_wait(src_agent)
             ack = self.env.event()
@@ -201,7 +202,7 @@ class IoLibrary:
             if ack.triggered and ack.value:
                 return
             attempts += 1
-            if attempts > max_retries:
+            if attempts > MAX_SEND_RETRIES:
                 self.send_failures += 1
                 cause = "nacked" if ack.triggered else "timed out"
                 raise SendError(
@@ -210,7 +211,7 @@ class IoLibrary:
                 )
             self.retransmissions += 1
             current = current.clone(owner=src_agent, trace=pristine_trace,
-                                    retries_left=max_retries - attempts)
+                                    retries_left=MAX_SEND_RETRIES - attempts)
 
     def send_buffer(
         self,

@@ -7,8 +7,8 @@ byte-identical with QoS disabled):
   and an SLO-aware gate at the ingress that rejects early when the
   estimated queueing delay would blow the tenant's deadline budget.
 * **Bounded queues** (:mod:`.bounded`) — per-tenant scheduler capacity
-  with pluggable shed policy: tail-drop, head-drop-stalest, or a
-  CoDel-style sojourn-time dropper driven by sim time.
+  with a shed policy: tail-drop, or a CoDel-style sojourn-time
+  dropper driven by sim time.
 * **Credit-based backpressure** (:mod:`.credits`) — engines grant
   per-tenant credit windows to the gateway and local senders, shrinking
   them as DWRR backlog grows, so congestion propagates hop-by-hop.
@@ -21,7 +21,6 @@ from .admission import AdmissionGate, IngressQos, TokenBucket, qos_for_platform
 from .bounded import (
     CodelState,
     DROP_CODEL,
-    DROP_HEAD,
     DROP_POLICIES,
     DROP_TAIL,
     QueueBounds,
@@ -43,7 +42,6 @@ __all__ = [
     "CreditController",
     "CreditError",
     "DROP_CODEL",
-    "DROP_HEAD",
     "DROP_POLICIES",
     "DROP_TAIL",
     "IngressQos",

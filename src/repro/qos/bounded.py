@@ -1,4 +1,4 @@
-"""Bounded queues: per-tenant capacity + pluggable shed policy.
+"""Bounded queues: per-tenant capacity + a shed policy.
 
 The engine's tenant schedulers are unbounded by default, which models
 infinite patience: past saturation, backlog (and therefore queueing
@@ -11,12 +11,6 @@ the capacity is hit:
     implicitly when a socket buffer fills).  Simple, but under
     sustained overload the queue stays full of *old* messages whose
     deadlines are already blown — the classic goodput-collapse shape.
-
-``head-drop``
-    Evict the *stalest* queued message and accept the new one
-    (drop-from-front).  Bufferbloat literature shows this beats
-    tail-drop under deadline traffic because the queue keeps serving
-    fresh work.
 
 ``codel``
     A CoDel-style sojourn-time dropper (Nichols & Jacobson, CACM '12)
@@ -40,7 +34,6 @@ from typing import Optional
 
 __all__ = [
     "DROP_TAIL",
-    "DROP_HEAD",
     "DROP_CODEL",
     "DROP_POLICIES",
     "QueueBounds",
@@ -48,9 +41,8 @@ __all__ = [
 ]
 
 DROP_TAIL = "tail-drop"
-DROP_HEAD = "head-drop"
 DROP_CODEL = "codel"
-DROP_POLICIES = (DROP_TAIL, DROP_HEAD, DROP_CODEL)
+DROP_POLICIES = (DROP_TAIL, DROP_CODEL)
 
 
 @dataclass(frozen=True)

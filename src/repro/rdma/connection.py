@@ -17,7 +17,7 @@ Failure handling: a QP that errors out (peer crash, injected QP error)
 is *terminal* — it is evicted from the pool on the next touch and never
 handed to a caller again.  Re-establishment happens off the critical
 path via :meth:`schedule_reconnect`, which retries with capped
-exponential backoff under an optional per-tenant retry budget.
+exponential backoff.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ __all__ = ["ConnectionManager"]
 
 #: cold-connect timestamps kept per pool for the predictive policy
 _DEMAND_HISTORY = 64
+#: pooled connections :meth:`ConnectionManager.warm_up` targets per peer
+CONNS_PER_PEER = 4
+#: first reconnect backoff, doubled per failed attempt up to the cap
+RECONNECT_BASE_US = 1_000.0
+RECONNECT_CAP_US = 64_000.0
 
 
 class ConnectionManager:
@@ -46,11 +51,6 @@ class ConnectionManager:
         fabric: RdmaFabric,
         node: str,
         cost: CostModel,
-        conns_per_peer: int = 4,
-        tenant_active_quota: Optional[int] = None,
-        reconnect_base_us: float = 1_000.0,
-        reconnect_cap_us: float = 64_000.0,
-        tenant_retry_budget: Optional[int] = None,
         prewarm: Optional[PrewarmPolicy] = None,
     ):
         self.env = env
@@ -62,23 +62,14 @@ class ConnectionManager:
         #: shadow-pool pre-warm policy for :meth:`maintain_pools`
         #: (None: no pre-warming)
         self.prewarm = prewarm
-        self.conns_per_peer = conns_per_peer
-        #: maximum *active* QPs a single tenant may hold node-wide.
-        #: The DNE's answer to the rogue tenant of §2.1 that "could
-        #: occupy a set of QPs for a long time, starving other tenants":
-        #: past the quota, the tenant multiplexes its existing active
-        #: QPs instead of activating more.
-        self.tenant_active_quota = tenant_active_quota
+        self.conns_per_peer = CONNS_PER_PEER
         #: liveness oracle for handshake targets; the platform wires
         #: this to the remote node runtime's ``alive`` flag.  A
         #: handshake toward a dead peer still pays the full RC setup
         #: time (the timeout) but yields an errored QP.
         self.peer_alive: Callable[[str], bool] = lambda remote: True
-        self.reconnect_base_us = reconnect_base_us
-        self.reconnect_cap_us = reconnect_cap_us
-        #: per-tenant cap on reconnect attempts (None = unlimited).
-        self.tenant_retry_budget = tenant_retry_budget
-        self.reconnect_attempts: Dict[str, int] = {}
+        self.reconnect_base_us = RECONNECT_BASE_US
+        self.reconnect_cap_us = RECONNECT_CAP_US
         self._reconnecting: set = set()
         #: backoff delays actually slept per (peer, tenant) reconnect
         #: loop, in order — the cap-saturation tests read this
@@ -88,12 +79,10 @@ class ConnectionManager:
         self._demand: Dict[Tuple[str, str], List[float]] = {}
         self.connections_established = 0
         self.setup_time_spent = 0.0
-        self.quota_denials = 0
         self.connect_failures = 0
         self.evicted_qps = 0
         self.reconnects_scheduled = 0
         self.reconnects_succeeded = 0
-        self.budget_exhausted = 0
 
     def _establish(self, remote_node: str, tenant: str):
         """Generator: full RC handshake (tens of milliseconds, §3.3).
@@ -218,9 +207,6 @@ class ConnectionManager:
             best = min(active, key=lambda qp: qp.pending_wrs)
             # Activate another shadow QP when existing ones are congested.
             if best.pending_wrs > 8:
-                if not self._within_quota(tenant):
-                    self.quota_denials += 1
-                    return best  # multiplex: no more active QPs for you
                 inactive = [qp for qp in pool if not qp.is_active]
                 if inactive:
                     best = inactive[0]
@@ -255,19 +241,6 @@ class ConnectionManager:
         pool.append(qp)
         yield from self._activate(qp)
         return qp
-
-    def tenant_active_count(self, tenant: str) -> int:
-        """Active QPs this tenant holds across all peers."""
-        return sum(
-            1 for (peer, owner), pool in self._pool.items()
-            if owner == tenant
-            for qp in pool if qp.is_active
-        )
-
-    def _within_quota(self, tenant: str) -> bool:
-        if self.tenant_active_quota is None:
-            return True
-        return self.tenant_active_count(tenant) < self.tenant_active_quota
 
     def _activate(self, qp: QueuePair):
         """Generator: promote a shadow QP to active (local-only, cheap).
@@ -356,13 +329,10 @@ class ConnectionManager:
         """Start (at most one) background reconnect toward a peer.
 
         Returns the reconnect :class:`Process`, or None when one is
-        already running for this (peer, tenant) or the tenant's retry
-        budget is spent.
+        already running for this (peer, tenant).
         """
         key = (remote_node, tenant)
         if key in self._reconnecting:
-            return None
-        if self._budget_spent(tenant):
             return None
         self._reconnecting.add(key)
         self.reconnects_scheduled += 1
@@ -376,14 +346,6 @@ class ConnectionManager:
             name=f"rc-reconnect:{self.node}->{remote_node}",
         )
 
-    def _budget_spent(self, tenant: str) -> bool:
-        if self.tenant_retry_budget is None:
-            return False
-        if self.reconnect_attempts.get(tenant, 0) >= self.tenant_retry_budget:
-            self.budget_exhausted += 1
-            return True
-        return False
-
     def _reconnect(self, remote_node: str, tenant: str):
         """Generator: capped-exponential-backoff reconnect loop."""
         key = (remote_node, tenant)
@@ -393,11 +355,6 @@ class ConnectionManager:
             while True:
                 history.append(delay)
                 yield self.env.timeout(delay)
-                if self._budget_spent(tenant):
-                    return False
-                self.reconnect_attempts[tenant] = (
-                    self.reconnect_attempts.get(tenant, 0) + 1
-                )
                 if self.peer_alive(remote_node):
                     pool = yield from self.warm_up(remote_node, tenant, count=1)
                     if pool:

@@ -63,6 +63,14 @@ class FixedFloorPrewarm:
         return self.floor
 
 
+#: trailing window, headroom factor and ``[floor, ceiling]`` clamp of
+#: :class:`DemandPredictivePrewarm`
+PREDICTIVE_WINDOW_US = 250_000.0
+PREDICTIVE_HEADROOM = 1.5
+PREDICTIVE_FLOOR = 1
+PREDICTIVE_CEILING = 32
+
+
 class DemandPredictivePrewarm:
     """Size the pool from the recent cold-connect rate.
 
@@ -71,12 +79,11 @@ class DemandPredictivePrewarm:
     for the predictive pre-provisioning knee autoscalers chase.
     """
 
-    def __init__(self, window_us: float = 250_000.0, headroom: float = 1.5,
-                 floor: int = 1, ceiling: int = 32):
-        self.window_us = window_us
-        self.headroom = headroom
-        self.floor = floor
-        self.ceiling = ceiling
+    def __init__(self):
+        self.window_us = PREDICTIVE_WINDOW_US
+        self.headroom = PREDICTIVE_HEADROOM
+        self.floor = PREDICTIVE_FLOOR
+        self.ceiling = PREDICTIVE_CEILING
 
     def target(self, now_us: float, pool_size: int,
                demand_times: List[float]) -> int:

@@ -17,6 +17,9 @@ from ..memory import Buffer, MemoryPool, RemoteMap
 
 __all__ = ["MemoryRegion", "MemoryRegionTable", "RegistrationError"]
 
+#: translations the on-NIC MTT cache holds before per-op cost inflates
+MTT_CACHE_ENTRIES = 2048
+
 
 class RegistrationError(PermissionError):
     """An RNIC operation referenced unregistered memory."""
@@ -40,11 +43,11 @@ class MemoryRegion:
 class MemoryRegionTable:
     """Registered regions of one RNIC + a simple MTT cache model."""
 
-    def __init__(self, mtt_cache_entries: int = 2048):
+    def __init__(self):
         self._regions: Dict[int, MemoryRegion] = {}  # pool id -> region
         self._raw_regions: Dict[int, MemoryRegion] = {}  # key -> region
         self._next_key = 1
-        self.mtt_cache_entries = mtt_cache_entries
+        self.mtt_cache_entries = MTT_CACHE_ENTRIES
         #: running sum over regions; queried on every RNIC op, so it
         #: must not be recomputed per call
         self._total_mtt = 0
@@ -105,12 +108,3 @@ class MemoryRegionTable:
                 f"buffer {buffer.buffer_id} is not in any registered memory region"
             )
         return region
-
-    @property
-    def total_mtt_entries(self) -> int:
-        return self._total_mtt
-
-    @property
-    def mtt_thrashing(self) -> bool:
-        """True when translations exceed the on-NIC cache."""
-        return self._total_mtt > self.mtt_cache_entries

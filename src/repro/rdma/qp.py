@@ -132,10 +132,6 @@ class QueuePair:
     def is_errored(self) -> bool:
         return self.state == QPState.ERROR
 
-    @property
-    def is_rts(self) -> bool:
-        return self.verbs_state == QPState.RTS
-
     def transition(self, new_state: str, cause: str = "") -> None:
         """Take one verbs-state edge; illegal edges raise.
 
@@ -167,13 +163,6 @@ class QueuePair:
         if not self.error_cause:
             self.error_cause = cause
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<QP {self.qp_id} {self.local_node}->{self.remote_node} "
-            f"tenant={self.tenant} {self.verbs_state}/{self.state} "
-            f"pending={self.pending_wrs}>"
-        )
-
 
 class ReceiveBufferRegistry:
     """The RBR table: WR id -> posted receive buffer (§3.5.2)."""
@@ -196,9 +185,6 @@ class ReceiveBufferRegistry:
             raise KeyError(f"no RBR entry for WR {wr_id}") from None
         self.consumed += 1
         return buffer
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 class SharedReceiveQueue:
@@ -249,10 +235,6 @@ class SharedReceiveQueue:
                     labels=("node", "tenant")).labels(
                         self.node, self.tenant).inc()
         return self._queue.get()
-
-    @property
-    def depth(self) -> int:
-        return len(self._queue.items)
 
     def fail_pending(self, exc: BaseException) -> int:
         """Abort senders blocked on this RQ (receiver died mid-RNR)."""

@@ -143,12 +143,6 @@ class Rnic:
         return self.srq(tenant).post(buffer, owner)
 
     # -- cost helpers ----------------------------------------------------------
-    def _op_penalty(self) -> float:
-        penalized = (
-            self.active_qps > self.cost.max_active_qps or self.mrt.mtt_thrashing
-        )
-        return self.cost.qp_thrash_penalty if penalized else 1.0
-
     def _pipe_time(self, payload_bytes: int) -> float:
         # Flattened hot path (one call per RNIC pipeline stage): the
         # thrash test and byte cost are computed inline.

@@ -95,10 +95,6 @@ class WorkRequest:
             return RDMA_HEADER_BYTES  # request; response carries data
         return RDMA_HEADER_BYTES + self.length
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<WorkRequest {self.opcode} wr_id={self.wr_id} "
-                f"len={self.length}>")
-
 
 class Completion:
     """A completion queue entry (CQE)."""
@@ -145,7 +141,3 @@ class Completion:
         self.flushed = flushed
         #: short cause string for failed completions (debug/telemetry)
         self.error = error
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Completion {self.opcode} wr_id={self.wr_id} ok={self.ok} "
-                f"recv={self.is_recv} flushed={self.flushed}>")

@@ -152,10 +152,6 @@ class Event:
         env._push((env._now, PRIORITY_NORMAL, env._eid, self))
         return self
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
-        return f"<{type(self).__name__} {state} at t={self.env.now}>"
-
 
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""

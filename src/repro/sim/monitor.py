@@ -58,7 +58,7 @@ class LatencyStats:
         self.name = name
         self.samples: List[float] = []
         #: sorted view, computed lazily and invalidated on record() so
-        #: repeated p50/p99/max summaries don't re-sort large runs
+        #: repeated percentile summaries don't re-sort large runs
         self._sorted: Optional[List[float]] = None
 
     def record(self, latency: float) -> None:
@@ -67,10 +67,6 @@ class LatencyStats:
             raise ValueError(f"negative latency: {latency}")
         self.samples.append(latency)
         self._sorted = None
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
 
     def mean(self) -> float:
         """Mean latency, 0 if no samples."""
@@ -87,15 +83,6 @@ class LatencyStats:
         ordered = self._sorted
         rank = max(0, min(len(ordered) - 1, math.ceil(p / 100.0 * len(ordered)) - 1))
         return ordered[rank]
-
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    def max(self) -> float:
-        return max(self.samples) if self.samples else 0.0
 
 
 class RateMeter:

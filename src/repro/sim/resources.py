@@ -74,11 +74,6 @@ class Resource:
         self._busy_area = 0.0
         self._last_change = env.now
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
     def _account(self) -> None:
         now = self.env._now
         self._busy_area += len(self.users) * (now - self._last_change)
@@ -88,13 +83,6 @@ class Resource:
         """Aggregate slot-busy time (slot-microseconds) so far."""
         self._account()
         return self._busy_area
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of capacity in use since time ``since``."""
-        elapsed = self.env.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_time() / (elapsed * self.capacity)
 
     def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
@@ -179,9 +167,6 @@ class Store:
         self._getters: Deque[Event] = deque()
         self.put_count = 0
         self.get_count = 0
-
-    def __len__(self) -> int:
-        return len(self.items)
 
     def put_nowait(self, item: Any) -> None:
         """Insert ``item``, handing it to the oldest waiting getter."""

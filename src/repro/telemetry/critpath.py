@@ -112,9 +112,6 @@ class CriticalPathReport:
                                key=lambda r: (r["total_us"], r["trace_id"]))
         self.label = label
 
-    def __len__(self) -> int:
-        return len(self.requests)
-
     # -- per-quantile --------------------------------------------------------
     def quantile_request(self, q: float) -> Optional[Dict[str, Any]]:
         """The request whose total latency sits at quantile ``q``."""

@@ -44,6 +44,8 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: per-bucket exemplar reservoir size (deterministic rotation, no RNG)
 EXEMPLAR_RESERVOIR = 2
+#: label-value tuples a family holds before further ones overflow
+MAX_SERIES_PER_FAMILY = 1024
 
 
 def _format_value(value: float) -> str:
@@ -95,12 +97,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def snapshot(self):
         return self.value
@@ -168,10 +164,6 @@ class Histogram:
                 # Deterministic reservoir: rotate by observation count,
                 # so two identical runs keep identical exemplars.
                 slot[seen % EXEMPLAR_RESERVOIR] = (value, trace_id)
-
-    def bucket_index(self, value: float) -> int:
-        """Index of the bucket ``observe(value)`` lands in."""
-        return bisect_left(self.bounds, value)
 
     def quantile(self, q: float) -> float:
         """Approximate quantile ``q`` in [0, 1] from bucket bounds.
@@ -293,31 +285,18 @@ class MetricFamily:
             self._overflow = self._factory(**self._factory_kwargs)
         return self._overflow
 
-    # -- unlabeled convenience: family acts as its own single child ----------
-    def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)
-
-    def observe(self, value: float) -> None:
-        self.labels().observe(value)
-
     def children(self) -> Iterator[Tuple[Tuple[str, ...], object]]:
         """Children in deterministic (sorted label values) order."""
         return iter(sorted(self._children.items()))
-
-    def value(self, *values) -> float:
-        """Scalar value of one child (counters/gauges)."""
-        return self.labels(*values).value
 
 
 class MetricsRegistry:
     """The process-wide (per-``Telemetry``) collection of families.
 
-    ``max_series_per_family`` is the label-cardinality guard (see
-    :class:`MetricFamily`); the default is generous — real label
-    vocabularies here are tenants/nodes/engines, tens at most.
+    ``max_series_per_family`` (:data:`MAX_SERIES_PER_FAMILY`) is the
+    label-cardinality guard (see :class:`MetricFamily`); it is generous:
+    real label vocabularies here are tenants/nodes/engines, tens at
+    most.
 
     ``observer`` is the piggyback hook for the SLO monitor
     (:mod:`repro.telemetry.monitor`): when set, it is invoked (with no
@@ -329,9 +308,9 @@ class MetricsRegistry:
     #: the self-metric family counting series lost to the cap
     DROPPED_SERIES = "telemetry_dropped_series_total"
 
-    def __init__(self, max_series_per_family: int = 1024):
+    def __init__(self):
         self._families: Dict[str, MetricFamily] = {}
-        self.max_series_per_family = max_series_per_family
+        self.max_series_per_family = MAX_SERIES_PER_FAMILY
         self.observer = None
         self._counting_drops = False
 

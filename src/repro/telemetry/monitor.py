@@ -50,6 +50,11 @@ __all__ = [
     "DEFAULT_BURN_WINDOWS",
 ]
 
+#: recorded points kept per rule series; later ones count as dropped
+MAX_POINTS = 100_000
+#: step boundaries one observation catches up on after a quiet stretch
+CATCHUP_STEPS = 64
+
 
 class Selector:
     """One watched series set: a family name + label matchers.
@@ -411,14 +416,13 @@ class Monitor:
     """
 
     def __init__(self, env, metrics, tracer=None, step_us: float = 1_000.0,
-                 max_points: int = 100_000, catchup_steps: int = 64,
                  arm_at_us: float = 0.0):
         self.env = env
         self.metrics = metrics
         self.tracer = tracer
         self.step_us = step_us
-        self.max_points = max_points
-        self.catchup_steps = catchup_steps
+        self.max_points = MAX_POINTS
+        self.catchup_steps = CATCHUP_STEPS
         #: alerts are suppressed before this simulated instant (rules
         #: still record).  Arm after the workload settles — a burn
         #: window reaching back into an idle warmup reads "requests

@@ -32,6 +32,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import DefaultDict, Dict, Iterable, List, Optional, Tuple
 
+from ..config import NodeSpec
+
 __all__ = ["CYCLE_CATEGORIES", "CycleLedger"]
 
 CYCLE_CATEGORIES: Tuple[str, ...] = (
@@ -44,12 +46,15 @@ CYCLE_CATEGORIES: Tuple[str, ...] = (
 #: doing business, copies/protocol as waste)
 OVERHEAD_CATEGORIES: Tuple[str, ...] = ("copy", "protocol", "scheduling")
 
+#: the host clock ``cycles()`` converts at: the testbed's x86 cores
+HOST_GHZ = NodeSpec.cpu_ghz
+
 
 class CycleLedger:
     """Accumulates core-microseconds per category (and per site)."""
 
-    def __init__(self, host_ghz: float = 3.7):
-        self.host_ghz = host_ghz
+    def __init__(self):
+        self.host_ghz = HOST_GHZ
         self._by_category: Dict[str, float] = {c: 0.0 for c in CYCLE_CATEGORIES}
         #: (category, where) -> us, for drill-down
         self._by_site: DefaultDict[Tuple[str, str], float] = \

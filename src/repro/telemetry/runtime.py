@@ -41,17 +41,17 @@ class Telemetry:
     with :meth:`attach_monitor` and hangs off ``self.monitor``.
     """
 
-    def __init__(self, env, host_ghz: float = 3.7, max_spans: int = 250_000):
+    def __init__(self, env):
         self.env = env
         self.metrics = MetricsRegistry()
-        self.tracer = SpanTracer(env, max_spans=max_spans)
-        self.cycles = CycleLedger(host_ghz=host_ghz)
+        self.tracer = SpanTracer(env)
+        self.cycles = CycleLedger()
         self.monitor = None
 
     @classmethod
-    def install(cls, env, **kwargs) -> "Telemetry":
+    def install(cls, env) -> "Telemetry":
         """Create a Telemetry and enable it on ``env``."""
-        tel = cls(env, **kwargs)
+        tel = cls(env)
         env.telemetry = tel
         return tel
 
@@ -61,8 +61,3 @@ class Telemetry:
             from .monitor import Monitor
             Monitor.install(self, **kwargs)
         return self.monitor
-
-    def uninstall(self) -> None:
-        """Disable this telemetry (data stays readable)."""
-        if getattr(self.env, "telemetry", None) is self:
-            self.env.telemetry = None

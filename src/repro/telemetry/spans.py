@@ -43,6 +43,8 @@ Context = Tuple[int, int]
 #: non-request traces are always kept.  A fixed stride, not an RNG draw,
 #: so retention is deterministic and cannot perturb the simulation.
 KEEP_EVERY = 64
+#: spans of kept traces a tracer retains before counting more as dropped
+MAX_SPANS = 250_000
 
 _STATUS = attrgetter("status")
 _new_span = object.__new__
@@ -92,11 +94,6 @@ class Span:
         else:
             self.events = [record]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Span({self.name!r} trace={self.trace_id} id={self.span_id} "
-                f"parent={self.parent_id} [{self.start_us}..{self.end_us}] "
-                f"{self.status})")
-
 
 class SpanTracer:
     """Creates, finishes, retains, and exports spans.
@@ -110,14 +107,14 @@ class SpanTracer:
     counts towards the root's critical path) is stored only if that
     trace was kept.
 
-    ``max_spans`` bounds the retained spans only: a kept trace that
-    does not fit whole is counted in ``dropped`` instead of stored, so
-    every stored trace is complete.
+    ``max_spans`` (:data:`MAX_SPANS`) bounds the retained spans only: a
+    kept trace that does not fit whole is counted in ``dropped`` instead
+    of stored, so every stored trace is complete.
     """
 
-    def __init__(self, env, max_spans: int = 250_000):
+    def __init__(self, env):
         self.env = env
-        self.max_spans = max_spans
+        self.max_spans = MAX_SPANS
         #: spans of the kept traces, trace by trace in close order
         self.spans: List[Span] = []
         self.dropped = 0
@@ -249,26 +246,6 @@ class SpanTracer:
         self.marks.append(record)
 
     # -- queries over the kept traces (used by tests and experiments) --------
-    def trace_ids(self) -> List[int]:
-        return sorted({s.trace_id for s in self.spans})
-
-    def trace(self, trace_id: int) -> List[Span]:
-        """All spans of one trace, in start order."""
-        return [s for s in self.spans if s.trace_id == trace_id]
-
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
-    def children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans
-                if s.trace_id == span.trace_id
-                and s.parent_id == span.span_id]
-
-    def find(self, name_prefix: str = "",
-             trace_id: Optional[int] = None) -> List[Span]:
-        return [s for s in self.spans
-                if s.name.startswith(name_prefix)
-                and (trace_id is None or s.trace_id == trace_id)]
 
     def check_integrity(self, trace_id: Optional[int] = None) -> List[str]:
         """Structural violations in stored spans (empty = well-formed).
@@ -277,7 +254,8 @@ class SpanTracer:
         one root per trace, children start no earlier than their
         parent, and finished children of finished parents end no later.
         """
-        spans = (self.spans if trace_id is None else self.trace(trace_id))
+        spans = (self.spans if trace_id is None else
+                 [s for s in self.spans if s.trace_id == trace_id])
         errors: List[str] = []
         by_id = {s.span_id: s for s in spans}
         roots_per_trace: Dict[int, int] = {}

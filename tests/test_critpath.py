@@ -77,7 +77,7 @@ class TestAttribution:
         clock, tracer = clock_tracer
         span_at(tracer, clock, "request:/x", 0.0, 50.0)
         report = analyze(tracer)
-        assert len(report) == 1
+        assert len(report.requests) == 1
         assert report.requests[0]["stages"] == {"queueing": 50.0}
 
     def test_gaps_around_a_child_are_queueing(self, clock_tracer):
@@ -138,7 +138,7 @@ class TestAttribution:
         span_at(tracer, clock, "gc.sweep", 0.0, 5.0)  # not a request
         span_at(tracer, clock, "request:/done", 0.0, 5.0)
         report = analyze(tracer)
-        assert len(report) == 1
+        assert len(report.requests) == 1
         assert report.requests[0]["name"] == "request:/done"
 
     def test_stage_totals_cover_every_request_exactly(self, clock_tracer):
@@ -215,7 +215,7 @@ class TestBoutiqueAcceptance:
         return analyze(metrics["telemetry"].tracer)
 
     def test_named_stages_cover_90pct_of_p99(self, report):
-        assert len(report) > 50
+        assert len(report.requests) > 50
         assert report.named_coverage(0.99) >= 0.90
 
     def test_attribution_is_exhaustive(self, report):
@@ -226,7 +226,7 @@ class TestBoutiqueAcceptance:
     def test_to_dict_is_json_safe_and_complete(self, report):
         import json
         d = json.loads(json.dumps(report.to_dict()))
-        assert d["requests"] == len(report)
+        assert d["requests"] == len(report.requests)
         assert d["p99_total_us"] >= d["p50_total_us"] > 0
         assert d["table"]
         stages = {row["stage"] for row in d["table"]}
@@ -400,14 +400,15 @@ class TestStreamingAttribution:
         # a trace is stored whole (late spans included) or not at all
         stored = {s.trace_id for s in tracer.spans}
         for trace_id in stored:
-            assert tracer.trace(trace_id) == [
-                s for s in started if s.trace_id == trace_id]
+            assert [s for s in tracer.spans if s.trace_id == trace_id] \
+                == [s for s in started if s.trace_id == trace_id]
         live = {spans[0].trace_id for spans in tracer.live_traces()}
         assert not stored & live
 
     def test_cap_bounds_only_retained_spans(self):
         clock = FakeClock()
-        tracer = SpanTracer(clock, max_spans=9)
+        tracer = SpanTracer(clock)
+        tracer.max_spans = 9
         for i in range(20):
             clock.now = i * 10.0
             root = tracer.start_span("request:/x")
@@ -417,7 +418,7 @@ class TestStreamingAttribution:
             # errored: every trace asks to be kept, only four fit whole
             tracer.end_span(root, status="error")
         report = analyze(tracer)
-        assert len(report) == 20
+        assert len(report.requests) == 20
         assert len(tracer.spans) == 8 and tracer.dropped == 32
         assert tracer.recorded == 40
         assert tracer.check_integrity() == []
@@ -461,4 +462,4 @@ class TestStreamingOnARealRun:
                                 for s in spans]
         assert len(every) == tracer.recorded
         assert_same_report(analyze(tracer), oracle(every))
-        assert len(analyze(tracer)) > 50
+        assert len(analyze(tracer).requests) > 50

@@ -115,7 +115,6 @@ def test_comch_p_within_budget_is_fast():
     for i in range(cost.comch_p_core_budget):
         channel.attach(f"fn{i}")
     assert channel._delivery_delay() == channel.oneway_us
-    assert channel.dedicated_cores == cost.comch_p_core_budget
 
 
 def test_comch_p_oversubscription_penalty():
@@ -147,11 +146,8 @@ def test_intra_routes_add_remove():
     routes = IntraNodeRoutes("worker0")
     routes.add_function("fn1")
     assert routes.is_local("fn1")
-    assert routes.socket_for("fn1") == "fn1"
     routes.remove_function("fn1")
     assert not routes.is_local("fn1")
-    with pytest.raises(RouteError):
-        routes.socket_for("fn1")
 
 
 def test_intra_routes_version_bumps():
@@ -167,7 +163,6 @@ def test_inter_routes_lookup():
     routes = InterNodeRoutes("worker0")
     routes.set_route("fn1", "worker1")
     assert routes.node_for("fn1") == "worker1"
-    assert routes.has_route("fn1")
     routes.remove_route("fn1")
     with pytest.raises(RouteError):
         routes.node_for("fn1")

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.config import CostModel
+from repro.dataplane import Message
 from repro.dne import ComchE, DpuNetworkEngine, DwrrScheduler, NetworkEngine
 from repro.hw import build_cluster
 from repro.memory import (
+    BufferDescriptor,
     CrossProcessorExporter,
     MappingError,
     MemoryPool,
@@ -14,6 +16,12 @@ from repro.memory import (
 )
 from repro.rdma import RdmaFabric
 from repro.sim import Environment
+
+
+def _request(buf):
+    """A client->server descriptor naming ``buf``."""
+    return BufferDescriptor(buf, buf.length,
+                            Message(dst="server", src="client", tenant="t"))
 
 
 def build_pair(cost=None, mode=NetworkEngine.MODE_OFF_PATH):
@@ -36,8 +44,8 @@ def build_pair(cost=None, mode=NetworkEngine.MODE_OFF_PATH):
         engine.setup_tenant("t", pool, remote, recv_buffers=32)
         engines[name], pools[name], channels[name] = engine, pool, channel
     for engine in engines.values():
-        engine.add_route("client", "worker0")
-        engine.add_route("server", "worker1")
+        engine.routes.set_route("client", "worker0")
+        engine.routes.set_route("server", "worker1")
     return env, cost, cluster, engines, pools, channels
 
 
@@ -68,7 +76,7 @@ def run_echo(env, cost, cluster, engines, pools, channels, n_messages=5,
             buf = pools["worker0"].get("fn:client")
             buf.write("fn:client", f"m{i}", size)
             buf.transfer("fn:client", engines["worker0"].agent)
-            desc = buf.descriptor(dst="server", src="client", tenant="t")
+            desc = _request(buf)
             yield from channels["worker0"].function_send(host0, "client", desc)
             resp = yield ep_client.recv()
             assert resp.buffer.read("fn:client") == f"m{i}"
@@ -104,7 +112,7 @@ def test_engine_replenishes_receive_buffers():
     env, cost, cluster, engines, pools, channels = build_pair()
     run_echo(env, cost, cluster, engines, pools, channels, n_messages=8)
     srq = engines["worker1"].rnic.srq("t")
-    assert srq.depth == 32  # consumed buffers were re-posted
+    assert len(srq._queue.items) == 32  # consumed buffers were re-posted
 
 
 def test_on_path_mode_is_slower_and_uses_soc_dma():
@@ -189,7 +197,7 @@ def test_function_cannot_touch_buffer_after_send():
         buf = pools["worker0"].get("fn:client")
         buf.write("fn:client", "data", 4)
         buf.transfer("fn:client", engines["worker0"].agent)
-        desc = buf.descriptor(dst="server", src="client", tenant="t")
+        desc = _request(buf)
         yield from channels["worker0"].function_send(host0, "client", desc)
         try:
             buf.write("fn:client", "tamper", 6)
@@ -214,7 +222,7 @@ def test_engine_drops_message_for_unknown_function():
         buf = pools["worker0"].get("fn:client")
         buf.write("fn:client", "data", 4)
         buf.transfer("fn:client", engines["worker0"].agent)
-        desc = buf.descriptor(dst="server", src="client", tenant="t")
+        desc = _request(buf)
         yield from channels["worker0"].function_send(host0, "client", desc)
 
     env.process(client())

@@ -44,9 +44,9 @@ def test_pinned_core_occupies_core():
     env = Environment()
     pool = CorePool(env, 4)
     core = pool.allocate_pinned("loop")
-    assert pool.free_cores == 3
+    assert len(pool.resource.users) == 1
     core.unpin()
-    assert pool.free_cores == 4
+    assert pool.resource.users == []
 
 
 def test_pinned_core_work_scaled_and_serialized():

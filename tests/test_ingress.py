@@ -160,20 +160,20 @@ def test_kernel_adapter_uses_shared_cores():
     env = Environment()
     plat = ServerlessPlatform(env)
     plat.add_tenant(Tenant(ECHO_TENANT))
-    before = plat.cluster.node("worker0").cpu.free_cores
+    before = len(plat.cluster.node("worker0").cpu.resource.users)
     TcpWorkerAdapter(env, plat.runtimes["worker0"], plat.cost,
                      stack_kind=TcpWorkerAdapter.KERNEL)
-    assert plat.cluster.node("worker0").cpu.free_cores == before
+    assert len(plat.cluster.node("worker0").cpu.resource.users) == before
 
 
 def test_fstack_adapter_pins_a_core():
     env = Environment()
     plat = ServerlessPlatform(env)
     plat.add_tenant(Tenant(ECHO_TENANT))
-    before = plat.cluster.node("worker0").cpu.free_cores
+    before = len(plat.cluster.node("worker0").cpu.resource.users)
     TcpWorkerAdapter(env, plat.runtimes["worker0"], plat.cost,
                      stack_kind=TcpWorkerAdapter.FSTACK)
-    assert plat.cluster.node("worker0").cpu.free_cores == before - 1
+    assert len(plat.cluster.node("worker0").cpu.resource.users) == before + 1
 
 
 # ---------------------------------------------------------------------------

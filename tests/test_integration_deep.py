@@ -68,7 +68,7 @@ def test_soc_dma_utilization():
 
     env.process(proc())
     env.run(until=6.4)
-    assert dma.utilization() == pytest.approx(0.5, abs=0.05)
+    assert dma._engine.busy_time() / env.now == pytest.approx(0.5, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,8 @@ def test_congested_qp_triggers_shadow_activation():
     fabric = RdmaFabric(env, cluster, cost)
     fabric.install_rnic("worker0")
     fabric.install_rnic("worker1")
-    cm = ConnectionManager(env, fabric, "worker0", cost, conns_per_peer=3)
+    cm = ConnectionManager(env, fabric, "worker0", cost)
+    cm.conns_per_peer = 3
     picked = []
 
     def run():

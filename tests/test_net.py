@@ -180,7 +180,7 @@ def test_sockmap_shared_inbox():
     inbox = Store(env)
     sockmap.register("fn-b", inbox)
     sockmap.redirect("fn-b", _descriptor())
-    assert len(inbox) == 1
+    assert len(inbox.items) == 1
 
 
 def test_sockmap_register_idempotent():

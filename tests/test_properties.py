@@ -61,7 +61,7 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     def worker(duration):
         req = res.request()
         yield req
-        peak[0] = max(peak[0], res.count)
+        peak[0] = max(peak[0], len(res.users))
         yield env.timeout(duration)
         res.release(req)
 
@@ -69,7 +69,7 @@ def test_resource_never_exceeds_capacity(capacity, holds):
         env.process(worker(duration))
     env.run()
     assert peak[0] <= capacity
-    assert res.count == 0
+    assert res.users == []
 
 
 # ---------------------------------------------------------------------------

@@ -51,17 +51,17 @@ def test_latency_stats_basic():
     stats = LatencyStats()
     for value in (1.0, 2.0, 3.0, 4.0):
         stats.record(value)
-    assert stats.count == 4
+    assert len(stats.samples) == 4
     assert stats.mean() == 2.5
-    assert stats.max() == 4.0
+    assert stats.percentile(100) == 4.0
 
 
 def test_latency_stats_percentiles():
     stats = LatencyStats()
     for value in range(1, 101):
         stats.record(float(value))
-    assert stats.p50() == 50.0
-    assert stats.p99() == 99.0
+    assert stats.percentile(50) == 50.0
+    assert stats.percentile(99) == 99.0
     assert stats.percentile(100) == 100.0
     assert stats.percentile(0) == 1.0
 
@@ -74,8 +74,7 @@ def test_latency_stats_rejects_negative():
 def test_latency_stats_empty():
     stats = LatencyStats()
     assert stats.mean() == 0.0
-    assert stats.p99() == 0.0
-    assert stats.max() == 0.0
+    assert stats.percentile(99) == 0.0
 
 
 def test_latency_percentile_range_check():

@@ -72,17 +72,17 @@ def test_resource_utilization_accounting():
 
     env.process(worker())
     env.run(until=60)
-    assert res.utilization() == pytest.approx(0.5)
-    assert res.busy_time() == pytest.approx(30.0)
+    assert res.busy_time() == pytest.approx(30.0)  # half of 60 us
 
 
 def test_resource_count_reflects_users():
     env = Environment()
     res = Resource(env, capacity=3)
     reqs = [res.request() for _ in range(3)]
-    assert res.count == 3
+    assert all(req.triggered for req in reqs)
+    assert len(res.users) == 3
     res.release(reqs[0])
-    assert res.count == 2
+    assert len(res.users) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_store_counters():
     store.try_get()
     assert store.put_count == 2
     assert store.get_count == 1
-    assert len(store) == 1
+    assert list(store.items) == [2]
 
 
 def test_store_multiple_waiting_getters_fifo():

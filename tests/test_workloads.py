@@ -142,7 +142,7 @@ def test_direct_driver_closed_loop():
     env.process(kickoff())
     env.run(until=500_000)
     assert driver.completed == 5
-    assert driver.latency.count == 5
+    assert len(driver.latency.samples) == 5
 
 
 def test_direct_driver_stop():
@@ -224,7 +224,7 @@ def test_client_fleet_accounts_ok_shed_and_timeout():
     # client's latency; sheds and timeouts record in neither
     assert fleet.throughput.count == fleet.total_completed()
     for c in fleet.clients:
-        assert c.latency.count == c.completed
+        assert len(c.latency.samples) == c.completed
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_tenant_quota_bounds_flow_table_share():
     m.run(60_000.0)
     for shard in m.tier.shards.values():
         for tenant in ("tenant-a", "tenant-b"):
-            assert shard.table.tenant_occupancy(tenant) <= 4_096
+            assert shard.table._per_tenant.get(tenant, 0) <= 4_096
     assert m.conserved()
 
 
@@ -622,7 +622,7 @@ def test_property_flow_table_matches_the_oracle(capacity, quota, ops):
 
 def _table_state(table):
     return (table.snapshot(), [e.hits for e in table._entries.values()],
-            table.occupied, table._per_tenant, table.hits, table.punts,
+            table._occupied, table._per_tenant, table.hits, table.punts,
             table.evictions, table.quota_rejections)
 
 

@@ -6,8 +6,9 @@ bench``, the experiment CLI (``--list`` and a quick ``--json`` save),
 every script in ``examples/`` and the dashboard self-check,
 with a ``sys.setprofile`` hook in each interpreter they start.  Then it
 prints every function defined under ``src/repro`` that none of them
-called, and their count.  Tests are deliberately not run: a function
-only tests reach is a deletion candidate.
+called, one ``package: N`` line per package, and the total.  Tests are
+deliberately not run: a function only tests reach is a deletion
+candidate.
 
 Usage (from the repository root; takes tens of minutes)::
 
@@ -21,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +100,11 @@ def main() -> int:
     unreached = sorted(functions[key] for key in set(functions) - reached)
     for name in unreached:
         print(name)
+    per_package = Counter(name.split("/")[1].split(":")[0]
+                          for name in unreached)
+    for package, count in sorted(per_package.items(),
+                                 key=lambda item: (-item[1], item[0])):
+        print(f"{package}: {count}")
     print(f"{len(unreached)} of {len(functions)} functions unreached")
     return 0
 
