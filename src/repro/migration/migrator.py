@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from ..memory import BufferDescriptor
-from ..sim import AnyOf, Store
+from ..sim import Store
 
 __all__ = ["LiveMigrator", "MigrationRecord", "DEFAULT_STATE_BYTES"]
 
@@ -128,8 +128,7 @@ class LiveMigrator:
         if quiesce_timeout_us is None:
             yield quiesce
         else:
-            deadline = env.timeout(quiesce_timeout_us)
-            yield AnyOf(env, [quiesce, deadline])
+            yield from env.within(quiesce, quiesce_timeout_us)
             if not quiesce.triggered:
                 # Could not drain in-flight handlers in time: abort in
                 # place; the caller falls back to crash semantics.

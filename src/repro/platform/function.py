@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Optional
 from ..dataplane import KIND_REQUEST, KIND_RESPONSE
 from ..dataplane import Message as Header
 from ..memory import BufferDescriptor
-from ..sim import AnyOf, Environment, Event, LatencyStats, Store
+from ..sim import Environment, Event, LatencyStats, Store
 
 from .iolib import InvokeTimeout, SendError
 
@@ -380,7 +380,7 @@ class FunctionInstance:
         if deadline_us is None:
             reply_desc = yield event
         else:
-            yield AnyOf(self.env, [event, self.env.timeout(deadline_us)])
+            yield from self.env.within(event, deadline_us)
             if not event.triggered:
                 # Give up: a late response finds no pending entry and
                 # is recycled by the dispatcher.

@@ -22,7 +22,7 @@ from ..dne.routing import IntraNodeRoutes, RouteError
 from ..hw import Node
 from ..memory import Buffer, BufferDescriptor, MemoryPool, PoolExhausted
 from ..net import SockMap
-from ..sim import AnyOf, Environment, Store
+from ..sim import Environment, Store
 
 __all__ = ["NodeRuntime", "IoLibrary", "KernelTcpFallback", "SendError",
            "InvokeTimeout"]
@@ -198,7 +198,7 @@ class IoLibrary:
             yield from self.send_buffer(src_agent, dst_fn, buffer, payload, size,
                                         current,
                                         extra_cpu_us=self.cost.mempool_op_us)
-            yield AnyOf(self.env, [ack, self.env.timeout(timeout_us)])
+            yield from self.env.within(ack, timeout_us)
             if ack.triggered and ack.value:
                 return
             attempts += 1

@@ -37,6 +37,17 @@ retains an event (for ``.value``, ``AnyOf`` membership, a later
 scheduling order: ``eid`` assignment and queue ordering are identical
 to the reference kernel, so event counts and traces are byte-for-byte
 reproducible.
+
+Guard timers: :meth:`Timeout.cancel` withdraws a timer that lost its
+race, and :meth:`Environment.within` is the guarded wait built on it.
+Cancellation is lazy deletion, as asyncio does for its timer handles:
+the timer drops its callbacks at once, its heap entry stays behind as
+a dead entry that the run loop skips (no clock advance, not counted),
+and the heap is rebuilt once dead entries outnumber live ones.  A
+dead entry is a heap entry with no callbacks list that failed; a
+``defer`` entry has no callbacks list either, but never fails.  A
+cancelled timer never goes back to the free list: the garbage
+collector takes it once its dead entry is gone.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -172,6 +183,25 @@ class Timeout(Event):
         self.defused = False
         env._eid += 1
         env._push((env._now + delay, PRIORITY_NORMAL, env._eid, self))
+
+    def cancel(self) -> None:
+        """Withdraw the timer: it never fires and is not counted in
+        ``events_processed``.  Its callbacks are dropped at once, which
+        releases whatever condition was waiting on it.  A no-op once
+        the timer has fired or been cancelled.  Waiting on a cancelled
+        timer raises :class:`SimulationError`.
+        """
+        if self.callbacks is None:
+            return
+        self.callbacks = None
+        self._ok = False
+        # Its own exception: a shared one would gather tracebacks from
+        # every waiter it was raised in.
+        self._value = SimulationError("waited on a cancelled timer")
+        env = self.env
+        env._cancelled += 1
+        if env._cancelled * 2 > len(env._queue):
+            env._compact()
 
 
 class _Deferred(Event):
@@ -371,6 +401,8 @@ class Environment:
         #: attribute walk + global lookup at every push site
         self._push: Callable[[tuple], None] = partial(heappush, self._queue)
         self._eid = 0
+        #: cancelled timers whose heap entries are still in ``_queue``
+        self._cancelled = 0
         #: events popped and dispatched so far
         self.events_processed = 0
         #: observability hook (``repro.telemetry.Telemetry`` or None).
@@ -478,10 +510,46 @@ class Environment:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
 
+    def within(self, event: Event, delay: float) -> Generator:
+        """Wait for ``event``, but for at most ``delay``.
+
+        A generator: ``won = yield from env.within(event, delay)``.  It
+        waits on ``AnyOf([event, timer])`` and returns
+        ``event.triggered``.  When the event won, the guard timer is
+        cancelled: it never fires, and it stops holding the wait.
+        """
+        timer = self.timeout(delay)
+        yield AnyOf(self, (event, timer))
+        if event._triggered:
+            timer.cancel()
+            return True
+        return False
+
+    def _compact(self) -> None:
+        """Rebuild the heap without the cancelled timers' dead entries.
+
+        Keys ``(time, priority, eid)`` are unique, so the rebuilt heap
+        pops the live entries in exactly the order the old one would.
+        The list is filtered in place: the run loop and ``_push`` hold
+        references to it.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue
+                    if entry[3].callbacks is not None or entry[3]._ok]
+        heapify(queue)
+        self._cancelled = 0
+
     # -- run loop -----------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        queue = self._queue
+        while queue:
+            head = queue[0][3]
+            if head.callbacks is not None or head._ok:
+                break
+            heappop(queue)  # a cancelled timer's dead entry
+            self._cancelled -= 1
+        return queue[0][0] if queue else float("inf")
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -542,10 +610,10 @@ class Environment:
                 if bounded and queue[0][0] > stop_time:
                     break
                 when, _priority, _eid, event = pop(queue)
-                self._now = when
-                processed += 1
                 cbs = event.callbacks
                 if cbs is not None:
+                    self._now = when
+                    processed += 1
                     event.callbacks = None
                     event._processed = True
                     if len(cbs) == 1:
@@ -568,9 +636,15 @@ class Environment:
                             self._recycle(event)
                     if event is stop_event:
                         return
-                else:
+                elif event._ok:
                     # Only _Deferred entries are scheduled without a
                     # callbacks list; dispatch via their override.
+                    self._now = when
+                    processed += 1
                     event._run_callbacks()
+                else:
+                    # A cancelled timer's dead entry: the clock does
+                    # not move and nothing is counted.
+                    self._cancelled -= 1
         finally:
             self.events_processed += processed

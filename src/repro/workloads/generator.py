@@ -18,7 +18,7 @@ from typing import Any, List, Optional
 
 from ..hw import Cluster
 from ..net import HttpRequest
-from ..sim import AnyOf, Environment, LatencyStats, RateMeter
+from ..sim import Environment, LatencyStats, RateMeter
 
 __all__ = ["ClosedLoopClient", "ClientFleet", "DirectDriver", "OpenLoopSource"]
 
@@ -79,8 +79,7 @@ class ClosedLoopClient:
             if self.timeout_us is None:
                 response = yield response_event
             else:
-                timeout = self.env.timeout(self.timeout_us)
-                yield AnyOf(self.env, [response_event, timeout])
+                yield from self.env.within(response_event, self.timeout_us)
                 if not response_event.triggered:
                     self.errors += 1
                     conn.open = False

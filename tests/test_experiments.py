@@ -221,6 +221,34 @@ def test_fig16_dne_uses_dpu_not_cpu_engine_cores(boutique_80):
     assert boutique_80["palladium-cne"]["dpu_pct"] == 0
 
 
+def test_fig16_heap_holds_only_live_work(monkeypatch):
+    # Each wrk-style client arms a 5 s guard per request and cancels it
+    # when the response wins, so the heap ends a run with the same
+    # handful of live entries however many requests completed.
+    from repro.experiments import fig16_boutique
+    from repro.sim import Environment
+
+    envs = []
+
+    class Recorded(Environment):
+        def __init__(self):
+            super().__init__()
+            envs.append(self)
+
+    monkeypatch.setattr(fig16_boutique, "Environment", Recorded)
+    live = []
+    for duration in (10_000.0, 20_000.0):
+        point = run_boutique_point("palladium-dne", "Home Query", 20,
+                                   duration_us=duration)
+        assert point["rps"] > 0
+        env = envs[-1]
+        live.append(len(env._queue) - env._cancelled)
+        # Uncancelled guards would leave one entry per completed
+        # request here (about 260 and 500).
+        assert len(env._queue) < 128
+    assert live[0] == live[1] < 64
+
+
 # ---------------------------------------------------------------------------
 # Fault recovery: the CNE, which the quick gate leaves out, also recovers
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 zero-allocation guarantees (docs/PERFORMANCE.md).
 
 The scheduling hot path promises that steady-state churn — timeouts,
-immediately-completed events, ``defer`` callbacks, store ping-pong —
-reuses pooled objects instead of allocating.  These tests pin that
-down two ways: object-identity reuse (the same ``Timeout`` instance
-comes back from the free-list) and a tracemalloc diff over the sim
-modules that must stay flat once the pools are warm.
+immediately-completed events, ``defer`` callbacks, store ping-pong,
+guarded waits — reuses pooled objects (or frees them at once) instead
+of accumulating them.  These tests pin that down two ways:
+object-identity reuse (the same ``Timeout`` instance comes back from
+the free-list) and a tracemalloc diff over the sim modules that must
+stay flat once the pools are warm.
 """
 
 import gc
@@ -17,6 +18,9 @@ from repro.sim import core as sim_core
 from repro.sim import resources as sim_resources
 
 SIM_FILES = (sim_core.__file__, sim_resources.__file__)
+
+#: a guard far beyond any workload here, so it never fires in a run
+GUARD_US = 1e12
 
 
 def _sim_growth(snap_before, snap_after) -> int:
@@ -37,6 +41,8 @@ def _steady_state_workload(env: Environment, rounds: int):
             env.defer(0.5, lambda: None)
             store.put_nowait(i)
             yield store.get()
+            # A guarded wait whose guard timer loses the race.
+            yield from env.within(env.timeout(0.5), GUARD_US)
 
     return env.process(proc(), name="steady")
 
@@ -128,16 +134,18 @@ class TestSteadyStateAllocation:
         gc.collect()
         tracemalloc.start()
         snap1 = tracemalloc.take_snapshot()
-        _steady_state_workload(env, 20_000)
-        env.run()
+        # Stop when the loop ends, long before any guard would fire: a
+        # guard left in the heap would still hold its AnyOf here.
+        env.run(until=_steady_state_workload(env, 20_000))
         gc.collect()
         snap2 = tracemalloc.take_snapshot()
         tracemalloc.stop()
 
         growth = _sim_growth(snap1, snap2)
         # 20k rounds x (Timeout + completed event + defer + store get)
-        # would be ~80k event objects without pooling (> 5 MB).  Steady
-        # state must stay flat; allow a page of noise for caches.
+        # would be ~80k event objects without pooling (> 5 MB), and 20k
+        # uncancelled guards would pin 20k AnyOfs.  Steady state must
+        # stay flat; allow a page of noise for caches.
         assert growth < 16_384, f"sim modules grew {growth} bytes"
 
     def test_event_base_class_is_not_pooled(self):

@@ -217,3 +217,58 @@ def test_non_cq_get_calls_are_legal(tmp_path):
         "value = mapping.get('key')\n"
     )
     assert _violations(tmp_path, source) == []
+
+
+def test_flags_uncancelled_guarded_wait(tmp_path):
+    vs = _violations(
+        tmp_path, "yield AnyOf(self.env, [ack, self.env.timeout(t)])\n")
+    assert len(vs) == 1
+    assert "env.within" in vs[0][3]
+    vs = _violations(tmp_path, "yield sim.AnyOf(env, (ev, env.timeout(5)))\n")
+    assert len(vs) == 1
+
+
+def test_flags_guard_timer_bound_to_a_name(tmp_path):
+    # The two-statement form the client timeout used to take.
+    source = (
+        "def run(self):\n"
+        "    timeout = self.env.timeout(self.timeout_us)\n"
+        "    yield AnyOf(self.env, [response_event, timeout])\n"
+    )
+    vs = _violations(tmp_path, source)
+    assert len(vs) == 1 and vs[0][1] == 3
+    assert "env.within" in vs[0][3]
+
+
+def test_timer_names_are_per_function(tmp_path):
+    # A name bound to a timer in one function says nothing about the
+    # same name in another.
+    source = (
+        "def arm(env):\n"
+        "    deadline = env.timeout(5)\n"
+        "    return deadline\n"
+        "def wait(env, quiesce, deadline):\n"
+        "    yield AnyOf(env, [quiesce, deadline])\n"
+    )
+    assert _violations(tmp_path, source) == []
+
+
+def test_guarded_wait_through_within_is_legal(tmp_path):
+    source = (
+        "won = yield from env.within(ack, timeout_us)\n"
+        "yield AnyOf(env, [first, second])\n"
+        "yield AllOf(env, [a, env.timeout(3)])\n"
+        "yield env.timeout(5)\n"
+    )
+    assert _violations(tmp_path, source) == []
+
+
+def test_sim_package_may_race_raw_timers(tmp_path):
+    pkg = tmp_path / "sim"
+    pkg.mkdir()
+    path = pkg / "core.py"
+    path.write_text("yield AnyOf(self, (event, self.timeout(delay)))\n")
+    assert check_file(path) == []
+    # ...but the other rules still apply inside repro/sim
+    path.write_text("x = descriptor.meta\n")
+    assert len(check_file(path)) == 1

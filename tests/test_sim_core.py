@@ -411,3 +411,238 @@ def test_determinism_same_seed_same_trace():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+# -- guard timers: Timeout.cancel and Environment.within ----------------------
+
+def test_cancelled_timer_never_fires_and_is_not_counted():
+    env = Environment()
+    fired = []
+    timer = env.timeout(10)
+    timer.callbacks.append(lambda _ev: fired.append(env.now))
+    env.timeout(5)
+    timer.cancel()
+    assert timer.callbacks is None  # the callback chain is released at once
+    env.run()
+    assert fired == []
+    assert env.events_processed == 1
+    # The dead entry does not move the clock either.
+    assert env.now == 5.0
+
+
+def test_cancel_after_fire_is_a_no_op():
+    env = Environment()
+    timer = env.timeout(3, value="done")
+    env.run()
+    timer.cancel()
+    timer.cancel()
+    assert timer.processed and timer.ok and timer.value == "done"
+    assert env.events_processed == 1
+    env.run()
+    assert env.events_processed == 1
+
+
+def test_waiting_on_a_cancelled_timer_raises():
+    env = Environment()
+    timer = env.timeout(3)
+    timer.cancel()
+    caught = []
+
+    def proc():
+        try:
+            yield timer
+        except SimulationError as exc:
+            caught.append(str(exc))
+
+    env.process(proc())
+    env.run()
+    assert caught == ["waited on a cancelled timer"]
+
+
+def test_peek_skips_cancelled_heads():
+    env = Environment()
+    early = env.timeout(1)
+    env.timeout(4)
+    env.timeout(6)
+    early.cancel()
+    assert env.peek() == 4.0
+
+
+def _raw_guard(env, event, delay):
+    # The guarded wait as written before cancellation existed: the
+    # losing timer stays in the heap and fires into a spent AnyOf.
+    timer = env.timeout(delay)
+    yield AnyOf(env, [event, timer])
+    return event.triggered
+
+
+def _guarded_race(guard, event_at, guard_at, event_first):
+    """One guarded wait racing an event; returns what the waiter saw
+    plus the trace of every other event, and the event count."""
+    env = Environment()
+    ev = env.event()
+    seen, trace = [], []
+
+    def firer():
+        yield env.timeout(event_at)
+        ev.succeed("payload")
+
+    def waiter():
+        won = yield from guard(env, ev, guard_at)
+        seen.append((won, env.now, ev.value if won else None))
+
+    def bystander():
+        for _ in range(4):
+            yield env.timeout(guard_at / 2)
+            trace.append(env.now)
+
+    if event_first:
+        env.process(firer())
+        env.process(waiter())
+    else:
+        env.process(waiter())
+        env.process(firer())
+    env.process(bystander())
+    env.run()
+    return seen, trace, env.events_processed
+
+
+@pytest.mark.parametrize("event_first", [True, False])
+@pytest.mark.parametrize("event_at", [2.0, 10.0, 30.0])
+def test_within_matches_the_uncancelled_guard(event_at, event_first):
+    # Same instant (10 vs 10) included, in both scheduling orders: the
+    # waiter sees exactly what it saw before, and every other event
+    # fires at the same time.
+    new = _guarded_race(Environment.within, event_at, 10.0, event_first)
+    old = _guarded_race(_raw_guard, event_at, 10.0, event_first)
+    assert new[:2] == old[:2]
+    won = new[0][0][0]
+    # Only the guard timer that lost its race is missing from the count.
+    lost_guard_pending = won and event_at < 10.0
+    assert new[2] == old[2] - lost_guard_pending
+
+
+def test_cancelled_timer_is_not_reused_while_its_entry_is_queued():
+    env = Environment()
+    for _ in range(8):  # warm the free list
+        env.timeout(1.0)
+    env.run()
+    assert env._timeout_pool
+    for delay in range(10, 20):  # enough live entries to defer compaction
+        env.timeout(float(delay))
+    timer = env.timeout(5.0)
+    timer.cancel()
+    cancelled_id = id(timer)
+    del timer  # only the dead heap entry keeps it alive now
+    fresh = [env.timeout(2.0) for _ in range(8)]
+    assert cancelled_id not in {id(t) for t in fresh}
+    fired = []
+    for t in fresh:
+        t.callbacks.append(lambda ev: fired.append(env.now))
+    env.run()
+    assert fired == [3.0] * 8  # nothing fired at the dead entry's time
+
+
+def test_cancelled_timer_never_returns_to_the_free_list():
+    env = Environment()
+    for delay in range(10, 20):  # enough live entries to defer compaction
+        env.timeout(float(delay))
+    timer = env.timeout(5.0)
+    timer.cancel()
+    del timer  # only the dead heap entry keeps it alive now
+    env.run()
+    # The run popped the dead entry (no compaction) and pooled the ten
+    # live timers, but not the cancelled one.
+    assert env._cancelled == 0
+    assert len(env._timeout_pool) == 10
+    assert all(t.callbacks is not None or t._ok for t in env._timeout_pool)
+
+
+def test_failure_from_a_cancelled_timer_is_live_work():
+    # An AnyOf over a cancelled timer fails with the timer's error.
+    # That failed AnyOf, and the process that does not catch it, are
+    # live heap entries: neither peek() nor a compaction may drop them.
+    env = Environment()
+    first = env.timeout(3)
+    first.cancel()
+    second = env.timeout(3)
+    second.cancel()
+    # Each cancelled timer carries its own exception.
+    assert first.value is not second.value
+
+    def compact():
+        for delay in (5.0, 6.0):  # the second cancel compacts
+            env.timeout(delay).cancel()
+        assert env._cancelled == 0  # the heap was just rebuilt
+
+    cond = AnyOf(env, [env.event(), first])
+    assert cond.triggered and not cond.ok
+    assert env.peek() == 0.0
+    compact()
+    assert [entry[3] for entry in env._queue] == [cond]
+
+    def waiter():
+        yield cond  # does not catch
+
+    proc = env.process(waiter())
+    with pytest.raises(SimulationError, match="cancelled timer"):
+        env.run(until=cond)
+    assert proc.triggered and not proc.ok
+    assert env.peek() == 0.0
+    compact()
+    assert [entry[3] for entry in env._queue] == [proc]
+    # The unhandled failure still reaches the run loop.
+    with pytest.raises(SimulationError, match="cancelled timer"):
+        env.run()
+
+
+@given(
+    delays=st.lists(st.sampled_from([1.0, 2.0, 2.0, 3.0, 5.0, 8.0]),
+                    min_size=1, max_size=40),
+    cancels=st.lists(st.tuples(st.integers(0, 39),
+                               st.sampled_from([0.0, 1.0, 2.0, 4.0, 9.0])),
+                     max_size=40),
+    cancels_first=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_cancel_preserves_the_order_of_every_other_event(
+        delays, cancels, cancels_first):
+    # Reference: instead of cancelling, a timer's callback becomes a
+    # no-op.  With cancellation, every other event fires in the same
+    # order at the same time, and only the dead timers go uncounted.
+    # Scheduling the cancels first puts a same-instant cancel ahead of
+    # its timer; scheduling them last puts it behind.
+    def run(cancel):
+        env = Environment()
+        fired, muted = [], set()
+        timers = []
+
+        def arm():
+            for i, delay in enumerate(delays):
+                timer = env.timeout(delay)
+                timer.callbacks.append(
+                    lambda _ev, i=i: i in muted
+                    or fired.append((env.now, "t", i)))
+                timers.append(timer)
+
+        if not cancels_first:
+            arm()
+        for index, at in cancels:
+            i = index % len(delays)
+
+            def stop(i=i):
+                fired.append((env.now, "c", i))
+                if cancel:
+                    timers[i].cancel()
+                elif not timers[i].processed:
+                    muted.add(i)
+            env.defer(at, stop)
+        if cancels_first:
+            arm()
+        env.run()
+        return fired, env.events_processed, len(muted)
+
+    new_fired, new_count, _ = run(cancel=True)
+    old_fired, old_count, muted = run(cancel=False)
+    assert new_fired == old_fired
+    assert new_count == old_count - muted

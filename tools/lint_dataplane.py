@@ -42,6 +42,15 @@ CQ) the checker rejects the per-CQE idiom it replaced:
 * calls ``cq.get(...)`` / ``<expr>.cq.get(...)`` (drain with
   ``poll_batch()`` so a burst costs one wakeup, not one per CQE).
 
+Guard timers are cancelled when the guarded event wins, so the event
+heap holds only live work.  Outside ``src/repro/sim/`` (the kernel that
+implements it) the checker rejects the uncancelled guarded wait:
+
+* calls ``AnyOf(..., [..., <expr>.timeout(...)])``, or ``AnyOf(...,
+  [..., t])`` where the same function bound ``t = <expr>.timeout(...)``
+  (wait with ``yield from env.within(event, delay)``, which cancels the
+  losing timer).
+
 Usage::
 
     python tools/lint_dataplane.py [root ...]
@@ -55,7 +64,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Set, Tuple
 
 #: underscore keys the old dict-based header used
 LEGACY_META_KEYS = frozenset(
@@ -83,20 +92,67 @@ SPRAY_FUNCS = frozenset({"rss_queue", "rss_pick"})
 #: path fragment allowed to pull single CQEs (the device layer)
 CQ_EXEMPT_PART = "rdma"
 
+#: path fragment allowed to race an event against a raw timer (the kernel)
+GUARD_EXEMPT_PART = "sim"
+
 Violation = Tuple[str, int, int, str]
+
+
+def _callee(func: ast.expr):
+    """The called name: ``f`` for ``f(...)`` and ``x.f(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _is_timer(node: ast.AST) -> bool:
+    """``<expr>.timeout(...)``: a raw timer."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "timeout")
+
+
+def _timer_names(scope: ast.AST) -> Set[str]:
+    """Names that ``scope`` itself (not a nested def) binds to a raw
+    timer, as in ``t = env.timeout(d)``."""
+    names: Set[str] = set()
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Assign) and _is_timer(node.value):
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
+        stack.extend(ast.iter_child_nodes(node))
+    return names
 
 
 class _MetaVisitor(ast.NodeVisitor):
     def __init__(self, path: str, check_meta: bool = True,
                  check_controlplane: bool = True,
                  check_spray: bool = True,
-                 check_cq: bool = True):
+                 check_cq: bool = True,
+                 check_guard: bool = True):
         self.path = path
         self.check_meta = check_meta
         self.check_controlplane = check_controlplane
         self.check_spray = check_spray
         self.check_cq = check_cq
+        self.check_guard = check_guard
+        #: per enclosing scope, the names bound to raw timers
+        self._timers: List[Set[str]] = [set()]
         self.violations: List[Violation] = []
+
+    def _visit_scope(self, node: ast.AST) -> None:
+        self._timers.append(_timer_names(node) if self.check_guard
+                            else set())
+        self.generic_visit(node)
+        self._timers.pop()
+
+    visit_Module = visit_FunctionDef = visit_AsyncFunctionDef = _visit_scope
 
     def _flag(self, node: ast.AST, message: str) -> None:
         self.violations.append(
@@ -125,11 +181,7 @@ class _MetaVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if self.check_spray:
-            callee = None
-            if isinstance(func, ast.Name):
-                callee = func.id
-            elif isinstance(func, ast.Attribute):
-                callee = func.attr
+            callee = _callee(func)
             if callee in SPRAY_FUNCS:
                 self._flag(node, f"direct gateway spray '{callee}()' "
                                  f"outside repro.ingress (route through "
@@ -147,6 +199,19 @@ class _MetaVisitor(ast.NodeVisitor):
                 self._flag(node, "single-CQE 'cq.get()' polling outside "
                                  "repro.rdma (drain bursts with "
                                  "cq.poll_batch())")
+        # AnyOf(env, [event, env.timeout(d)]), or the same race with
+        # the timer bound to a name first: an uncancelled guard
+        timers = self._timers[-1]
+        if self.check_guard and _callee(func) == "AnyOf" and any(
+                isinstance(arg, (ast.List, ast.Tuple))
+                and any(_is_timer(elt) or (isinstance(elt, ast.Name)
+                                           and elt.id in timers)
+                        for elt in arg.elts)
+                for arg in node.args):
+            self._flag(node, "guarded wait 'AnyOf(..., [..., "
+                             "x.timeout(...)])' outside repro.sim (use "
+                             "'yield from env.within(event, delay)', which "
+                             "cancels the losing timer)")
         if not self.check_meta:
             self.generic_visit(node)
             return
@@ -198,13 +263,19 @@ def _is_cq_exempt(path: Path) -> bool:
     return CQ_EXEMPT_PART in path.parts
 
 
+def _is_guard_exempt(path: Path) -> bool:
+    return GUARD_EXEMPT_PART in path.parts
+
+
 def check_file(path: Path) -> List[Violation]:
     """Return the violations in one Python source file."""
     check_meta = not _is_exempt(path)
     check_controlplane = not _is_controlplane_exempt(path)
     check_spray = not _is_spray_exempt(path)
     check_cq = not _is_cq_exempt(path)
-    if not (check_meta or check_controlplane or check_spray or check_cq):
+    check_guard = not _is_guard_exempt(path)
+    if not (check_meta or check_controlplane or check_spray or check_cq
+            or check_guard):
         return []
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -214,7 +285,8 @@ def check_file(path: Path) -> List[Violation]:
     visitor = _MetaVisitor(str(path), check_meta=check_meta,
                            check_controlplane=check_controlplane,
                            check_spray=check_spray,
-                           check_cq=check_cq)
+                           check_cq=check_cq,
+                           check_guard=check_guard)
     visitor.visit(tree)
     return visitor.violations
 
