@@ -62,6 +62,10 @@ class FuyaoEngine(NetworkEngine):
         #: whether the receiver-side copy hits cache or main memory
         self.copy_cached = True
 
+    def _export_metrics(self, metrics) -> None:
+        # the one-sided data path carries no telemetry
+        self.stats.export(metrics.collect, self.name, data_path=False)
+
     # -- engine placement: a pinned, always-polling host core ------------------
     def _allocate_core(self):
         return self.node.cpu.allocate_pinned(f"{self.name}-poller")
@@ -111,7 +115,7 @@ class FuyaoEngine(NetworkEngine):
             dst_node = self.routes.node_for(dst_fn)
         except RouteError:
             # Destination withdrawn (failover/scale-down): drop safely.
-            self.stats.dropped += 1
+            self.stats.drops["tx"] += 1
             message.settle(False)
             message.retire(self.agent)
             self._recycle(buffer, tenant)
@@ -134,7 +138,6 @@ class FuyaoEngine(NetworkEngine):
             expected_owner=f"slots:{self.node.name}",
         )
         write_proc = self.rnic.post_send(qp, wr)
-        self.stats.tx_messages += 1
         self.stats.tx_bytes += descriptor.length
         self.stats.tenant_meter(tenant).record(self.env.now)
 
@@ -188,6 +191,7 @@ class FuyaoEngine(NetworkEngine):
         )
         state = self._tenants.get(tenant)
         if state is None:
+            self.stats.drops["rx"] += 1
             message.retire(self.agent)
             return
         try:
@@ -195,7 +199,7 @@ class FuyaoEngine(NetworkEngine):
         except PoolExhausted:
             buffer = yield from state.pool.get_wait(self.agent)
         buffer.write(self.agent, slot.payload, length)
-        self.stats.rx_messages += 1
+        self.stats.tenant_rx[tenant] += 1
         self.stats.rx_bytes += length
         # Return the slot credit to the sender (piggybacked control
         # message: one fabric hop later the sender may reuse the slot).

@@ -22,7 +22,6 @@ from ..dataplane import Message
 from ..dne.engine import NetworkEngine
 from ..dne.routing import RouteError
 from ..memory import BufferDescriptor, PoolExhausted
-from ..rdma import Completion
 
 __all__ = ["SprightEngine"]
 
@@ -87,14 +86,11 @@ class SprightEngine(NetworkEngine):
             dst_node = self.routes.node_for(dst_fn)
         except RouteError:
             # Destination withdrawn (failover/scale-down): drop safely.
-            self.stats.dropped += 1
+            self.stats.drops["tx"] += 1
             message.settle(False)
             message.retire(self.agent)
             self._recycle(buffer, tenant)
             if tel is not None:
-                tel.metrics.counter(
-                    "engine_dropped_total", "Messages dropped by an engine.",
-                    labels=("engine", "stage")).labels(self.name, "tx").inc()
                 tel.tracer.end_span(span, status="drop")
             return
         peer = self.peers.get(dst_node)
@@ -113,27 +109,17 @@ class SprightEngine(NetworkEngine):
         self.stats.recycled += 1
         message.settle(True)  # handed to the kernel: fire-and-forget
         link = self.fabric.link(self.node.name, dst_node)
-        self.stats.tx_messages += 1
         self.stats.tx_bytes += descriptor.length
         self.stats.tenant_meter(tenant).record(self.env.now)
-        if tel is not None:
-            tel.metrics.counter(
-                "engine_tx_total", "TX descriptors processed by an engine.",
-                labels=("engine", "tenant")).labels(self.name, tenant).inc()
 
         def _transit():
             yield from link.transmit(descriptor.length + TCP_FRAME_OVERHEAD)
             if not peer.available:
                 # Peer engine is down: the kernel connection resets and
                 # the message is lost (SPRIGHT has no failover).
-                self.stats.dropped += 1
+                self.stats.drops["transit"] += 1
                 message.retire(self.agent)
                 if tel is not None:
-                    tel.metrics.counter(
-                        "engine_dropped_total",
-                        "Messages dropped by an engine.",
-                        labels=("engine", "stage")).labels(
-                            self.name, "transit").inc()
                     tel.tracer.end_span(span, status="drop")
                 return
             # Receive-side kernel TCP + softirq processing happens in
@@ -188,6 +174,7 @@ class SprightEngine(NetworkEngine):
         tenant = frame.tenant
         state = self._tenants.get(tenant)
         if state is None:
+            self.stats.drops["rx"] += 1
             message.retire(self.agent)
             if tel is not None:
                 tel.tracer.end_span(span, status="drop")
@@ -198,19 +185,13 @@ class SprightEngine(NetworkEngine):
             buffer = yield from state.pool.get_wait(self.agent)
         buffer.write(self.agent, frame.payload, frame.length)
         dst_fn = message.dst or None
-        self.stats.rx_messages += 1
+        self.stats.tenant_rx[tenant] += 1
         self.stats.rx_bytes += frame.length
-        if tel is not None:
-            tel.metrics.counter(
-                "engine_rx_total", "RX completions delivered by an engine.",
-                labels=("engine", "tenant")).labels(self.name, tenant).inc()
         if dst_fn is None or dst_fn not in self.channel.endpoints:
+            self.stats.drops["rx"] += 1
             message.retire(self.agent)
             buffer.pool.put(buffer, self.agent)
             if tel is not None:
-                tel.metrics.counter(
-                    "engine_dropped_total", "Messages dropped by an engine.",
-                    labels=("engine", "stage")).labels(self.name, "rx").inc()
                 tel.tracer.end_span(span, status="drop")
             return
         buffer.transfer(self.agent, f"fn:{dst_fn}")

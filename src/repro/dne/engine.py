@@ -31,7 +31,7 @@ concurrency.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..config import CostModel
@@ -55,26 +55,62 @@ __all__ = ["NetworkEngine", "DpuNetworkEngine", "CpuNetworkEngine", "EngineStats
 
 
 class EngineStats:
-    """Counters and meters the experiments read off an engine."""
+    """Counts and meters the experiments and exporters read off an engine."""
 
     def __init__(self, bucket_us: float = 1_000_000.0):
-        self.tx_messages = 0
-        self.rx_messages = 0
         self.recycled = 0
-        #: messages dropped (no route / destination vanished)
-        self.dropped = 0
+        #: data-path drops by stage: tx, rx or transit
+        self.drops: Dict[str, int] = Counter()
+        #: messages shed by the bounded scheduler, by (tenant, policy)
+        self.shed: Dict[Tuple[str, str], int] = Counter()
         #: SEND completions that came back failed (flushed QPs)
         self.tx_errors = 0
         self.tx_bytes = 0
         self.rx_bytes = 0
         #: per-tenant transmit completions (Fig. 15 time series)
         self.tenant_tx: Dict[str, RateMeter] = {}
+        #: per-tenant RX completions delivered
+        self.tenant_rx: Dict[str, int] = Counter()
         self.bucket_us = bucket_us
+
+    @property
+    def tx_messages(self) -> int:
+        return sum(meter.count for meter in self.tenant_tx.values())
+
+    @property
+    def rx_messages(self) -> int:
+        return sum(self.tenant_rx.values())
+
+    @property
+    def dropped(self) -> int:
+        return sum(self.drops.values()) + sum(self.shed.values())
 
     def tenant_meter(self, tenant: str) -> RateMeter:
         if tenant not in self.tenant_tx:
             self.tenant_tx[tenant] = RateMeter(tenant, bucket=self.bucket_us)
         return self.tenant_tx[tenant]
+
+    def export(self, collect, engine: str, data_path: bool = True) -> None:
+        """Report these counts as ``engine``'s metric families; without
+        ``data_path``, only those of the SEND-completion and scheduler
+        paths every engine shares."""
+        collect("engine_tx_errors_total", "SEND completions that came back failed.",
+                ("engine",), lambda: {engine: self.tx_errors})
+        collect("qos_sched_dropped_total", "Messages shed by bounded tenant queues.",
+                ("engine", "tenant", "policy"),
+                lambda: {(engine,) + k: n for k, n in self.shed.items()})
+        dropped = ("engine_dropped_total", "Messages dropped by an engine.",
+                   ("engine", "stage"))
+        collect(*dropped, lambda: (((engine, p), n) for (_, p), n in self.shed.items()))
+        if not data_path:
+            return
+        collect(*dropped, lambda: {(engine, s): n for s, n in self.drops.items()})
+        collect("engine_tx_total", "TX descriptors processed by an engine.",
+                ("engine", "tenant"),
+                lambda: {(engine, t): m.count for t, m in self.tenant_tx.items()})
+        collect("engine_rx_total", "RX completions delivered by an engine.",
+                ("engine", "tenant"),
+                lambda: {(engine, t): n for t, n in self.tenant_rx.items()})
 
 
 class _TenantState:
@@ -124,6 +160,8 @@ class NetworkEngine:
         self.conn_mgr = ConnectionManager(env, fabric, node.name, cost)
         self.routes = InterNodeRoutes(node.name)
         self.stats = EngineStats(bucket_us=stats_bucket_us)
+        if env.telemetry is not None:
+            self._export_metrics(env.telemetry.metrics)
 
         self._tenants: Dict[str, _TenantState] = {}
         #: receive buffers owed to each tenant's shared RQ when the
@@ -160,6 +198,9 @@ class NetworkEngine:
         #: message sources whose engine-RX processing repays a credit
         #: the *sender* acquired (e.g. the ingress gateway's agent id)
         self._qos_credit_sources: frozenset = frozenset()
+
+    def _export_metrics(self, metrics) -> None:
+        self.stats.export(metrics.collect, self.name)  # read at export only
 
     # -- subclass hooks -----------------------------------------------------
     def _ingest_cost_us(self) -> float:
@@ -274,22 +315,12 @@ class NetworkEngine:
         """
         _fn_id, descriptor = item
         message = descriptor.message
-        self.stats.dropped += 1
+        self.stats.shed[tenant, reason] += 1
         message.settle(False)
         message.retire(self.agent)
         self._recycle(descriptor.buffer, tenant)
         if self.qos_credits is not None:
             self.qos_credits.release(tenant)
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "engine_dropped_total", "Messages dropped by an engine.",
-                labels=("engine", "stage")).labels(self.name, reason).inc()
-            tel.metrics.counter(
-                "qos_sched_dropped_total",
-                "Messages shed by bounded tenant queues.",
-                labels=("engine", "tenant", "policy")).labels(
-                    self.name, tenant, reason).inc()
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self, warm_peers: Optional[List[Tuple[str, str]]] = None) -> None:
@@ -517,14 +548,11 @@ class NetworkEngine:
             # Scale-down race / failover: the destination was withdrawn
             # after the function posted.  Drop, recycle, nack any
             # reliability-tracked sender — never crash the loop.
-            self.stats.dropped += 1
+            self.stats.drops["tx"] += 1
             message.settle(False)
             message.retire(self.agent)
             self._recycle(buffer, tenant)
             if tel is not None:
-                tel.metrics.counter(
-                    "engine_dropped_total", "Messages dropped by an engine.",
-                    labels=("engine", "stage")).labels(self.name, "tx").inc()
                 span.event("drop", self.env.now, reason="no-route")
                 tel.tracer.end_span(span, status="drop")
             return
@@ -548,13 +576,9 @@ class NetworkEngine:
             self.env.process(_staged_send(), name=f"{self.name}-onpath-tx")
         else:
             self.rnic.post_send(qp, wr)
-        self.stats.tx_messages += 1
         self.stats.tx_bytes += descriptor.length
         self.stats.tenant_meter(tenant).record(self.env.now)
         if tel is not None:
-            tel.metrics.counter(
-                "engine_tx_total", "TX descriptors processed by an engine.",
-                labels=("engine", "tenant")).labels(self.name, tenant).inc()
             tel.tracer.end_span(span)
 
     # -- RX stage (Fig. 7) -----------------------------------------------------------
@@ -583,11 +607,6 @@ class NetworkEngine:
             yield from self._run(cost.mempool_op_us)
             if not completion.ok:
                 self.stats.tx_errors += 1
-                if tel is not None:
-                    tel.metrics.counter(
-                        "engine_tx_errors_total",
-                        "SEND completions that came back failed.",
-                        labels=("engine",)).labels(self.name).inc()
             # Reliability hook: senders running with a retry budget ride
             # an ack event on the message; settle it with the completion
             # status (False for flushed CQEs).
@@ -627,7 +646,7 @@ class NetworkEngine:
         buffer = completion.buffer
         if not completion.ok:
             # Length error: reclaim the buffer (and header) and drop.
-            self.stats.dropped += 1
+            self.stats.drops["rx"] += 1
             if message is not None:
                 message.transfer(f"rnic:{self.node.name}", self.agent)
                 message.retire(self.agent)
@@ -644,23 +663,16 @@ class NetworkEngine:
         descriptor = BufferDescriptor(
             buffer=buffer, length=completion.length, message=message
         )
-        self.stats.rx_messages += 1
+        self.stats.tenant_rx[completion.tenant or ""] += 1
         self.stats.rx_bytes += completion.length
         if tel is not None:
             message.trace = span.context
-            tel.metrics.counter(
-                "engine_rx_total", "RX completions delivered by an engine.",
-                labels=("engine", "tenant")).labels(
-                    self.name, completion.tenant or "").inc()
         if dst_fn is None or dst_fn not in self.channel.endpoints:
             # Destination vanished (scale-down race): recycle and drop.
-            self.stats.dropped += 1
+            self.stats.drops["rx"] += 1
             message.retire(self.agent)
             self._recycle(buffer, completion.tenant)
             if tel is not None:
-                tel.metrics.counter(
-                    "engine_dropped_total", "Messages dropped by an engine.",
-                    labels=("engine", "stage")).labels(self.name, "rx").inc()
                 tel.tracer.end_span(span, status="drop")
             return
         buffer.transfer(self.agent, f"fn:{dst_fn}")

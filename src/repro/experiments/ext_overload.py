@@ -346,7 +346,8 @@ def run_overload_point(
         "per_tenant": per_tenant,
     }
     if telemetry is not None:
-        plat.export_metrics(telemetry)
+        if telemetry.monitor is not None:
+            telemetry.monitor.catch_up()  # boundaries after the last pushed site
         metrics["telemetry"] = telemetry
     return metrics
 

@@ -100,7 +100,6 @@ def run_boutique_point(
         "errors": fleet.total_errors(),
     }
     if telemetry is not None:
-        plat.export_metrics(telemetry)
         metrics["telemetry"] = telemetry
     return metrics
 

@@ -46,6 +46,10 @@ class FaultInjector:
         #: put back by its cp-restore
         self._ceilings: Dict[str, Optional[float]] = {}
         self.started = False
+        if env.telemetry is not None:
+            env.telemetry.metrics.collect(
+                "fault_events_total", "Fault-plan events applied.", ("kind",),
+                lambda: ((e[1], 1) for e in self.timeline))
 
     def register_gateway(self, name: str, ingress) -> None:
         """Make an ingress instance a target for ``gateway-crash``.
@@ -76,9 +80,6 @@ class FaultInjector:
             tel = self.env.telemetry
             if tel is not None:
                 tel.tracer.incident(event.kind, event.target, detail=detail)
-                tel.metrics.counter(
-                    "fault_events_total", "Fault-plan events applied.",
-                    labels=("kind",)).labels(event.kind).inc()
 
     # -- appliers ---------------------------------------------------------------
     def _apply(self, event: FaultEvent):

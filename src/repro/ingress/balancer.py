@@ -15,6 +15,7 @@ flow-aggregate model in :mod:`repro.workloads.aggregate`.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Tuple
 
 from ..hw import rss_queue
@@ -57,6 +58,14 @@ class IngressLoadBalancer:
         self.throughput = RateMeter("lb-rps")
         self.failovers = 0
         self.dropped = 0
+        #: connections sprayed to each gateway, by its ``gw<i>`` label
+        self.sprayed: Dict[str, int] = Counter()
+        if self.env.telemetry is not None:
+            collect = self.env.telemetry.metrics.collect
+            collect("gateway_failovers_total", "Gateway failures absorbed by "
+                    "connection re-spray.", (), lambda: {(): self.failovers})
+            collect("ingress_tier_spray_total", "L1 spray decisions per gateway.",
+                    ("gateway",), lambda: self.sprayed)
 
     def start(self) -> None:
         for instance in self.instances:
@@ -66,14 +75,6 @@ class IngressLoadBalancer:
     def _live(self) -> List[PalladiumIngress]:
         return [i for i in self.instances if i.healthy]
 
-    def _count_failover(self) -> None:
-        self.failovers += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "gateway_failovers_total",
-                "Gateway failures absorbed by connection re-spray.").inc()
-
     def connect(self) -> ClientConnection:
         """Pin a new connection to an instance (stable L4 hashing)."""
         pool = self._live() or self.instances
@@ -82,13 +83,7 @@ class IngressLoadBalancer:
         # Re-register the connection with its owning instance.
         conn = instance.connect()
         self._owner[conn.conn_id] = (instance, conn)
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "ingress_tier_spray_total",
-                "L1 spray decisions per gateway.",
-                labels=("gateway",)).labels(
-                    self._gateway_label[id(instance)]).inc()
+        self.sprayed[self._gateway_label[id(instance)]] += 1
         self._connects += 1
         if self._connects % _PRUNE_EVERY == 0:
             self.prune_closed()
@@ -109,7 +104,7 @@ class IngressLoadBalancer:
                 return
             owner = live[rss_queue(conn.conn_id, len(live))]
             self._owner[conn.conn_id] = (owner, conn)
-            self._count_failover()
+            self.failovers += 1
         owner.submit(conn, request)
 
     # -- owner-map lifecycle --------------------------------------------------

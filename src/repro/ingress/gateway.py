@@ -14,7 +14,8 @@ All three evaluated gateways (§4.1.3) share this scaffolding:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from collections import Counter
+from typing import Callable, Dict, List, Optional
 
 from ..config import CostModel
 from ..hw import rss_queue
@@ -55,15 +56,19 @@ class GatewayStats:
 
     ``dropped`` counts every request the gateway failed to serve —
     no-route, flushed sends, orphaned responses, and (QoS) admission
-    rejections; ``admission_rejected`` separates the deliberate sheds
-    from the failures.
+    rejections; ``drops`` splits it by reason (``admission-*`` are the
+    deliberate sheds).
     """
 
     def __init__(self):
         self.accepted = 0
         self.completed = 0
-        self.dropped = 0
-        self.admission_rejected = 0
+        #: requests the gateway failed to serve, by reason
+        self.drops: Dict[str, int] = Counter()
+
+    @property
+    def dropped(self) -> int:
+        return sum(self.drops.values())
 
 
 class GatewayWorker:

@@ -87,6 +87,10 @@ class PalladiumIngress:
         self.workers: List[GatewayWorker] = []
         self._worker_seq = 0
         self.stats = GatewayStats()
+        if env.telemetry is not None:
+            env.telemetry.metrics.collect(
+                "ingress_dropped_total", "Requests the ingress could not serve.",
+                ("reason",), self.stats.drops.items)
         self.latency = LatencyStats("ingress-e2e")
         self.throughput = RateMeter("ingress-rps", bucket=stats_bucket_us)
         #: rid -> (connection, worker, request, accept time, span)
@@ -238,11 +242,8 @@ class PalladiumIngress:
             # surviving replica): drop; the client's timeout fires.
             self._pending.pop(rid, None)
             pool.put(buffer, self.AGENT)
-            self.stats.dropped += 1
+            self.stats.drops["no-route"] += 1
             if tel is not None:
-                tel.metrics.counter(
-                    "ingress_dropped_total", "Requests the ingress could "
-                    "not serve.", labels=("reason",)).labels("no-route").inc()
                 tel.tracer.end_span(span, status="drop")
             return
         qp = yield from self.conn_mgr.get_connection(dst_node, tenant)
@@ -287,14 +288,9 @@ class PalladiumIngress:
         if reason is None:
             yield from self.qos.acquire_credit(dst_node, tenant)
             return False
-        self.stats.dropped += 1
-        self.stats.admission_rejected += 1
+        self.stats.drops[f"admission-{reason}"] += 1
         tel = self.env.telemetry
         if tel is not None:
-            tel.metrics.counter(
-                "ingress_dropped_total", "Requests the ingress could "
-                "not serve.", labels=("reason",)).labels(
-                    f"admission-{reason}").inc()
             tel.metrics.counter(
                 "ingress_admission_rejected_total",
                 "Requests shed by the QoS admission gate.",
@@ -331,13 +327,7 @@ class PalladiumIngress:
         if entry is None:
             # Orphaned response: the pending entry was already reaped
             # (flushed send, sibling takeover) — count it visibly.
-            self.stats.dropped += 1
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.metrics.counter(
-                    "ingress_dropped_total", "Requests the ingress could "
-                    "not serve.", labels=("reason",)).labels(
-                        "orphan-response").inc()
+            self.stats.drops["orphan-response"] += 1
             return
         conn, _worker, request, t0, span = entry
         response = HttpResponse(status=200, body=body, body_bytes=length,
@@ -413,17 +403,10 @@ class PalladiumIngress:
                 for gw in self.siblings:
                     if rid in gw._pending:
                         entry = gw._pending.pop(rid, None)
-                        gw.stats.dropped += 1
+                        gw.stats.drops["flushed-send"] += 1
                         tel = self.env.telemetry
-                        if tel is not None:
-                            tel.metrics.counter(
-                                "ingress_dropped_total",
-                                "Requests the ingress could not serve.",
-                                labels=("reason",)).labels(
-                                    "flushed-send").inc()
-                            if entry[4] is not None:
-                                tel.tracer.end_span(entry[4],
-                                                    status="error")
+                        if tel is not None and entry[4] is not None:
+                            tel.tracer.end_span(entry[4], status="error")
                         break
 
     def _replenisher(self):

@@ -27,10 +27,7 @@ def kill_and_cold_start(platform, fn_id: str, dst_node: str):
     platform.coordinator.function_terminated(fn_id)
     platform.runtimes[src_node].unregister_endpoint(fn_id)
     instance.crash()
-    if env.telemetry is not None:
-        env.telemetry.metrics.counter(
-            "cold_relocations_total", "Kill-and-cold-start relocations.",
-            labels=("fn",)).labels(fn_id).inc()
+    platform.cold_relocations[fn_id] += 1
     yield env.timeout(platform.cost.cold_start_us)
     replacement = platform.deploy(instance.spec, dst_node)
     return replacement

@@ -27,7 +27,7 @@ identical to the pre-migration simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from ..memory import BufferDescriptor
@@ -82,8 +82,17 @@ class LiveMigrator:
         self.records: List[MigrationRecord] = []
         self.migrations = 0
         self.aborts = 0
-        self.bytes_copied = 0
-        self.messages_redirected = 0
+        if self.env.telemetry is not None:
+            collect, records = self.env.telemetry.metrics.collect, self.records
+            collect("migrations_total", "Live migration attempts by outcome.",
+                    ("outcome",), lambda: {"ok": self.migrations,
+                                           "quiesce-timeout": self.aborts})
+            collect("migration_bytes_copied", "Checkpoint image bytes moved over "
+                    "the fabric.", ("fn",),
+                    lambda: ((r.fn_id, r.bytes_copied) for r in records if r.ok))
+            collect("migration_messages_redirected", "In-flight messages handed "
+                    "over to a migrated instance.", ("fn",),
+                    lambda: ((r.fn_id, r.messages_redirected) for r in records))
 
     # -- the tentpole --------------------------------------------------------
     def migrate(self, fn_id: str, dst_node: str,
@@ -170,7 +179,6 @@ class LiveMigrator:
         link = plat.cluster.fabric_link(src_node, dst_node)
         yield from link.transmit(image_bytes)
         record.bytes_copied = image_bytes
-        self.bytes_copied += image_bytes
         self._end(tel, span)
 
         # -- phase 4: restore on the target -----------------------------
@@ -264,7 +272,7 @@ class LiveMigrator:
             buffer.transfer(agent, instance.agent)
             instance.inbox.put_nowait(BufferDescriptor(
                 buffer=buffer, length=length, message=message))
-            self._count_redirect(record, instance.spec.name)
+            record.messages_redirected += 1
 
     def _forward_loop(self, record: MigrationRecord, instance, fwd_store,
                       src_runtime, dst_runtime, agent: str):
@@ -276,7 +284,6 @@ class LiveMigrator:
         full price: copy out on the source, a fabric hop, copy in on
         the target.
         """
-        env = self.env
         plat = self.platform
         cost = plat.cost
         link = plat.cluster.fabric_link(src_runtime.node.name,
@@ -301,17 +308,7 @@ class LiveMigrator:
             dst_buffer.transfer(agent, instance.agent)
             instance.inbox.put_nowait(BufferDescriptor(
                 buffer=dst_buffer, length=length, message=message))
-            self._count_redirect(record, instance.spec.name)
-
-    def _count_redirect(self, record: MigrationRecord, fn: str) -> None:
-        record.messages_redirected += 1
-        self.messages_redirected += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "migration_messages_redirected", "In-flight messages "
-                "handed over to a migrated instance.",
-                labels=("fn",)).labels(fn).inc()
+            record.messages_redirected += 1
 
     # -- telemetry plumbing --------------------------------------------------
     def _child(self, tel, root, name: str, node: str, actor: str):
@@ -329,16 +326,8 @@ class LiveMigrator:
         if tel is None:
             return
         self._end(tel, root, status=status)
-        tel.metrics.counter(
-            "migrations_total", "Live migration attempts by outcome.",
-            labels=("outcome",)).labels(
-                "ok" if record.ok else record.reason or "failed").inc()
         if record.ok:
             tel.metrics.histogram(
                 "migration_downtime_us", "Freeze-to-thaw blackout per "
                 "migration.", labels=("fn",)).labels(
                     record.fn_id).observe(record.downtime_us)
-            tel.metrics.counter(
-                "migration_bytes_copied", "Checkpoint image bytes moved "
-                "over the fabric.", labels=("fn",)).labels(
-                    record.fn_id).inc(record.bytes_copied)

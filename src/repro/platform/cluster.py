@@ -17,6 +17,7 @@ Typical use::
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import CostModel
@@ -31,6 +32,7 @@ from ..memory import (
 )
 from ..rdma import RdmaFabric
 from ..sim import Environment
+from ..telemetry.metrics import Gauge
 
 from .coordinator import Coordinator
 from .function import FunctionInstance, FunctionSpec
@@ -112,6 +114,10 @@ class ServerlessPlatform:
         self.draining_nodes: set = set()
         self.withdrawn_nodes: set = set()
         self._migrator = None
+        #: kill-and-cold-start relocations, by function
+        self.cold_relocations: Dict[str, int] = Counter()
+        if env.telemetry is not None:
+            self._export_metrics(env.telemetry.metrics)
 
     # -- tenants -------------------------------------------------------------
     def add_tenant(self, tenant: Tenant) -> None:
@@ -388,63 +394,42 @@ class ServerlessPlatform:
             snap[f"engine:{name}"] = engine.busy_us
         return snap
 
-    def export_metrics(self, telemetry=None) -> None:
-        """Publish cluster state into the telemetry metrics registry.
-
-        Gauges mirror the cumulative counters the platform objects
-        already keep, so one call refreshes the whole registry (the
-        experiment runner calls this before snapshotting).
-        """
-        tel = telemetry if telemetry is not None else self.env.telemetry
-        if tel is None:
-            return
-        m = tel.metrics
-        busy = m.gauge("core_busy_us", "Cumulative busy time per core "
-                       "complex.", labels=("node", "complex"))
-        for name, runtime in self.runtimes.items():
-            busy.labels(name, "cpu").set(runtime.node.cpu.total_busy_time())
-            if runtime.node.dpu is not None:
-                busy.labels(name, "dpu").set(
-                    runtime.node.dpu.total_busy_time())
-        app = m.gauge("fn_app_time_us", "Cumulative application compute "
-                      "per function.", labels=("fn",))
-        for fn_id, instance in self.functions.items():
-            app.labels(fn_id).set(instance.app_time_us)
-        eng_busy = m.gauge("engine_busy_us", "Cumulative engine core "
-                           "occupancy.", labels=("engine",))
-        sched = m.gauge("scheduler_events", "Tenant-scheduler counters.",
-                        labels=("engine", "event"))
-        conns = m.gauge("rc_connections", "RC connection pool state.",
-                        labels=("node", "state"))
-        fair = m.gauge("scheduler_fairness_ratio", "Measured weighted-"
-                       "fairness ratio (min/max normalised share).",
-                       labels=("engine",))
-        served = m.gauge("scheduler_tenant_bytes", "Per-tenant scheduler "
-                         "byte ledgers.", labels=("engine", "tenant", "dir"))
-        for name, engine in self.engines.items():
-            eng_busy.labels(engine.name).set(engine.busy_us)
-            sch = engine.scheduler
-            sched.labels(engine.name, "enqueued").set(sch.enqueued)
-            sched.labels(engine.name, "dequeued").set(sch.dequeued)
-            sched.labels(engine.name, "dropped").set(sch.dropped)
-            sched.labels(engine.name, "peak_backlog").set(sch.peak_backlog)
-            fair.labels(engine.name).set(sch.fairness_ratio())
-            for tenant, nbytes in sch.tenant_bytes_dequeued.items():
-                served.labels(engine.name, tenant, "dequeued").set(nbytes)
-            if engine.qos_credits is not None:
-                credit = m.gauge("engine_credits", "Credit-controller "
-                                 "lifetime counters.",
-                                 labels=("engine", "event"))
-                credit.labels(engine.name, "granted").set(
-                    engine.qos_credits.granted)
-                credit.labels(engine.name, "released").set(
-                    engine.qos_credits.released)
-                credit.labels(engine.name, "blocked").set(
-                    engine.qos_credits.blocked)
-            mgr = engine.conn_mgr
-            conns.labels(name, "active").set(mgr.active_count())
-            conns.labels(name, "pooled").set(mgr.pooled_count())
-            conns.labels(name, "evicted").set(mgr.evicted_qps)
+    def _export_metrics(self, metrics) -> None:
+        """Report the state the platform objects keep, read at export."""
+        def gauge(name, help, labels, read):
+            metrics.collect(name, help, labels, read, Gauge)
+        engines = self.engines.values
+        gauge("core_busy_us", "Cumulative busy time per core complex.",
+              ("node", "complex"),
+              lambda: {(n, c): getattr(r.node, c).total_busy_time()
+                       for n, r in self.runtimes.items() for c in ("cpu", "dpu")
+                       if getattr(r.node, c) is not None})
+        gauge("fn_app_time_us", "Cumulative application compute per function.", ("fn",),
+              lambda: {fn_id: i.app_time_us for fn_id, i in self.functions.items()})
+        gauge("engine_busy_us", "Cumulative engine core occupancy.", ("engine",),
+              lambda: {e.name: e.busy_us for e in engines()})
+        gauge("scheduler_events", "Tenant-scheduler counters.", ("engine", "event"),
+              lambda: {(e.name, ev): getattr(e.scheduler, ev) for e in engines()
+                       for ev in ("enqueued", "dequeued", "dropped", "peak_backlog")})
+        gauge("scheduler_fairness_ratio", "Measured weighted-fairness ratio (min/max "
+              "normalised share).", ("engine",),
+              lambda: {e.name: e.scheduler.fairness_ratio() for e in engines()})
+        gauge("scheduler_tenant_bytes", "Per-tenant scheduler byte ledgers.",
+              ("engine", "tenant", "dir"),
+              lambda: {(e.name, t, "dequeued"): nbytes for e in engines()
+                       for t, nbytes in e.scheduler.tenant_bytes_dequeued.items()})
+        gauge("engine_credits", "Credit-controller lifetime counters.",
+              ("engine", "event"),
+              lambda: {(e.name, ev): getattr(e.qos_credits, ev) for e in engines()
+                       if e.qos_credits is not None
+                       for ev in ("granted", "released", "blocked")})
+        gauge("rc_connections", "RC connection pool state.", ("node", "state"),
+              lambda: {(n, state): count for n, e in self.engines.items()
+                       for state, count in (("active", e.conn_mgr.active_count()),
+                                            ("pooled", e.conn_mgr.pooled_count()),
+                                            ("evicted", e.conn_mgr.evicted_qps))})
+        metrics.collect("cold_relocations_total", "Kill-and-cold-start relocations.",
+                        ("fn",), self.cold_relocations.items)
 
     def dpu_cpu_pct(self, since: float = 0.0,
                     baseline: Optional[Dict[str, float]] = None) -> float:

@@ -132,6 +132,13 @@ class FunctionInstance:
         self._quiesce_waiters: list = []
         #: completed live migrations of this instance
         self.migrations = 0
+        if env.telemetry is not None:
+            # the registry keeps a crashed or scaled-in instance's readers
+            collect = env.telemetry.metrics.collect
+            collect("fn_handled_total", "Handler executions completed.",
+                    ("fn", "tenant"), lambda: {(spec.name, spec.tenant): self.handled})
+            collect("fn_failed_total", "Handler executions abandoned on a downstream "
+                    "error.", ("fn",), lambda: {spec.name: self.failed})
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -317,10 +324,6 @@ class FunctionInstance:
                         self.iolib.recycle(buffer, self.agent)
                     if tel is not None:
                         tel.tracer.end_span(ctx.span, status="error")
-                        tel.metrics.counter(
-                            "fn_failed_total", "Handler executions abandoned "
-                            "on a downstream error.", labels=("fn",)).labels(
-                                self.spec.name).inc()
                     continue
                 # The request header has completed its journey: the handler
                 # either responded (reusing the buffer under a new header)
@@ -330,10 +333,6 @@ class FunctionInstance:
                 self.latency.record(self.env.now - started)
                 if tel is not None:
                     tel.tracer.end_span(ctx.span)
-                    tel.metrics.counter(
-                        "fn_handled_total", "Handler executions completed.",
-                        labels=("fn", "tenant")).labels(
-                            self.spec.name, self.spec.tenant).inc()
                     tel.metrics.histogram(
                         "fn_exec_latency_us", "Handler wall time, request "
                         "dequeue to completion.", labels=("fn",)).labels(

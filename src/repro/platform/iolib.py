@@ -13,7 +13,8 @@ arrows), performing the token-passing ownership transfer either way.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from collections import Counter
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..config import CostModel
 from ..dataplane import Message
@@ -81,6 +82,12 @@ class NodeRuntime:
         #: :class:`~repro.platform.elasticity.ElasticPlatform` installs
         #: its resolver here (None: names are function ids)
         self.resolve_service: Optional[Callable[[str], str]] = None
+        #: messages this node's I/O libraries sent, by (via, tenant)
+        self.sends: Dict[Tuple[str, str], int] = Counter()
+        if env.telemetry is not None:
+            env.telemetry.metrics.collect(
+                "iolib_sends_total", "Messages sent through the I/O library.",
+                ("via", "tenant"), lambda: self.sends)
 
     def add_pool(self, tenant: str, pool: MemoryPool) -> None:
         self.pools[tenant] = pool
@@ -244,6 +251,7 @@ class IoLibrary:
                                                extra_cpu_us)
         elif self.runtime.intra_routes.is_local(dst_fn):
             message.via = self.VIA_SKMSG
+            self.runtime.sends["skmsg", self.tenant] += 1
             span = None
             if tel is not None:
                 span = self._send_span(tel, message, dst_fn, size, "skmsg")
@@ -285,6 +293,7 @@ class IoLibrary:
                 # engine grants this tenant a TX credit.  The engine
                 # repays it when it processes — or sheds — the message.
                 yield from engine.qos_credits.acquire(self.tenant)
+            self.runtime.sends["engine", self.tenant] += 1
             span = None
             if tel is not None:
                 span = self._send_span(tel, message, dst_fn, size, "engine")
@@ -308,15 +317,12 @@ class IoLibrary:
 
     def _send_span(self, tel, message: Message, dst_fn: str, size: int,
                    via: str):
-        """Open a send span, stamp its context on the message, count it."""
+        """Open a send span and stamp its context on the message."""
         span = tel.tracer.start_span(
             "iolib.send", parent=message.trace, category="iolib",
             node=self.runtime.node.name, actor=self.fn_id,
             tenant=self.tenant, dst=dst_fn, via=via, bytes=size)
         message.trace = span.context
-        tel.metrics.counter(
-            "iolib_sends_total", "Messages sent through the I/O library.",
-            labels=("via", "tenant")).labels(via, self.tenant).inc()
         return span
 
     def _send_cross_domain(self, src_agent: str, dst_fn: str, buffer: Buffer,
@@ -337,6 +343,7 @@ class IoLibrary:
             )
         dst_pool = self.runtime.pool_for(dst_tenant)
         dst_buffer = yield from dst_pool.get_wait(src_agent)
+        self.runtime.sends["xdomain", self.tenant] += 1
         tel = self.env.telemetry
         span = None
         if tel is not None:
@@ -414,6 +421,7 @@ class KernelTcpFallback:
              buffer: Buffer, size: int, message: Message):
         """Generator: carry one message over the kernel stack."""
         runtime = iolib.runtime
+        runtime.sends["tcp-fallback", iolib.tenant] += 1
         cost = self.cost
         tel = self.env.telemetry
         span = None
@@ -424,10 +432,6 @@ class KernelTcpFallback:
                 tenant=iolib.tenant, dst=dst_fn, via="tcp-fallback",
                 bytes=size)
             message.trace = span.context
-            tel.metrics.counter(
-                "iolib_sends_total", "Messages sent through the I/O library.",
-                labels=("via", "tenant")).labels(
-                    "tcp-fallback", iolib.tenant).inc()
         # Route lookup reuses the engine's table: the control plane
         # (coordinator-pushed routes) survives the data-path crash.
         try:

@@ -78,11 +78,21 @@ class ConnectionManager:
         #: cold-connect timestamps per pool key (predictive pre-warm)
         self._demand: Dict[Tuple[str, str], List[float]] = {}
         self.connections_established = 0
-        self.setup_time_spent = 0.0
         self.connect_failures = 0
         self.evicted_qps = 0
         self.reconnects_scheduled = 0
         self.reconnects_succeeded = 0
+        #: shadow QPs promoted to ACTIVE
+        self.qp_activations = 0
+        if env.telemetry is not None:
+            collect = env.telemetry.metrics.collect
+            collect("rc_connects_total", "RC handshakes by outcome.", ("node", "ok"),
+                    lambda: {(node, "false"): self.connect_failures,
+                             (node, "true"): self.connections_established})
+            collect("qp_activations_total", "Shadow QPs promoted to active.", ("node",),
+                    lambda: {node: self.qp_activations})
+            collect("rc_reconnects_scheduled_total", "Background reconnect loops "
+                    "started.", ("node",), lambda: {node: self.reconnects_scheduled})
 
     def _establish(self, remote_node: str, tenant: str):
         """Generator: full RC handshake (tens of milliseconds, §3.3).
@@ -95,20 +105,10 @@ class ConnectionManager:
         """
         local = yield from self.cp.connect(remote_node, tenant,
                                            self.peer_alive)
-        self.setup_time_spent += local.setup_us
-        tel = self.env.telemetry
         if local.is_errored:
             self.connect_failures += 1
-            if tel is not None:
-                tel.metrics.counter(
-                    "rc_connects_total", "RC handshakes by outcome.",
-                    labels=("node", "ok")).labels(self.node, "false").inc()
             return local
         self.connections_established += 1
-        if tel is not None:
-            tel.metrics.counter(
-                "rc_connects_total", "RC handshakes by outcome.",
-                labels=("node", "ok")).labels(self.node, "true").inc()
         return local
 
     def _prune(self, key: Tuple[str, str]) -> List[QueuePair]:
@@ -253,11 +253,7 @@ class ConnectionManager:
             if qp.state == QPState.INACTIVE:  # may have errored meanwhile
                 qp.state = QPState.ACTIVE
                 self.fabric.rnic(self.node).active_qps += 1
-                tel = self.env.telemetry
-                if tel is not None:
-                    tel.metrics.counter(
-                        "qp_activations_total", "Shadow QPs promoted to "
-                        "active.", labels=("node",)).labels(self.node).inc()
+                self.qp_activations += 1
         return qp
 
     def deactivate_idle(self) -> int:
@@ -336,11 +332,6 @@ class ConnectionManager:
             return None
         self._reconnecting.add(key)
         self.reconnects_scheduled += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "rc_reconnects_scheduled_total", "Background reconnect "
-                "loops started.", labels=("node",)).labels(self.node).inc()
         return self.env.process(
             self._reconnect(remote_node, tenant),
             name=f"rc-reconnect:{self.node}->{remote_node}",

@@ -27,7 +27,8 @@ across call sites:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Union
 
 from ..config import CostModel
 from ..sim import Environment
@@ -123,10 +124,10 @@ class RdmaControlPlane:
         # -- ledgers -------------------------------------------------------
         self.ops_admitted = 0
         self.throttle_wait_us = 0.0
-        self.qps_established = 0
         self.connect_failures = 0
         self.setup_time_spent = 0.0
-        self.mr_registered_bytes = 0
+        #: bytes registered as standalone memory regions, by tenant
+        self.mr_bytes: Dict[str, int] = Counter()
         self.mr_regions_registered = 0
 
     # -- ops/sec ceiling ---------------------------------------------------
@@ -184,6 +185,7 @@ class RdmaControlPlane:
         if not alive(remote_node):
             local.fail(f"connect to {remote_node} failed")
             self.connect_failures += 1
+            self.fabric.count_edges(local)
             self._observe_setup(local, outcome="error")
             return local
         local.transition(QPState.RTS)
@@ -193,7 +195,8 @@ class RdmaControlPlane:
         peer.transition(QPState.RTS)
         peer.setup_us = local.setup_us
         local.peer, peer.peer = peer, local
-        self.qps_established += 1
+        self.fabric.count_edges(local)
+        self.fabric.count_edges(peer)
         self._observe_setup(local, outcome="ok")
         return local
 
@@ -246,15 +249,13 @@ class RdmaControlPlane:
             yield self.env.timeout(register_us)
         region = self.fabric.rnic(self.node).mrt.register_region(
             tenant, entries)
-        self.mr_registered_bytes += int(nbytes)
+        self.mr_bytes[tenant] += int(nbytes)
         self.mr_regions_registered += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "mr_registered_bytes", "Bytes registered as memory "
-                "regions.", labels=("node", "tenant")).labels(
-                    self.node, tenant).inc(int(nbytes))
         return region
+
+    @property
+    def mr_registered_bytes(self) -> int:
+        return sum(self.mr_bytes.values())
 
     def deregister_region(self, region: MemoryRegion) -> None:
         """Release a standalone region (dereg is cheap: no MTT writes)."""

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from collections import Counter
+from typing import Dict, Tuple
 
 from ..config import CostModel
 from ..hw import Cluster, Link
@@ -23,6 +24,29 @@ class RdmaFabric:
         self.cost = cost
         self._rnics: Dict[str, Rnic] = {}
         self._control_planes: Dict[str, RdmaControlPlane] = {}
+        #: verbs state-machine edges every QP took, by (node, from, to)
+        self.qp_edges: Dict[Tuple[str, str, str], int] = Counter()
+        if env.telemetry is not None:
+            collect, rnics = env.telemetry.metrics.collect, self._rnics
+            collect("rnic_ops_total", "Work requests completed by an RNIC.",
+                    ("node", "opcode", "ok"), lambda: {
+                        (n,) + k: c for n, r in rnics.items()
+                        for k, c in r.ops.items()})
+            collect("srq_rnr_stalls_total", "Senders that found an empty shared "
+                    "RQ (RNR condition).", ("node", "tenant"), lambda: {
+                        (n, t): q.rnr_stalls for n, r in rnics.items()
+                        for t, q in r.srqs.items()})
+            collect("mr_registered_bytes", "Bytes registered as memory regions.",
+                    ("node", "tenant"), lambda: {
+                        (n, t): b for n, cp in self._control_planes.items()
+                        for t, b in cp.mr_bytes.items()})
+            collect("qp_transitions_total", "Verbs state-machine edges taken.",
+                    ("node", "from", "to"), lambda: self.qp_edges)
+
+    def count_edges(self, qp, start: int = 0) -> None:
+        """Add ``qp``'s verbs edges from index ``start`` on to the ledger."""
+        for old, new in qp.transitions[start:]:
+            self.qp_edges[qp.local_node, old, new] += 1
 
     def install_rnic(self, node: str) -> Rnic:
         """Attach an RNIC to ``node`` (idempotent)."""

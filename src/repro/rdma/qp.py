@@ -117,7 +117,6 @@ class QueuePair:
         self.transitions: List[Tuple[str, str]] = []
         #: WRs posted but not yet completed (drives shadow activation).
         self.pending_wrs = 0
-        self.sends_posted = 0
         self.peer: Optional["QueuePair"] = None
         #: why the QP entered the ERROR state (fault telemetry)
         self.error_cause: str = ""
@@ -148,12 +147,6 @@ class QueuePair:
         self.verbs_state = new_state
         if new_state == QPState.ERROR and cause and not self.error_cause:
             self.error_cause = cause
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "qp_transitions_total", "Verbs state-machine edges taken.",
-                labels=("node", "from", "to")).labels(
-                    self.local_node, edge[0], new_state).inc()
 
     def fail(self, cause: str) -> None:
         """Move both state dimensions to ERROR (idempotent)."""
@@ -227,13 +220,6 @@ class SharedReceiveQueue:
         """
         if not self._queue.items:
             self.rnr_stalls += 1
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.metrics.counter(
-                    "srq_rnr_stalls_total", "Senders that found an empty "
-                    "shared RQ (RNR condition).",
-                    labels=("node", "tenant")).labels(
-                        self.node, self.tenant).inc()
         return self._queue.get()
 
     def fail_pending(self, exc: BaseException) -> int:

@@ -30,7 +30,8 @@ translations overflow the MTT cache (§3.4).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from collections import Counter
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..config import CostModel
 from ..memory import Buffer, BufferState, MemoryPool, RemoteMap
@@ -89,7 +90,8 @@ class Rnic:
         self.active_qps = 0
         #: one-sided writes that landed on a buffer an agent was using
         self.potential_races = 0
-        self.ops_completed = 0
+        #: posted work requests completed, by (opcode, ok)
+        self.ops: Dict[Tuple[str, bool], int] = Counter()
         #: fault state: a dead RNIC (node crash) errors every operation
         #: touching it; the no-fault path is one attribute check.
         self.dead = False
@@ -124,7 +126,9 @@ class Rnic:
             return
         if qp.is_active:
             self.active_qps -= 1
+        start = len(qp.transitions)
         qp.fail(cause)
+        self.fabric.count_edges(qp, start)
 
     # -- setup ----------------------------------------------------------------
     def register_pool(self, pool: MemoryPool, remote_map: Optional[RemoteMap] = None):
@@ -159,7 +163,6 @@ class Rnic:
         """Post a WR asynchronously; its completion lands on the CQ."""
         self._validate(qp, wr)
         qp.pending_wrs += 1
-        qp.sends_posted += 1
         span = None
         tel = self.env.telemetry
         if tel is not None and wr.message is not None \
@@ -191,7 +194,6 @@ class Rnic:
             completion = yield from self._execute(qp, wr)
         finally:
             qp.pending_wrs -= 1
-        self.ops_completed += 1
         if wr.signaled:
             self.cq.put_nowait(completion)
         return completion
@@ -218,16 +220,10 @@ class Rnic:
                 )
         finally:
             qp.pending_wrs -= 1
-        self.ops_completed += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter(
-                "rnic_ops_total", "Work requests completed by an RNIC.",
-                labels=("node", "opcode", "ok")).labels(
-                    self.node, wr.opcode, completion.ok).inc()
-            if span is not None:
-                tel.tracer.end_span(
-                    span, status="ok" if completion.ok else "flushed")
+        self.ops[wr.opcode, completion.ok] += 1
+        if span is not None:
+            self.env.telemetry.tracer.end_span(
+                span, status="ok" if completion.ok else "flushed")
         if wr.signaled:
             self.cq.put_nowait(completion)
         return completion

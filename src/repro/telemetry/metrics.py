@@ -22,6 +22,11 @@ this is what replaces unbounded per-sample lists on hot paths.
 Exporters are deterministic: children and labels are emitted in sorted
 order, so two identical runs produce byte-identical text/JSON.
 
+Only the SLO monitor's inputs (histograms, ingress SLI counters) are
+*pushed* where their event happens.  Every other family is *collected*:
+read at export from counts its owner keeps anyway, as Prometheus scrapes
+an exporter (:meth:`MetricsRegistry.collect`); nothing is pushed.
+
 Two safety valves guard the registry itself:
 
 * a **label-cardinality cap** (:class:`MetricsRegistry`'s
@@ -38,7 +43,7 @@ Two safety valves guard the registry itself:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -300,9 +305,10 @@ class MetricsRegistry:
 
     ``observer`` is the piggyback hook for the SLO monitor
     (:mod:`repro.telemetry.monitor`): when set, it is invoked (with no
-    arguments) on every family lookup — i.e. on every instrumentation
+    arguments) on every family lookup — i.e. on every pushed metric
     site that fires — which is what lets the monitor evaluate rules in
     *simulated* time without ever creating a simulation event.
+    Collected families (:meth:`collect`) never fire it.
     """
 
     #: the self-metric family counting series lost to the cap
@@ -310,6 +316,8 @@ class MetricsRegistry:
 
     def __init__(self):
         self._families: Dict[str, MetricFamily] = {}
+        #: collected family name -> (help, labels, kind, owners' readers)
+        self._collected: Dict[str, tuple] = {}
         self.max_series_per_family = MAX_SERIES_PER_FAMILY
         self.observer = None
         self._counting_drops = False
@@ -337,6 +345,8 @@ class MetricsRegistry:
                 raise TypeError(
                     f"metric {name!r} already registered as {family.kind}")
             return family
+        if name in self._collected:
+            raise TypeError(f"metric {name!r} is collected, not pushed")
         family = MetricFamily(name, help, labels, factory, registry=self,
                               max_series=self.max_series_per_family,
                               **kwargs)
@@ -358,12 +368,42 @@ class MetricsRegistry:
         return self._family(name, help, labels, Histogram,
                             low=low, high=high, sub_buckets=sub_buckets)
 
+    def collect(self, name: str, help: str, labels: Sequence[str],
+                read: Callable, factory=Counter) -> None:
+        """Register ``read`` as a source of the collected family ``name``.
+
+        Only the exporters call ``read()``: it returns ``(label_values,
+        value)`` pairs or a dict of them (bare values for one label).  A
+        :class:`Counter` sums every owner's pairs, skipping zeros; a
+        :class:`Gauge` keeps the last value.
+        """
+        if name in self._families:
+            raise TypeError(f"metric {name!r} is pushed, not collected")
+        self._collected.setdefault(name, (help, labels, factory, []))[3].append(read)
+
     def get(self, name: str) -> Optional[MetricFamily]:
+        if name in self._collected:
+            raise ValueError(f"{name} is collected: it exists only at export")
         return self._families.get(name)
 
     def families(self) -> Iterator[MetricFamily]:
-        for name in sorted(self._families):
-            yield self._families[name]
+        """Pushed and collected families by name (runs every reader)."""
+        families = dict(self._families)
+        for name, (help, labels, factory, readers) in self._collected.items():
+            family = MetricFamily(name, help, labels, factory)
+            for read in readers:
+                pairs = read()
+                for values, value in (pairs.items() if isinstance(pairs, dict)
+                                      else pairs):
+                    values = values if type(values) is tuple else (values,)
+                    if factory is Gauge:
+                        family.labels(*values).set(value)
+                    elif value:
+                        family.labels(*values).inc(value)
+            if family._children:
+                families[name] = family
+        for name in sorted(families):
+            yield families[name]
 
     # -- exporters -----------------------------------------------------------
     def snapshot(self) -> Dict[str, dict]:

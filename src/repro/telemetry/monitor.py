@@ -4,12 +4,14 @@ alerts, evaluated in *simulated* time.
 The monitor is the third telemetry consumer (after exporters and the
 profiler) and keeps the same contract: it never creates simulation
 events, never yields, never draws random numbers.  It has no clock of
-its own — it **piggybacks on metric observations**: every
-instrumentation site already performs a registry family lookup, and the
-registry's ``observer`` hook hands that moment to the monitor, which
-catches up on any step boundaries the simulation crossed since the last
-observation.  Rule evaluation is pure arithmetic over registry state,
-so enabling the monitor keeps simulation output byte-identical
+its own — it **piggybacks on metric observations**: every pushed
+site (histograms, ingress SLI counters) performs a registry family
+lookup, and the registry's ``observer`` hook hands that moment to the
+monitor, which catches up on any step boundaries the simulation
+crossed since the last observation.  Rule evaluation is pure
+arithmetic over pushed registry state (a :class:`Selector` naming a
+collected family raises ``ValueError``), so enabling the monitor keeps
+simulation output byte-identical
 (extends the PR-2 no-perturb guarantee; asserted in CI).
 
 Three rule shapes cover the Prometheus recording-rule idioms used here:
@@ -447,7 +449,7 @@ class Monitor:
         observer, and publish it as ``telemetry.monitor``."""
         monitor = cls(telemetry.env, telemetry.metrics,
                       tracer=telemetry.tracer, **kwargs)
-        telemetry.metrics.observer = monitor._pulse
+        telemetry.metrics.observer = monitor.catch_up
         telemetry.monitor = monitor
         return monitor
 
@@ -483,8 +485,9 @@ class Monitor:
         self._register(slo, longest)
 
     # -- piggyback evaluation ------------------------------------------------
-    def _pulse(self) -> None:
-        """Registry observer: called on every instrumentation site."""
+    def catch_up(self) -> None:
+        """Evaluate every step boundary up to now: the registry observer,
+        and a runner's last call, for boundaries after its last site."""
         if self._in_eval:
             return
         now = self.env.now

@@ -4,11 +4,13 @@ Instrumentation sites all follow the same pattern::
 
     tel = self.env.telemetry
     if tel is not None:
-        tel.metrics.counter(...).labels(...).inc()
+        tel.metrics.histogram(...).labels(...).observe(value)
 
 ``env.telemetry`` defaults to ``None`` (set in ``Environment``), so
 the disabled cost is one attribute read per site.  Installing a
-:class:`Telemetry` flips every site on at once.
+:class:`Telemetry` flips every site on at once.  Only histograms and
+the ingress SLI counters are pushed this way; other metrics are read
+at export from counts their owners keep (``tel.metrics.collect``).
 
 Enabled, a site stays cheap because nothing in it is rebuilt per call
 that could be built once: ``labels()`` hands back a cached child for
@@ -17,7 +19,7 @@ names, actor names and cycle-ledger sites as attributes (the RNIC's
 ``agent``, a function's execution-span name, an I/O library's
 ``iolib:<node>`` site).  A site never keeps its family or child
 across calls: the family lookup is where the SLO monitor's
-``observer`` fires, before the site's increment.
+``observer`` fires, before the site's increment or observation.
 
 Invariant (enforced by the determinism test): nothing reachable from
 ``Telemetry`` ever creates simulation events, yields, schedules, or

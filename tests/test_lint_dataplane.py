@@ -1,4 +1,4 @@
-"""The dataplane lint: no untyped meta plumbing outside repro.dataplane."""
+"""The dataplane lint: idioms the refactors retired stay retired."""
 
 import subprocess
 import sys
@@ -272,3 +272,55 @@ def test_sim_package_may_race_raw_timers(tmp_path):
     # ...but the other rules still apply inside repro/sim
     path.write_text("x = descriptor.meta\n")
     assert len(check_file(path)) == 1
+
+
+def test_flags_pushed_counter_and_gauge(tmp_path):
+    source = (
+        "tel.metrics.counter('engine_tx_total').labels(e, t).inc()\n"
+        "env.telemetry.metrics.gauge('core_busy_us').labels(n).set(1.0)\n"
+    )
+    vs = _violations(tmp_path, source)
+    assert [(v[1], "'.counter()'" in v[3], "'.gauge()'" in v[3])
+            for v in vs] == [(1, True, False), (2, False, True)]
+    assert all("MetricsRegistry.collect" in v[3] for v in vs)
+
+
+def test_flags_pushed_gauge_through_a_bound_registry(tmp_path):
+    # The old ServerlessPlatform.export_metrics form: registry bound first.
+    source = (
+        "def export_metrics(self, tel):\n"
+        "    m = tel.metrics\n"
+        "    busy = m.gauge('core_busy_us', labels=('node',))\n"
+        "def other(m):\n"
+        "    return m.gauge('x')\n"
+    )
+    vs = _violations(tmp_path, source)
+    assert len(vs) == 1 and vs[0][1] == 3
+
+
+def test_histograms_and_collectors_are_legal(tmp_path):
+    source = (
+        "tel.metrics.histogram('fn_exec_latency_us').labels(f).observe(v)\n"
+        "tel.metrics.collect('engine_tx_total', 'TX.', ('engine',), read)\n"
+        "c = collections.Counter(); c.counter(3)\n"
+    )
+    assert _violations(tmp_path, source) == []
+
+
+def test_ingress_may_push_sli_counters_and_telemetry_gauges(tmp_path):
+    sli = "tel.metrics.counter('ingress_requests_total')\n"
+    other = "tel.metrics.counter('ingress_dropped_total')\n"
+    gauge = "tel.metrics.gauge('x')\n"
+    for part, legal, illegal in (("ingress", sli, (other, gauge)),
+                                 ("telemetry", gauge, (sli, other))):
+        pkg = tmp_path / part
+        pkg.mkdir()
+        path = pkg / "mod.py"
+        path.write_text(legal)
+        assert check_file(path) == []
+        for source in illegal:
+            path.write_text(source)
+            assert len(check_file(path)) == 1
+    path = tmp_path / "ingress" / "mod.py"
+    path.write_text(other)
+    assert "SLI counters only" in check_file(path)[0][3]

@@ -36,7 +36,7 @@ def make_monitor(**kwargs):
     env = FakeClock()
     reg = MetricsRegistry()
     mon = Monitor(env, reg, **kwargs)
-    reg.observer = mon._pulse
+    reg.observer = mon.catch_up
     return env, reg, mon
 
 
@@ -237,7 +237,7 @@ class TestSloAlerting:
         reg = MetricsRegistry()
         tracer = SpanTracer(env)
         mon = Monitor(env, reg, tracer=tracer, step_us=1_000.0)
-        reg.observer = mon._pulse
+        reg.observer = mon.catch_up
         mon.add_slo(availability_slo())
         for t in range(1, 12):
             drive(env, reg, mon, t * 1_000.0, good=0, bad=10)
@@ -287,8 +287,18 @@ class TestMonitorMechanics:
         tel = Telemetry.install(env)
         mon = tel.attach_monitor(step_us=2_000.0)
         assert tel.monitor is mon
-        assert tel.metrics.observer == mon._pulse
+        assert tel.metrics.observer == mon.catch_up
         assert tel.attach_monitor() is mon  # idempotent
+
+    def test_catch_up_evaluates_boundaries_after_the_last_site(self):
+        env, reg, mon = make_monitor(step_us=1_000.0)
+        mon.add_rule(RateRule("rps", "req_total", 2_000.0))
+        tick(env, reg, 1_500.0)
+        assert mon.evaluations == 1
+        env.now = 3_200.0  # the run ends with no pushed site after 1.5 ms
+        mon.catch_up()
+        assert mon.evaluations == 3
+        assert [t for t, _ in mon.series["rps"]] == [1_000.0, 2_000.0, 3_000.0]
 
     def test_snapshot_is_json_safe(self):
         import json

@@ -9,9 +9,12 @@ sha256 of ``metrics.prometheus_text()``.
 
 Families no run below reaches:
 
-* ``gateway_failovers_total``: its one site calls ``.inc()`` on the
-  family instead of a child, so a failover with telemetry on raises
-  ``AttributeError`` before anything is counted.
+* ``gateway_failovers_total``: no run fails a gateway behind the
+  balancer.  Its pushed site called ``.inc()`` on the family instead of
+  a child, so a failover with telemetry on raised ``AttributeError``;
+  the collected family is checked in ``tests/test_collected_metrics.py``.
+* ``telemetry_dropped_series_total``: no run exceeds the per-family
+  label-cardinality cap (``tests/test_telemetry.py`` drives it).
 
 Re-pin only for an intended change to what the metrics report::
 
@@ -89,7 +92,6 @@ def _crash():
             .engine_crash(100_000.0, "worker0", down_us=5_000.0))
     FaultInjector(env, plat, plan).start()
     env.run(until=130_000.0)
-    plat.export_metrics(tel)
     return tel
 
 
@@ -114,7 +116,6 @@ def _migration():
 
     env.process(relocate(), name="relocate")
     env.run(until=100_000.0)
-    plat.export_metrics(tel)
     return tel
 
 
@@ -134,7 +135,6 @@ def _balancer():
                         body_bytes=128, payload="x")
     after(env, 40_000.0, lambda: fleet.spawn(6))
     env.run(until=60_000.0)
-    plat.export_metrics(tel)
     return tel
 
 

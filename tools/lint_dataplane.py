@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""AST lint: no untyped ``meta`` plumbing outside ``repro.dataplane``.
+"""AST lint: idioms the refactors retired stay retired.
+
+Each rule below names the layer that replaced an idiom; outside that
+layer the old idiom is rejected.
 
 PR 3 replaced the per-hop ``meta`` dicts with the typed
 :class:`repro.dataplane.Message`.  This checker keeps the old idiom
@@ -51,6 +54,19 @@ implements it) the checker rejects the uncancelled guarded wait:
   (wait with ``yield from env.within(event, delay)``, which cancels the
   losing timer).
 
+Metrics are read from the counts their owners keep: an owner registers
+its readers with ``MetricsRegistry.collect`` and the exporters call
+them.  Only the SLO monitor's inputs stay pushed:
+histograms, and the ingress SLI counters.  So the checker rejects a
+pushed gauge outside ``src/repro/telemetry/`` and a pushed counter
+outside ``src/repro/ingress/``; inside it, only the three SLI counter
+families (:data:`SLI_COUNTERS`) may be pushed:
+
+* calls ``<expr>.metrics.gauge(...)`` / ``<expr>.metrics.counter(...)``,
+  or ``m.gauge(...)`` / ``m.counter(...)`` where the same function bound
+  ``m = <expr>.metrics`` (keep the count on its owner and register a
+  reader for it).
+
 Usage::
 
     python tools/lint_dataplane.py [root ...]
@@ -64,7 +80,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: underscore keys the old dict-based header used
 LEGACY_META_KEYS = frozenset(
@@ -95,6 +111,15 @@ CQ_EXEMPT_PART = "rdma"
 #: path fragment allowed to race an event against a raw timer (the kernel)
 GUARD_EXEMPT_PART = "sim"
 
+#: the counters the SLO monitor reads in simulated time
+SLI_COUNTERS = frozenset({"ingress_requests_total", "ingress_responses_total",
+                          "ingress_admission_rejected_total"})
+
+#: metric kinds a site may not push, each with the one path fragment
+#: that still may and the families it may push there (None: any)
+PUSH_EXEMPTIONS = {"gauge": ("telemetry", None),
+                   "counter": ("ingress", SLI_COUNTERS)}
+
 Violation = Tuple[str, int, int, str]
 
 
@@ -113,9 +138,22 @@ def _is_timer(node: ast.AST) -> bool:
             and node.func.attr == "timeout")
 
 
-def _timer_names(scope: ast.AST) -> Set[str]:
-    """Names that ``scope`` itself (not a nested def) binds to a raw
-    timer, as in ``t = env.timeout(d)``."""
+def _is_registry(node: ast.AST) -> bool:
+    """``<expr>.metrics``: a metrics registry."""
+    return isinstance(node, ast.Attribute) and node.attr == "metrics"
+
+
+def _family_name(call: ast.Call) -> Optional[str]:
+    """The family name a metric call passes as a string literal."""
+    if call.args and isinstance(call.args[0], ast.Constant) \
+            and isinstance(call.args[0].value, str):
+        return call.args[0].value
+    return None
+
+
+def _bound_names(scope: ast.AST, is_value) -> Set[str]:
+    """Names that ``scope`` itself (not a nested def) binds to a value
+    ``is_value`` accepts, as in ``t = env.timeout(d)``."""
     names: Set[str] = set()
     stack = list(ast.iter_child_nodes(scope))
     while stack:
@@ -123,7 +161,7 @@ def _timer_names(scope: ast.AST) -> Set[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda, ast.ClassDef)):
             continue
-        if isinstance(node, ast.Assign) and _is_timer(node.value):
+        if isinstance(node, ast.Assign) and is_value(node.value):
             names.update(target.id for target in node.targets
                          if isinstance(target, ast.Name))
         stack.extend(ast.iter_child_nodes(node))
@@ -135,22 +173,31 @@ class _MetaVisitor(ast.NodeVisitor):
                  check_controlplane: bool = True,
                  check_spray: bool = True,
                  check_cq: bool = True,
-                 check_guard: bool = True):
+                 check_guard: bool = True,
+                 push_allowed: Optional[Dict[str, frozenset]] = None):
         self.path = path
         self.check_meta = check_meta
         self.check_controlplane = check_controlplane
         self.check_spray = check_spray
         self.check_cq = check_cq
         self.check_guard = check_guard
-        #: per enclosing scope, the names bound to raw timers
+        #: metric kind -> the families a site here may still push
+        self.push_allowed = ({kind: frozenset() for kind in PUSH_EXEMPTIONS}
+                             if push_allowed is None else push_allowed)
+        #: per enclosing scope, the names bound to raw timers and to
+        #: metrics registries
         self._timers: List[Set[str]] = [set()]
+        self._registries: List[Set[str]] = [set()]
         self.violations: List[Violation] = []
 
     def _visit_scope(self, node: ast.AST) -> None:
-        self._timers.append(_timer_names(node) if self.check_guard
-                            else set())
+        self._timers.append(_bound_names(node, _is_timer)
+                            if self.check_guard else set())
+        self._registries.append(_bound_names(node, _is_registry)
+                                if self.push_allowed else set())
         self.generic_visit(node)
         self._timers.pop()
+        self._registries.pop()
 
     visit_Module = visit_FunctionDef = visit_AsyncFunctionDef = _visit_scope
 
@@ -212,6 +259,19 @@ class _MetaVisitor(ast.NodeVisitor):
                              "x.timeout(...)])' outside repro.sim (use "
                              "'yield from env.within(event, delay)', which "
                              "cancels the losing timer)")
+        # x.metrics.counter(...) / m.gauge(...) with m = x.metrics: a
+        # pushed metric its owner should expose through a reader
+        if isinstance(func, ast.Attribute) \
+                and func.attr in self.push_allowed \
+                and (_is_registry(func.value) or (
+                    isinstance(func.value, ast.Name)
+                    and func.value.id in self._registries[-1])) \
+                and _family_name(node) not in self.push_allowed[func.attr]:
+            part, names = PUSH_EXEMPTIONS[func.attr]
+            where = f"repro.{part}" + (" (SLI counters only)" if names else "")
+            self._flag(node, f"pushed metric '.{func.attr}()' outside "
+                             f"{where} (keep the count on its owner and "
+                             f"register a reader: MetricsRegistry.collect)")
         if not self.check_meta:
             self.generic_visit(node)
             return
@@ -274,8 +334,11 @@ def check_file(path: Path) -> List[Violation]:
     check_spray = not _is_spray_exempt(path)
     check_cq = not _is_cq_exempt(path)
     check_guard = not _is_guard_exempt(path)
+    push_allowed = {kind: names if part in path.parts else frozenset()
+                    for kind, (part, names) in PUSH_EXEMPTIONS.items()
+                    if part not in path.parts or names is not None}
     if not (check_meta or check_controlplane or check_spray or check_cq
-            or check_guard):
+            or check_guard or push_allowed):
         return []
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -286,7 +349,8 @@ def check_file(path: Path) -> List[Violation]:
                            check_controlplane=check_controlplane,
                            check_spray=check_spray,
                            check_cq=check_cq,
-                           check_guard=check_guard)
+                           check_guard=check_guard,
+                           push_allowed=push_allowed)
     visitor.visit(tree)
     return visitor.violations
 
