@@ -86,6 +86,11 @@ class SockMap:
         The SK_MSG program + sockmap lookup run in the sender's
         context; delivery wakes the receiver.
         """
+        tel = self.env.telemetry
+        if tel is not None:
+            tel.cycles.charge("descriptor",
+                              self.cost.sk_msg_us * sender_compute.factor,
+                              where=self.name)
         yield from sender_compute.run(self.cost.sk_msg_us)
         self.redirect(dst_fn, descriptor)
 
