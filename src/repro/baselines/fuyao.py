@@ -70,9 +70,6 @@ class FuyaoEngine(NetworkEngine):
     def _allocate_core(self):
         return self.node.cpu.allocate_pinned(f"{self.name}-poller")
 
-    def _ingest_cost_us(self) -> float:
-        return self.cost.sk_msg_interrupt_us + self.channel.ingest_cost_us()
-
     # -- tenant setup: create and register the dedicated RDMA pool ----------------
     def setup_tenant(self, tenant: str, pool: MemoryPool,
                      remote_map: Optional[RemoteMap] = None,
@@ -121,7 +118,12 @@ class FuyaoEngine(NetworkEngine):
             self._recycle(buffer, tenant)
             return
         peer = self.peers.get(dst_node)
-        yield from self._run(self._ingest_cost_us() + cost.fuyao_tx_us)
+        # Interrupt-driven SK_MSG ingest, then the one-sided WR build.
+        yield from self._run(
+            ("protocol", cost.sk_msg_interrupt_us),
+            ("descriptor", self.channel.ingest_cost_us()),
+            ("descriptor", cost.fuyao_tx_us),
+        )
         credits = self._credits.get((dst_node, tenant))
         if credits is None:
             raise RuntimeError(
@@ -161,7 +163,7 @@ class FuyaoEngine(NetworkEngine):
     # -- CQ: recycle source buffers on write completion -------------------------------------
     def _handle_cqe(self, completion: Completion):
         if completion.opcode == Opcode.WRITE:
-            yield from self._run(self.cost.mempool_op_us)
+            yield from self._run(("descriptor", self.cost.mempool_op_us))
             buffer = completion.buffer
             if buffer is not None and buffer.pool is not None:
                 buffer.pool.put(buffer, self.agent)
@@ -187,7 +189,8 @@ class FuyaoEngine(NetworkEngine):
         # RDMA pool into the tenant's local pool (the extra copy of
         # Fig. 2 (2)), executed on the pinned polling core.
         yield from self._run(
-            cost.fuyao_rx_us + cost.copy_time(length, cached=self.copy_cached)
+            ("descriptor", cost.fuyao_rx_us),
+            ("copy", cost.copy_time(length, cached=self.copy_cached)),
         )
         state = self._tenants.get(tenant)
         if state is None:

@@ -49,10 +49,6 @@ class SprightEngine(NetworkEngine):
         # Event-driven on the shared host cores: no pinned poller.
         return self.node.cpu
 
-    def _ingest_cost_us(self) -> float:
-        # SK_MSG delivery into the engine is interrupt-driven.
-        return self.cost.sk_msg_interrupt_us + self.channel.ingest_cost_us()
-
     def _core_thread(self, epoch):
         """No RC connections or receive buffers to manage; idle."""
         return
@@ -76,12 +72,6 @@ class SprightEngine(NetworkEngine):
                 tenant=tenant, src=src_fn, dst=dst_fn,
                 bytes=descriptor.length)
             message.trace = span.context
-            self._charge_cycles(tel, (
-                ("protocol",
-                 cost.sk_msg_interrupt_us + cost.kernel_tcp_us),
-                ("descriptor", self.channel.ingest_cost_us()),
-                ("copy", cost.copy_time(descriptor.length)),
-            ))
         try:
             dst_node = self.routes.node_for(dst_fn)
         except RouteError:
@@ -96,12 +86,14 @@ class SprightEngine(NetworkEngine):
         peer = self.peers.get(dst_node)
         if peer is None:
             raise RuntimeError(f"{self.name}: no peer engine on {dst_node}")
-        # Ingest + socket serialization: one real copy plus kernel
-        # protocol processing, all scheduled on shared cores.
+        # Interrupt-driven SK_MSG ingest + socket serialization: one
+        # real copy plus kernel protocol processing, all scheduled on
+        # shared cores.
         yield from self._run(
-            self._ingest_cost_us()
-            + cost.copy_time(descriptor.length)
-            + cost.kernel_tcp_us
+            ("protocol", cost.sk_msg_interrupt_us),
+            ("descriptor", self.channel.ingest_cost_us()),
+            ("copy", cost.copy_time(descriptor.length)),
+            ("protocol", cost.kernel_tcp_us),
         )
         frame = _TcpFrame(message, buffer.payload, descriptor.length, tenant)
         # Source buffer is free as soon as it is serialized to the socket.
@@ -125,15 +117,8 @@ class SprightEngine(NetworkEngine):
             # Receive-side kernel TCP + softirq processing happens in
             # interrupt context on the peer's shared cores, before the
             # engine's event loop ever sees the message.
-            if tel is not None:
-                tel.cycles.charge(
-                    "protocol",
-                    (cost.kernel_tcp_us + cost.kernel_irq_us)
-                    * peer.node.cpu.factor,
-                    where=peer.name)
-            yield from peer.node.cpu.execute(
-                cost.kernel_tcp_us + cost.kernel_irq_us
-            )
+            yield from peer.node.cpu.run(
+                ("protocol", cost.kernel_tcp_us + cost.kernel_irq_us))
             if tel is not None:
                 tel.tracer.end_span(span)
             message.transfer(self.agent, peer.agent)
@@ -159,17 +144,12 @@ class SprightEngine(NetworkEngine):
                 "engine.rx", parent=message.trace,
                 category="engine", node=self.node.name, actor=self.name,
                 tenant=frame.tenant, bytes=frame.length)
-            self._charge_cycles(tel, (
-                ("protocol", cost.sk_msg_interrupt_us),
-                ("copy", cost.copy_time(frame.length)),
-                ("descriptor", cost.dne_rx_proc_us),
-            ))
         # Socket read + copy into the local pool (the kernel/softirq
         # cost was already paid in interrupt context).
         yield from self._run(
-            cost.sk_msg_interrupt_us
-            + cost.copy_time(frame.length)
-            + cost.dne_rx_proc_us
+            ("protocol", cost.sk_msg_interrupt_us),
+            ("copy", cost.copy_time(frame.length)),
+            ("descriptor", cost.dne_rx_proc_us),
         )
         tenant = frame.tenant
         state = self._tenants.get(tenant)

@@ -35,7 +35,7 @@ from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..config import CostModel
-from ..hw import Node, PinnedCore
+from ..hw import Node, PinnedCore, work_us
 from ..memory import BufferDescriptor, MemoryPool, PoolExhausted, RemoteMap
 from ..rdma import (
     Completion,
@@ -202,40 +202,21 @@ class NetworkEngine:
     def _export_metrics(self, metrics) -> None:
         self.stats.export(metrics.collect, self.name)  # read at export only
 
-    # -- subclass hooks -----------------------------------------------------
-    def _ingest_cost_us(self) -> float:
-        """Host-core-equivalent cost to ingest one TX descriptor."""
-        return self.channel.ingest_cost_us()
-
-    def _egress_cost_us(self) -> float:
-        """Host-core-equivalent cost to push one RX descriptor out."""
-        return self.channel.ingest_cost_us()
-
-    # -- cycle attribution (telemetry only, see repro.telemetry.profiler) ----
-    def _tx_cycle_charges(self) -> Tuple[Tuple[str, float], ...]:
-        """(category, host_us) attribution of one TX iteration's work.
-
-        Used only when telemetry is installed; the engine's actual
-        ``_run`` charge is computed independently so attribution can
-        never perturb timing.
-        """
+    # -- subclass hooks: one iteration's work, as (category, host_us) ----
+    def _tx_charges(self) -> Tuple[Tuple[str, float], ...]:
+        """Ingest + routing + WR build, then the DWRR decision."""
         return (
-            ("descriptor", self._ingest_cost_us() + self.cost.dne_tx_proc_us),
+            ("descriptor",
+             self.channel.ingest_cost_us() + self.cost.dne_tx_proc_us),
             ("scheduling", self.cost.dwrr_decision_us),
         )
 
-    def _rx_cycle_charges(self) -> Tuple[Tuple[str, float], ...]:
-        """(category, host_us) attribution of one RX iteration's work."""
+    def _rx_charges(self) -> Tuple[Tuple[str, float], ...]:
+        """RBR lookup, then the descriptor push to the function."""
         return (
-            ("descriptor", self.cost.dne_rx_proc_us + self._egress_cost_us()),
+            ("descriptor",
+             self.cost.dne_rx_proc_us + self.channel.ingest_cost_us()),
         )
-
-    def _charge_cycles(self, tel, charges) -> None:
-        core = self.core
-        factor = core.factor if core is not None else 1.0
-        charge, where = tel.cycles.charge, self.name
-        for category, host_us in charges:
-            charge(category, host_us * factor, where)
 
     # -- configuration --------------------------------------------------------
     def setup_tenant(
@@ -383,10 +364,10 @@ class NetworkEngine:
         self.restarts += 1
         self._spawn()
 
-    def _run(self, host_us: float):
-        """Generator: engine work on its core, with busy accounting."""
-        self.busy_us += host_us * self.core.factor
-        yield from self.core.run(host_us)
+    def _run(self, *charges: Tuple[str, float]):
+        """Engine work on its core, with busy accounting; ``yield from`` it."""
+        self.busy_us += work_us(charges) * self.core.factor
+        return self.core.run(*charges)
 
     def engine_cpu_pct(self, since: float = 0.0,
                        baseline_busy_us: float = 0.0) -> float:
@@ -515,7 +496,6 @@ class NetworkEngine:
 
     # -- TX stage (Fig. 7) --------------------------------------------------------
     def _handle_tx(self, tenant: str, src_fn: str, descriptor: BufferDescriptor):
-        cost = self.cost
         if self.qos_credits is not None:
             # The descriptor left the scheduler: the local sender's
             # credit is repaid the moment the engine takes over.
@@ -537,11 +517,8 @@ class NetworkEngine:
                 tenant=tenant, src=src_fn, dst=dst_fn,
                 bytes=descriptor.length)
             message.trace = span.context
-            self._charge_cycles(tel, self._tx_cycle_charges())
         # Ingest + routing + WR build, all on the engine's core.
-        yield from self._run(
-            self._ingest_cost_us() + cost.dne_tx_proc_us + cost.dwrr_decision_us
-        )
+        yield from self._run(*self._tx_charges())
         try:
             dst_node = self.routes.node_for(dst_fn)
         except RouteError:
@@ -601,10 +578,7 @@ class NetworkEngine:
             yield from self._handle_recv(completion)
         elif completion.opcode == Opcode.SEND:
             # Send completed: tiny poll cost, recycle the source buffer.
-            tel = self.env.telemetry
-            if tel is not None:
-                self._charge_cycles(tel, (("descriptor", cost.mempool_op_us),))
-            yield from self._run(cost.mempool_op_us)
+            yield from self._run(("descriptor", cost.mempool_op_us))
             if not completion.ok:
                 self.stats.tx_errors += 1
             # Reliability hook: senders running with a retry budget ride
@@ -625,7 +599,6 @@ class NetworkEngine:
         # other opcodes (one-sided) are not used by the Palladium engine
 
     def _handle_recv(self, completion: Completion):
-        cost = self.cost
         message = completion.message
         tel = self.env.telemetry
         span = None
@@ -635,8 +608,7 @@ class NetworkEngine:
                 parent=message.trace if message is not None else None,
                 category="engine", node=self.node.name, actor=self.name,
                 tenant=completion.tenant or "", bytes=completion.length)
-            self._charge_cycles(tel, self._rx_cycle_charges())
-        yield from self._run(cost.dne_rx_proc_us + self._egress_cost_us())
+        yield from self._run(*self._rx_charges())
         if (self.qos_credits is not None and message is not None
                 and message.src in self._qos_credit_sources):
             # A credit-holding sender (the ingress) posted this toward
@@ -719,31 +691,20 @@ class CpuNetworkEngine(NetworkEngine):
             2.0, self.cost.cne_concurrency_penalty_us * backlog
         )
 
-    def _ingest_cost_us(self) -> float:
+    # The SK_MSG interrupt machinery and the livelock penalty are
+    # protocol overhead, not descriptor work.  Parts are listed in the
+    # order they sum, so the split keeps the engine's timing.
+    def _tx_charges(self) -> Tuple[Tuple[str, float], ...]:
+        cost = self.cost
         return (
-            self.cost.sk_msg_interrupt_us
-            + self.channel.ingest_cost_us()
-            + self._interrupt_penalty_us()
+            ("protocol", cost.sk_msg_interrupt_us),
+            ("descriptor", self.channel.ingest_cost_us()),
+            ("protocol", self._interrupt_penalty_us()),
+            ("descriptor", cost.dne_tx_proc_us),
+            ("scheduling", cost.dwrr_decision_us),
         )
 
-    def _egress_cost_us(self) -> float:
-        return (
-            self.cost.sk_msg_us
-            + self._interrupt_penalty_us()
-        )
-
-    # CNE attribution: the SK_MSG interrupt machinery and the livelock
-    # penalty are protocol overhead, not descriptor work.
-    def _tx_cycle_charges(self) -> Tuple[Tuple[str, float], ...]:
-        return (
-            ("protocol",
-             self.cost.sk_msg_interrupt_us + self._interrupt_penalty_us()),
-            ("descriptor",
-             self.channel.ingest_cost_us() + self.cost.dne_tx_proc_us),
-            ("scheduling", self.cost.dwrr_decision_us),
-        )
-
-    def _rx_cycle_charges(self) -> Tuple[Tuple[str, float], ...]:
+    def _rx_charges(self) -> Tuple[Tuple[str, float], ...]:
         return (
             ("descriptor", self.cost.dne_rx_proc_us),
             ("protocol", self.cost.sk_msg_us + self._interrupt_penalty_us()),

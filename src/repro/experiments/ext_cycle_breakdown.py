@@ -7,8 +7,8 @@ copies and kernel protocol processing, while Palladium's DNE spends
 host cycles on application work and cheap descriptor handling.
 
 The run instruments the Online Boutique testbed with the telemetry
-subsystem (:mod:`repro.telemetry`): every component charges its core
-time to one of the :data:`~repro.telemetry.CYCLE_CATEGORIES` and the
+subsystem (:mod:`repro.telemetry`): every core charges the work it
+runs to one of the :data:`~repro.telemetry.CYCLE_CATEGORIES` and the
 :class:`~repro.telemetry.CycleLedger` reports the per-category split.
 
 Expected contrast (the acceptance anchor):
@@ -52,7 +52,7 @@ def run_cycle_point(
     The returned dict carries the per-category fractions (keys of
     :data:`CYCLE_CATEGORIES`), the overhead fraction, total attributed
     core-microseconds, the run's rps, and the live ``telemetry``
-    bundle for drill-down (spans, metrics, per-site cycle charges).
+    bundle for drill-down (spans, metrics, the cycle ledger).
     """
     m = run_boutique_point(config, chain, clients, duration_us,
                            cost=cost, with_telemetry=True)

@@ -1,6 +1,6 @@
 """Hardware models: cores, DMA engines, NICs, links, nodes, cluster."""
 
-from .cpu import CoreKind, CorePool, PinnedCore
+from .cpu import CoreKind, CorePool, PinnedCore, work_us
 from .dma import SocDmaEngine
 from .nic import rss_queue
 from .topology import Cluster, Link, Node, build_cluster
@@ -15,4 +15,5 @@ __all__ = [
     "SocDmaEngine",
     "build_cluster",
     "rss_queue",
+    "work_us",
 ]

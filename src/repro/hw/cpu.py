@@ -4,25 +4,57 @@ Work is expressed in *host-core microseconds*; running the same work on
 a DPU core inflates it by the calibrated ``dpu_cost_factor`` (the
 Bluefield-2's A72 cores run at 2.0 GHz vs 3.7 GHz on the host, §4.3.1).
 
+Both core kinds take work through one method, ``run(*charges)``.  Each
+charge is a ``(category, host_us)`` pair naming what the work is for
+(one of :data:`repro.telemetry.CYCLE_CATEGORIES`).  The core runs for
+the charges' host-µs summed left to right, times its speed factor, and
+when telemetry is installed it charges each part (times the factor) to
+the cycle ledger itself.  So each CPU cost is stated once, at its call
+site, and the ledger holds exactly the work the cores executed.
+
 Two usage patterns appear in the data plane:
 
 * **Scheduled work** — a function or stack component claims any free
   core in a pool for the duration of a piece of work
-  (:meth:`CorePool.execute`).
+  (:meth:`CorePool.run`).
 * **Pinned busy-polling** — a run-to-completion loop (DNE worker,
   ingress worker, FUYAO poller) owns a core outright and reports
-  *useful* vs *occupied* time separately (:meth:`CorePool.pin`), which
-  is exactly the distinction Palladium's ingress autoscaler measures
-  (§3.6) and Fig. 16 (4)-(6) plot.
+  *useful* vs *occupied* time separately (:meth:`CorePool.allocate_pinned`,
+  :meth:`PinnedCore.run`), which is exactly the distinction Palladium's
+  ingress autoscaler measures (§3.6) and Fig. 16 (4)-(6) plot.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from ..sim import Environment, Resource, UtilizationTracker
 
-__all__ = ["CoreKind", "CorePool", "PinnedCore"]
+__all__ = ["CoreKind", "CorePool", "PinnedCore", "work_us"]
+
+
+def work_us(charges: Tuple[Tuple[str, float], ...]) -> float:
+    """Host-µs of ``charges``, summed left to right.
+
+    An explicit loop, not ``sum()``: from Python 3.12 ``sum()`` of
+    floats compensates rounding, so the same charges would give a
+    different float than a plain ``a + b + c``.
+    """
+    host_us = 0.0
+    for _, part in charges:
+        host_us += part
+    return host_us
+
+
+def _spend(env: Environment, factor: float,
+           charges: Tuple[Tuple[str, float], ...]) -> float:
+    """Scaled duration of ``charges``; charges the cycle ledger too."""
+    tel = env.telemetry
+    if tel is not None:
+        charge = tel.cycles.charge
+        for category, part in charges:
+            charge(category, part * factor)
+    return work_us(charges) * factor
 
 
 class CoreKind:
@@ -38,7 +70,7 @@ class PinnedCore:
     The loop occupies the core at 100 % whenever pinned (as the paper
     observes for the DNE: "maintaining 100 % utilization of the assigned
     wimpy DPU core regardless of the load").  Useful work performed in
-    the loop is accounted via :meth:`work`, so experiments can report
+    the loop is accounted via :meth:`run`, so experiments can report
     both raw occupancy and useful utilization.
     """
 
@@ -51,9 +83,6 @@ class PinnedCore:
         self._pool_slot = None
         #: serializes work items: one core executes one thing at a time
         self._slot = Resource(env, capacity=1, name=f"{self.name}-slot")
-        #: reusable sentinel for the uncontended ``work`` fast path
-        #: (capacity 1: at most one fast-path holder at a time)
-        self._token = object()
 
     @property
     def factor(self) -> float:
@@ -84,47 +113,19 @@ class PinnedCore:
         self.tracker.end_busy(self.env.now)
         self._pinned = False
 
-    def work(self, host_us: float):
-        """Generator: spend ``host_us`` of host-equivalent work here.
+    def run(self, *charges: Tuple[str, float]):
+        """Spend the ``(category, host_us)`` charges here; ``yield from`` it.
 
         The elapsed simulated time is scaled by the core's speed factor
-        and recorded as useful time.
-
-        Uncontended work items (the overwhelmingly common case for a
-        run-to-completion loop that serializes its own work) take a
-        token fast path through the slot resource: no Request object,
-        no grant-event round-trip — just the timeout.  Contended items
-        fall back to the full request/queue path.
+        and recorded as useful time; work items serialize on the core.
+        The work is accounted when ``run`` is called, and the returned
+        generator holds the core for it.
         """
         if not self._pinned:
             raise RuntimeError(f"core {self.name!r} is not pinned")
-        duration = host_us * self.pool.factor
+        duration = _spend(self.env, self.pool.factor, charges)
         self.tracker.add_useful(duration)
-        slot = self._slot
-        users = slot.users
-        if not users and not slot.queue:
-            # inlined _account(): empty users accrues zero busy area
-            slot._last_change = self.env._now
-            token = self._token
-            users.append(token)
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                slot.release(token)
-            return
-        req = slot.request()
-        yield req
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            slot.release(req)
-
-    def work_time(self, host_us: float) -> float:
-        """Scaled duration of ``host_us`` of work without yielding."""
-        return host_us * self.pool.factor
-
-    #: common compute-context protocol (shared with CorePool.run)
-    run = work
+        return self._slot.use(duration)
 
     def useful_utilization(self, since: float = 0.0) -> float:
         """Fraction of wall time spent on useful work since ``since``."""
@@ -159,37 +160,10 @@ class CorePool:
         self.pinned.append(core)
         return core
 
-    def execute(self, host_us: float):
-        """Generator: run ``host_us`` of host-equivalent work on any core.
-
-        Uncontended runs (free core, empty queue) take the token fast
-        path — no Request object, no grant round-trip; busy-time
-        accounting is identical on both paths.
-        """
-        duration = host_us * self.factor
-        res = self.resource
-        users = res.users
-        if len(users) < res.capacity and not res.queue:
-            # inlined _account() (request() would do the same)
-            now = self.env._now
-            res._busy_area += len(users) * (now - res._last_change)
-            res._last_change = now
-            token = object()
-            users.append(token)
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                res.release(token)
-            return
-        req = res.request()
-        yield req
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            res.release(req)
-
-    #: common compute-context protocol (shared with PinnedCore.run)
-    run = execute
+    def run(self, *charges: Tuple[str, float]):
+        """Spend the ``(category, host_us)`` charges on any core; ``yield
+        from`` it (accounted when called, like :meth:`PinnedCore.run`)."""
+        return self.resource.use(_spend(self.env, self.factor, charges))
 
     def total_busy_time(self) -> float:
         """Cumulative core-us consumed (scheduled + pinned occupancy).

@@ -155,7 +155,7 @@ class ProxyIngress:
         t0 = self.env.now
         yield from self.stack.rx(request.wire_bytes)
         yield from self.http.parse(request.wire_bytes)
-        yield from self._proxy_overhead(self.cpu)
+        yield from self.cpu.run(("protocol", self.cost.proxy_overhead_us))
         yield from self.stack.tx(request.wire_bytes + TCP_FRAME_OVERHEAD)
         self._proxy_to_worker(conn, request, t0)
 
@@ -176,27 +176,20 @@ class ProxyIngress:
                 t0 = self.env.now
                 yield from fstack.rx(request.wire_bytes)
                 yield from http.parse(request.wire_bytes)
-                yield from self._proxy_overhead(worker.core)
+                yield from worker.core.run(
+                    ("protocol", self.cost.proxy_overhead_us))
                 yield from fstack.tx(request.wire_bytes + TCP_FRAME_OVERHEAD)
                 self._proxy_to_worker(conn, request, t0)
             elif kind == "respond":
                 conn, response, t0, tenant = payload
                 yield from fstack.rx(response.wire_bytes)
                 yield from http.parse(response.wire_bytes)
-                yield from self._proxy_overhead(worker.core)
+                yield from worker.core.run(
+                    ("protocol", self.cost.proxy_overhead_us))
                 yield from fstack.tx(response.wire_bytes)
                 self._finish(conn, response, t0, tenant)
 
     # -- shared proxy plumbing ---------------------------------------------------------------
-    def _proxy_overhead(self, core):
-        """Generator: the proxy's own per-message work on ``core``."""
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.cycles.charge("protocol",
-                              self.cost.proxy_overhead_us * core.factor,
-                              where="proxy")
-        yield from core.run(self.cost.proxy_overhead_us)
-
     def _proxy_to_worker(self, conn: ClientConnection, request: HttpRequest, t0: float) -> None:
         """Hand the proxied request to the intra-cluster wire (async)."""
         tenant, entry_fn = self.resolver(request.path)
@@ -224,7 +217,7 @@ class ProxyIngress:
         if self.mode == self.KERNEL:
             yield from self.stack.rx(response.wire_bytes)
             yield from self.http.parse(response.wire_bytes)
-            yield from self._proxy_overhead(self.cpu)
+            yield from self.cpu.run(("protocol", self.cost.proxy_overhead_us))
             yield from self.stack.tx(response.wire_bytes)
             self._finish(conn, response, t0, tenant)
         else:

@@ -86,12 +86,7 @@ class SockMap:
         The SK_MSG program + sockmap lookup run in the sender's
         context; delivery wakes the receiver.
         """
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.cycles.charge("descriptor",
-                              self.cost.sk_msg_us * sender_compute.factor,
-                              where=self.name)
-        yield from sender_compute.run(self.cost.sk_msg_us)
+        yield from sender_compute.run(("descriptor", self.cost.sk_msg_us))
         self.redirect(dst_fn, descriptor)
 
     def redirect(self, dst_fn: str, descriptor: BufferDescriptor) -> None:

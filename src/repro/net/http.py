@@ -62,22 +62,14 @@ class HttpProcessor:
         self.parsed = 0
         self.serialized = 0
 
-    def _charge(self, work: float) -> None:
-        tel = self.core.env.telemetry
-        if tel is not None:
-            tel.cycles.charge("protocol", work * self.core.factor,
-                              where="http")
-
     def parse(self, nbytes: int):
         """Generator: parse one HTTP message."""
         work = self.cost.http_parse_us + nbytes * 0.00002
-        self._charge(work)
-        yield from self.core.run(work)
+        yield from self.core.run(("protocol", work))
         self.parsed += 1
 
     def serialize(self, nbytes: int):
         """Generator: build one HTTP message."""
         work = self.cost.http_parse_us * 0.6 + nbytes * 0.00002
-        self._charge(work)
-        yield from self.core.run(work)
+        yield from self.core.run(("protocol", work))
         self.serialized += 1

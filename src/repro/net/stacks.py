@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from ..config import CostModel
 from ..hw import CorePool, PinnedCore
-from ..sim import Environment, Resource
+from ..sim import Environment
 
 __all__ = ["KernelTcpStack", "FStack", "StackStats"]
 
@@ -49,7 +49,8 @@ class KernelTcpStack:
         #: the softirq path: all receive interrupts funnel through one
         #: core's bottom-half processing — the receive-livelock choke
         #: point (Mogul & Ramakrishnan).
-        self._softirq = Resource(env, capacity=1, name=f"{name}-softirq")
+        self._softirq = CorePool(env, 1, cpu.kind, cpu.factor,
+                                 name=f"{name}-softirq")
 
     def _livelock_penalty(self) -> float:
         """IRQ overhead inflation as backlog builds (receive livelock).
@@ -71,13 +72,8 @@ class KernelTcpStack:
         try:
             irq = self.cost.kernel_irq_us * self._livelock_penalty()
             work = self.cost.kernel_tcp_us + nbytes * 0.00008
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.cycles.charge(
-                    "protocol", (irq + work) * self.cpu.factor,
-                    where=self.name)
-            yield from self._softirq.use(irq * self.cpu.factor)
-            yield from self.cpu.execute(work)
+            yield from self._softirq.run(("protocol", irq))
+            yield from self.cpu.run(("protocol", work))
             self.stats.rx_messages += 1
         finally:
             self.in_flight -= 1
@@ -85,21 +81,12 @@ class KernelTcpStack:
     def tx(self, nbytes: int):
         """Generator: transmit-path processing of one message."""
         work = self.cost.kernel_tcp_us + nbytes * 0.00008
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.cycles.charge("protocol", work * self.cpu.factor,
-                              where=self.name)
-        yield from self.cpu.execute(work)
+        yield from self.cpu.run(("protocol", work))
         self.stats.tx_messages += 1
 
     def handshake(self):
         """Generator: TCP three-way-handshake processing."""
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.cycles.charge("protocol",
-                              self.cost.tcp_handshake_us * self.cpu.factor,
-                              where=self.name)
-        yield from self.cpu.execute(self.cost.tcp_handshake_us)
+        yield from self.cpu.run(("protocol", self.cost.tcp_handshake_us))
         self.stats.handshakes += 1
 
 
@@ -119,29 +106,20 @@ class FStack:
         self.name = name
         self.stats = StackStats()
 
-    def _charge(self, work: float) -> None:
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.cycles.charge("protocol", work * self.core.factor,
-                              where=self.name)
-
     def rx(self, nbytes: int):
         """Generator: poll-mode receive processing of one message."""
         work = self.cost.fstack_us + nbytes * 0.00004
-        self._charge(work)
-        yield from self.core.run(work)
+        yield from self.core.run(("protocol", work))
         self.stats.rx_messages += 1
 
     def tx(self, nbytes: int):
         """Generator: poll-mode transmit processing of one message."""
         work = self.cost.fstack_us + nbytes * 0.00004
-        self._charge(work)
-        yield from self.core.run(work)
+        yield from self.core.run(("protocol", work))
         self.stats.tx_messages += 1
 
     def handshake(self):
         """Generator: handshake processing (cheaper, no syscalls)."""
         work = self.cost.tcp_handshake_us * 0.3
-        self._charge(work)
-        yield from self.core.run(work)
+        yield from self.core.run(("protocol", work))
         self.stats.handshakes += 1

@@ -77,10 +77,7 @@ class FunctionContext:
         """Generator: burn application-logic CPU time on the host."""
         work = self.instance.spec.work_us if host_us is None else host_us
         self.instance.app_time_us += work
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.cycles.charge("app", work, where=self.instance.spec.name)
-        yield from self.instance.cpu.execute(work)
+        yield from self.instance.cpu.run(("app", work))
 
     def invoke(self, dst_fn: str, payload: Any, size: int):
         """Generator: request/response invocation of another function."""
@@ -103,10 +100,8 @@ class FunctionInstance:
         self.iolib = iolib
         self.cpu = iolib.cpu
         self.agent = f"fn:{spec.name}"
-        #: the name of this function's execution spans and the
-        #: cycle-ledger site of its receive wakeups (telemetry only)
+        #: the name of this function's execution spans (telemetry only)
         self._exec_span = f"fn.exec:{spec.name}"
-        self._recv_site = f"recv:{spec.name}"
         self.inbox: Store = Store(env, name=f"inbox:{spec.name}")
         self._requests: Store = Store(env, name=f"reqs:{spec.name}")
         self._pending: Dict[int, Event] = {}
@@ -255,16 +250,7 @@ class FunctionInstance:
             self._busy += 1
             try:
                 # Wake-up cost depends on how the descriptor arrived.
-                recv_us = self.iolib.recv_cost_us(descriptor)
-                tel = self.env.telemetry
-                if tel is not None:
-                    # Descriptor-channel wakeups are descriptor handling;
-                    # the TCP fallback wakes through the kernel stack.
-                    via = descriptor.message.via
-                    category = "protocol" if via == "tcp" else "descriptor"
-                    tel.cycles.charge(category, recv_us,
-                                      where=self._recv_site)
-                yield from self.cpu.execute(recv_us)
+                yield from self.cpu.run(self.iolib.recv_charge(descriptor))
                 header = descriptor.message
                 if header.is_response:
                     event = self._pending.pop(header.rid, None)

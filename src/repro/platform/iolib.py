@@ -164,8 +164,6 @@ class IoLibrary:
         self.fn_id = fn_id
         self.tenant = tenant
         self.cpu = runtime.node.cpu
-        #: the cycle-ledger site of this library's charges
-        self._cycle_site = f"iolib:{runtime.node.name}"
         self.intra_sends = 0
         self.inter_sends = 0
         self.cross_domain_sends = 0
@@ -255,17 +253,14 @@ class IoLibrary:
             span = None
             if tel is not None:
                 span = self._send_span(tel, message, dst_fn, size, "skmsg")
-                tel.cycles.charge("descriptor",
-                                  extra_cpu_us + self.cost.sk_msg_us,
-                                  where=self._cycle_site)
-                tel.cycles.charge("protocol", self.runtime.sidecar_us,
-                                  where="sidecar")
             descriptor = BufferDescriptor(buffer=buffer, length=size,
                                           message=message)
             buffer.transfer(src_agent, f"fn:{dst_fn}")
             message.transfer(src_agent, f"fn:{dst_fn}")
-            yield from self.cpu.execute(
-                extra_cpu_us + self.runtime.sidecar_us + self.cost.sk_msg_us
+            yield from self.cpu.run(
+                ("descriptor", extra_cpu_us),
+                ("protocol", self.runtime.sidecar_us),
+                ("descriptor", self.cost.sk_msg_us),
             )
             self.runtime.sockmap.redirect(dst_fn, descriptor)
             self.intra_sends += 1
@@ -297,18 +292,14 @@ class IoLibrary:
             span = None
             if tel is not None:
                 span = self._send_span(tel, message, dst_fn, size, "engine")
-                tel.cycles.charge("descriptor",
-                                  extra_cpu_us + engine.channel.fn_cpu_us,
-                                  where=self._cycle_site)
-                tel.cycles.charge("protocol", self.runtime.sidecar_us,
-                                  where="sidecar")
             descriptor = BufferDescriptor(buffer=buffer, length=size,
                                           message=message)
             buffer.transfer(src_agent, engine.agent)
             message.transfer(src_agent, engine.agent)
-            yield from self.cpu.execute(
-                extra_cpu_us + self.runtime.sidecar_us
-                + engine.channel.fn_cpu_us
+            yield from self.cpu.run(
+                ("descriptor", extra_cpu_us),
+                ("protocol", self.runtime.sidecar_us),
+                ("descriptor", engine.channel.fn_cpu_us),
             )
             engine.channel.post_from_function(self.fn_id, descriptor)
             self.inter_sends += 1
@@ -348,17 +339,12 @@ class IoLibrary:
         span = None
         if tel is not None:
             span = self._send_span(tel, message, dst_fn, size, "xdomain")
-            tel.cycles.charge("copy", self.cost.copy_time(size),
-                              where="xdomain-copy")
-            tel.cycles.charge("descriptor",
-                              extra_cpu_us + self.cost.sk_msg_us,
-                              where=self._cycle_site)
-            tel.cycles.charge("protocol", self.runtime.sidecar_us,
-                              where="sidecar")
         # The copy itself plus sidecar access control, on the host core.
-        yield from self.cpu.execute(
-            extra_cpu_us + self.runtime.sidecar_us
-            + self.cost.copy_time(size) + self.cost.sk_msg_us
+        yield from self.cpu.run(
+            ("descriptor", extra_cpu_us),
+            ("protocol", self.runtime.sidecar_us),
+            ("copy", self.cost.copy_time(size)),
+            ("descriptor", self.cost.sk_msg_us),
         )
         dst_buffer.write(src_agent, payload, size)
         message.via = self.VIA_SKMSG
@@ -377,15 +363,21 @@ class IoLibrary:
             tel.tracer.end_span(span)
 
     # -- receive path ------------------------------------------------------------
-    def recv_cost_us(self, descriptor: BufferDescriptor) -> float:
-        """Host-core cost of waking up for this delivery."""
+    def recv_charge(self, descriptor: BufferDescriptor) -> Tuple[str, float]:
+        """Host-core ``(category, host_us)`` of waking up for this delivery.
+
+        Descriptor-channel wakeups are descriptor handling; the TCP
+        fallback wakes through the kernel stack.
+        """
         via = descriptor.message.via or self.VIA_SKMSG
         if via == self.VIA_ENGINE and self.runtime.engine is not None:
-            return self.runtime.engine.channel.function_recv_cost_us()
+            return ("descriptor",
+                    self.runtime.engine.channel.function_recv_cost_us())
         if via == KernelTcpFallback.VIA_TCP:
             # Socket wakeup through the kernel stack.
-            return self.cost.kernel_tcp_us + self.runtime.intra_ipc_us
-        return self.runtime.intra_ipc_us
+            return ("protocol",
+                    self.cost.kernel_tcp_us + self.runtime.intra_ipc_us)
+        return ("descriptor", self.runtime.intra_ipc_us)
 
     def recycle(self, buffer: Buffer, agent: str) -> None:
         """Return a consumed buffer to its home pool."""
@@ -444,15 +436,9 @@ class KernelTcpFallback:
             if tel is not None:
                 tel.tracer.end_span(span, status="drop")
             return
-        if tel is not None:
-            tel.cycles.charge("protocol", cost.kernel_tcp_us,
-                              where="tcp-fallback")
-            tel.cycles.charge("copy", cost.copy_time(size),
-                              where="tcp-fallback")
         # Sender: copy out of the shared pool + protocol processing.
-        yield from runtime.node.cpu.execute(
-            cost.kernel_tcp_us + cost.copy_time(size)
-        )
+        yield from runtime.node.cpu.run(
+            ("protocol", cost.kernel_tcp_us), ("copy", cost.copy_time(size)))
         payload = buffer.payload
         buffer.pool.put(buffer, src_agent)
         self.sends += 1
@@ -477,15 +463,10 @@ class KernelTcpFallback:
             if tel is not None:
                 tel.tracer.end_span(span, status="drop")
             return
-        if tel is not None:
-            tel.cycles.charge("protocol",
-                              cost.kernel_tcp_us + cost.kernel_irq_us,
-                              where="tcp-fallback")
-            tel.cycles.charge("copy", cost.copy_time(size),
-                              where="tcp-fallback")
         # Receiver: kernel + softirq processing, copy into the pool.
-        yield from dst_runtime.node.cpu.execute(
-            cost.kernel_tcp_us + cost.kernel_irq_us + cost.copy_time(size)
+        yield from dst_runtime.node.cpu.run(
+            ("protocol", cost.kernel_tcp_us + cost.kernel_irq_us),
+            ("copy", cost.copy_time(size)),
         )
         dst_buffer.write(self.agent, payload, size)
         message.via = self.VIA_TCP

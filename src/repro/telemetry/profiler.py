@@ -4,20 +4,23 @@ The paper's Fig. 4/5 argument is a *breakdown*: SPRIGHT-style gateways
 burn most of their cycles on data copies and kernel TCP protocol
 processing, while Palladium's DNE spends them on descriptor handling
 and useful work.  :class:`CycleLedger` reproduces that attribution for
-the simulated cores in ``hw/cpu.py``: every instrumented charge site
-reports the core-microseconds it consumed under one of five
-categories:
+the simulated cores in ``hw/cpu.py``.  The cores charge it: every piece
+of work a core runs names its categories, ``core.run(("copy", us), ...)``,
+and the core charges each part it executes, so the ledger holds exactly
+the work done.  The five categories:
 
 ``app``
     handler compute (``FunctionContext.compute``) — useful work.
 ``copy``
-    data copies (cross-domain rule, kernel socket copies).
+    data copies (cross-domain rule, kernel socket copies, FUYAO's
+    receiver-side copy, migration checkpoint/restore and redirects).
 ``descriptor``
-    descriptor-passing machinery: DNE tx/rx processing, Comch channel
-    CPU, sk_msg redirects, mempool ops.
+    descriptor-passing machinery: engine TX/RX processing, Comch
+    channel CPU, SK_MSG sends, mempool ops, MR registration.
 ``protocol``
     transport/protocol stacks: kernel TCP + IRQs, F-Stack, HTTP
-    parse/serialize, sidecar interception, interrupt handling.
+    parse/serialize, proxy overhead, sidecar interception, interrupt
+    handling.
 ``scheduling``
     DWRR/tenant scheduling decisions.
 
@@ -29,8 +32,7 @@ arithmetic — charging never touches the event loop.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import DefaultDict, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..config import NodeSpec
 
@@ -51,16 +53,13 @@ HOST_GHZ = NodeSpec.cpu_ghz
 
 
 class CycleLedger:
-    """Accumulates core-microseconds per category (and per site)."""
+    """Accumulates core-microseconds per category."""
 
     def __init__(self):
         self.host_ghz = HOST_GHZ
         self._by_category: Dict[str, float] = {c: 0.0 for c in CYCLE_CATEGORIES}
-        #: (category, where) -> us, for drill-down
-        self._by_site: DefaultDict[Tuple[str, str], float] = \
-            defaultdict(float)
 
-    def charge(self, category: str, core_us: float, where: str = "") -> None:
+    def charge(self, category: str, core_us: float) -> None:
         """Attribute ``core_us`` core-microseconds to ``category``."""
         if category not in self._by_category:
             raise ValueError(f"unknown cycle category {category!r}; "
@@ -68,8 +67,6 @@ class CycleLedger:
         if core_us <= 0.0:
             return
         self._by_category[category] += core_us
-        if where:
-            self._by_site[category, where] += core_us
 
     # -- queries -------------------------------------------------------------
     def us(self, category: str) -> float:
@@ -97,12 +94,6 @@ class CycleLedger:
             return 0.0
         return self.total_us(OVERHEAD_CATEGORIES) / total
 
-    def sites(self, category: str) -> List[Tuple[str, float]]:
-        """Charge sites of one category, heaviest first."""
-        rows = [(where, us) for (cat, where), us in self._by_site.items()
-                if cat == category]
-        return sorted(rows, key=lambda r: (-r[1], r[0]))
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "host_ghz": self.host_ghz,
@@ -115,4 +106,3 @@ class CycleLedger:
         """Zero all counters (e.g. after warmup)."""
         for c in CYCLE_CATEGORIES:
             self._by_category[c] = 0.0
-        self._by_site.clear()

@@ -15,9 +15,8 @@ at export from counts their owners keep (``tel.metrics.collect``).
 Enabled, a site stays cheap because nothing in it is rebuilt per call
 that could be built once: ``labels()`` hands back a cached child for
 a label tuple it has seen, and a component keeps its constant span
-names, actor names and cycle-ledger sites as attributes (the RNIC's
-``agent``, a function's execution-span name, an I/O library's
-``iolib:<node>`` site).  A site never keeps its family or child
+and actor names as attributes (the RNIC's ``agent``, a function's
+execution-span name).  A site never keeps its family or child
 across calls: the family lookup is where the SLO monitor's
 ``observer`` fires, before the site's increment or observation.
 

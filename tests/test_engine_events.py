@@ -79,10 +79,14 @@ def test_engine_cpu_pct_pinned_vs_scheduled():
 def test_cne_interrupt_penalty_grows_with_backlog():
     env, plat, client, server = echo_platform(builder=build_cne)
     engine = plat.engines["worker0"]
-    base = engine._ingest_cost_us()
+    def protocol_us():
+        return sum(us for category, us in engine._tx_charges()
+                   if category == "protocol")
+
+    base = protocol_us()
     for i in range(200):
         engine.scheduler.enqueue("echo", ("x", None), nbytes=64)
-    loaded = engine._ingest_cost_us()
+    loaded = protocol_us()
     assert loaded > base
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hw import CoreKind, CorePool
 from repro.sim import Environment
+from repro.telemetry import Telemetry
 
 
 def test_core_pool_requires_cores():
@@ -17,7 +18,7 @@ def test_execute_takes_scaled_time():
     done = []
 
     def worker():
-        yield from pool.execute(10)
+        yield from pool.run(("app", 10))
         done.append(env.now)
 
     env.process(worker())
@@ -31,7 +32,7 @@ def test_pool_schedules_across_cores():
     done = []
 
     def worker(i):
-        yield from pool.execute(10)
+        yield from pool.run(("app", 10))
         done.append((i, env.now))
 
     for i in range(4):
@@ -56,7 +57,7 @@ def test_pinned_core_work_scaled_and_serialized():
     done = []
 
     def worker(i):
-        yield from core.work(5)
+        yield from core.run(("app", 5))
         done.append((i, env.now))
 
     env.process(worker(0))
@@ -72,7 +73,7 @@ def test_pinned_work_requires_pin():
     core = pool.allocate_pinned("x")
     core.unpin()
     with pytest.raises(RuntimeError):
-        next(core.work(1))
+        next(core.run(("app", 1)))
 
 
 def test_pinned_core_tracks_useful_time():
@@ -81,7 +82,7 @@ def test_pinned_core_tracks_useful_time():
     core = pool.allocate_pinned("loop")
 
     def worker():
-        yield from core.work(25)
+        yield from core.run(("app", 25))
 
     env.process(worker())
     env.run(until=100)
@@ -91,11 +92,40 @@ def test_pinned_core_tracks_useful_time():
     assert core.tracker.occupied_time(env.now) == pytest.approx(100.0)
 
 
-def test_work_time_helper():
+def test_run_advances_clock_by_left_fold_of_charges():
+    # exactly 0.1 + 0.2 + 0.3, not the compensated sum() of Python 3.12
+    for make in (lambda env: CorePool(env, 1),
+                 lambda env: CorePool(env, 1).allocate_pinned("x")):
+        env = Environment()
+        core = make(env)
+
+        def worker():
+            yield from core.run(("app", 0.1), ("copy", 0.2), ("protocol", 0.3))
+
+        env.process(worker())
+        env.run()
+        assert env.now == 0.1 + 0.2 + 0.3
+        assert env.now != 0.6
+
+
+def test_run_charges_each_part_to_the_cycle_ledger():
     env = Environment()
-    pool = CorePool(env, 1, factor=1.5)
-    core = pool.allocate_pinned("x")
-    assert core.work_time(10) == pytest.approx(15.0)
+    Telemetry.install(env)
+    pool = CorePool(env, 2, CoreKind.ARM, factor=2.0)
+    core = pool.allocate_pinned("dne")
+
+    def worker():
+        yield from pool.run(("copy", 3.0), ("protocol", 1.0))
+        yield from core.run(("descriptor", 2.0), ("copy", 0.5))
+
+    env.process(worker())
+    env.run()
+    ledger = env.telemetry.cycles
+    assert env.now == 13.0
+    assert ledger.us("copy") == 7.0
+    assert ledger.us("protocol") == 2.0
+    assert ledger.us("descriptor") == 4.0
+    assert ledger.total_us() == env.now
 
 
 def test_utilization_pct_includes_pinned_and_scheduled():
@@ -104,7 +134,7 @@ def test_utilization_pct_includes_pinned_and_scheduled():
     pool.allocate_pinned("loop")
 
     def worker():
-        yield from pool.execute(50)
+        yield from pool.run(("app", 50))
 
     env.process(worker())
     env.run(until=100)
@@ -117,9 +147,9 @@ def test_total_busy_time_snapshot_delta():
     pool = CorePool(env, 4)
 
     def worker():
-        yield from pool.execute(10)
+        yield from pool.run(("app", 10))
         yield env.timeout(10)
-        yield from pool.execute(10)
+        yield from pool.run(("app", 10))
 
     env.process(worker())
     env.run(until=10)
@@ -135,7 +165,7 @@ def test_pinned_release_unblocks_scheduled_work():
     done = []
 
     def worker():
-        yield from pool.execute(5)
+        yield from pool.run(("app", 5))
         done.append(env.now)
 
     def release():

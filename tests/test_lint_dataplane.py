@@ -324,3 +324,49 @@ def test_ingress_may_push_sli_counters_and_telemetry_gauges(tmp_path):
     path = tmp_path / "ingress" / "mod.py"
     path.write_text(other)
     assert "SLI counters only" in check_file(path)[0][3]
+
+
+def test_flags_parallel_cycle_ledger_charge(tmp_path):
+    vs = _violations(tmp_path, "tel.cycles.charge('copy', 1.0)\n")
+    assert len(vs) == 1
+    assert ".cycles.charge" in vs[0][3]
+    assert "core.run" in vs[0][3]
+    # a bound method is the same second statement of the cost
+    vs = _violations(tmp_path, "charge = tel.cycles.charge\n")
+    assert len(vs) == 1
+
+
+def test_flags_charge_through_a_bound_ledger(tmp_path):
+    source = (
+        "def f(tel):\n"
+        "    c = tel.cycles\n"
+        "    c.charge('protocol', 2.0)\n"
+        "def g(c):\n"
+        "    c.charge('protocol', 2.0)\n"  # not bound to a ledger here
+    )
+    vs = _violations(tmp_path, source)
+    assert [v[1] for v in vs] == [3]
+
+
+def test_categorized_run_and_other_charges_are_legal(tmp_path):
+    source = (
+        "def f(core, cost, credits):\n"
+        "    yield from core.run(('protocol', cost.kernel_tcp_us))\n"
+        "    credits.charge(1)\n"
+        "    total = tel.cycles.total_us()\n"
+    )
+    assert _violations(tmp_path, source) == []
+
+
+def test_hw_and_telemetry_may_charge_the_ledger(tmp_path):
+    for part in ("hw", "telemetry"):
+        pkg = tmp_path / part
+        pkg.mkdir()
+        path = pkg / "mod.py"
+        path.write_text("tel.cycles.charge('app', 1.0)\n")
+        assert check_file(path) == []
+    pkg = tmp_path / "dne"
+    pkg.mkdir()
+    path = pkg / "engine.py"
+    path.write_text("tel.cycles.charge('app', 1.0)\n")
+    assert len(check_file(path)) == 1

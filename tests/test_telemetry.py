@@ -457,15 +457,14 @@ class TestCycleLedger:
     def test_charge_and_fractions(self):
         ledger = CycleLedger()
         ledger.host_ghz = 2.0
-        ledger.charge("app", 60.0, where="fn")
-        ledger.charge("copy", 30.0, where="tcp")
-        ledger.charge("copy", 10.0, where="xdomain")
+        ledger.charge("app", 60.0)
+        ledger.charge("copy", 30.0)
+        ledger.charge("copy", 10.0)
         ledger.charge("protocol", 0.0)  # no-op
         assert ledger.total_us() == 100.0
         assert ledger.fractions()["copy"] == pytest.approx(0.4)
         assert ledger.overhead_fraction() == pytest.approx(0.4)
         assert ledger.cycles("app") == pytest.approx(60.0 * 2.0 * 1e3)
-        assert ledger.sites("copy") == [("tcp", 30.0), ("xdomain", 10.0)]
         with pytest.raises(ValueError):
             ledger.charge("disk", 1.0)
         ledger.reset()

@@ -67,6 +67,16 @@ families (:data:`SLI_COUNTERS`) may be pushed:
   ``m = <expr>.metrics`` (keep the count on its owner and register a
   reader for it).
 
+Each CPU cost is stated once: a call site names its categories in
+``core.run((category, host_us), ...)`` and the core charges the cycle
+ledger for the work it runs.  So outside ``src/repro/hw/`` (the cores)
+and ``src/repro/telemetry/`` (the ledger) the checker rejects a second,
+parallel statement of the cost:
+
+* attribute access ``<expr>.cycles.charge``, called or not, or
+  ``c.charge`` where the same function bound ``c = <expr>.cycles``
+  (pass the categories to ``run`` instead).
+
 Usage::
 
     python tools/lint_dataplane.py [root ...]
@@ -115,6 +125,9 @@ GUARD_EXEMPT_PART = "sim"
 SLI_COUNTERS = frozenset({"ingress_requests_total", "ingress_responses_total",
                           "ingress_admission_rejected_total"})
 
+#: path fragments allowed to charge the cycle ledger (cores and ledger)
+CYCLES_EXEMPT_PARTS = frozenset({"hw", "telemetry"})
+
 #: metric kinds a site may not push, each with the one path fragment
 #: that still may and the families it may push there (None: any)
 PUSH_EXEMPTIONS = {"gauge": ("telemetry", None),
@@ -141,6 +154,11 @@ def _is_timer(node: ast.AST) -> bool:
 def _is_registry(node: ast.AST) -> bool:
     """``<expr>.metrics``: a metrics registry."""
     return isinstance(node, ast.Attribute) and node.attr == "metrics"
+
+
+def _is_ledger(node: ast.AST) -> bool:
+    """``<expr>.cycles``: the cycle ledger."""
+    return isinstance(node, ast.Attribute) and node.attr == "cycles"
 
 
 def _family_name(call: ast.Call) -> Optional[str]:
@@ -174,6 +192,7 @@ class _MetaVisitor(ast.NodeVisitor):
                  check_spray: bool = True,
                  check_cq: bool = True,
                  check_guard: bool = True,
+                 check_cycles: bool = True,
                  push_allowed: Optional[Dict[str, frozenset]] = None):
         self.path = path
         self.check_meta = check_meta
@@ -181,13 +200,15 @@ class _MetaVisitor(ast.NodeVisitor):
         self.check_spray = check_spray
         self.check_cq = check_cq
         self.check_guard = check_guard
+        self.check_cycles = check_cycles
         #: metric kind -> the families a site here may still push
         self.push_allowed = ({kind: frozenset() for kind in PUSH_EXEMPTIONS}
                              if push_allowed is None else push_allowed)
-        #: per enclosing scope, the names bound to raw timers and to
-        #: metrics registries
+        #: per enclosing scope, the names bound to raw timers, to
+        #: metrics registries and to the cycle ledger
         self._timers: List[Set[str]] = [set()]
         self._registries: List[Set[str]] = [set()]
+        self._ledgers: List[Set[str]] = [set()]
         self.violations: List[Violation] = []
 
     def _visit_scope(self, node: ast.AST) -> None:
@@ -195,9 +216,12 @@ class _MetaVisitor(ast.NodeVisitor):
                             if self.check_guard else set())
         self._registries.append(_bound_names(node, _is_registry)
                                 if self.push_allowed else set())
+        self._ledgers.append(_bound_names(node, _is_ledger)
+                             if self.check_cycles else set())
         self.generic_visit(node)
         self._timers.pop()
         self._registries.pop()
+        self._ledgers.pop()
 
     visit_Module = visit_FunctionDef = visit_AsyncFunctionDef = _visit_scope
 
@@ -214,6 +238,16 @@ class _MetaVisitor(ast.NodeVisitor):
             self._flag(node, f"control-plane cost '.{node.attr}' charged "
                              f"directly (go through repro.rdma."
                              f"controlplane.RdmaControlPlane)")
+        # x.cycles.charge / c.charge with c = x.cycles: a second
+        # statement of a cost the core already charges
+        if self.check_cycles and node.attr == "charge" and (
+                _is_ledger(node.value) or (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id in self._ledgers[-1])):
+            self._flag(node, "cycle-ledger charge '.cycles.charge' outside "
+                             "repro.hw and repro.telemetry (name the "
+                             "categories in core.run((category, host_us), "
+                             "...); the core charges the ledger)")
         self.generic_visit(node)
 
     def visit_keyword(self, node: ast.keyword) -> None:
@@ -327,6 +361,10 @@ def _is_guard_exempt(path: Path) -> bool:
     return GUARD_EXEMPT_PART in path.parts
 
 
+def _is_cycles_exempt(path: Path) -> bool:
+    return bool(CYCLES_EXEMPT_PARTS.intersection(path.parts))
+
+
 def check_file(path: Path) -> List[Violation]:
     """Return the violations in one Python source file."""
     check_meta = not _is_exempt(path)
@@ -334,11 +372,12 @@ def check_file(path: Path) -> List[Violation]:
     check_spray = not _is_spray_exempt(path)
     check_cq = not _is_cq_exempt(path)
     check_guard = not _is_guard_exempt(path)
+    check_cycles = not _is_cycles_exempt(path)
     push_allowed = {kind: names if part in path.parts else frozenset()
                     for kind, (part, names) in PUSH_EXEMPTIONS.items()
                     if part not in path.parts or names is not None}
     if not (check_meta or check_controlplane or check_spray or check_cq
-            or check_guard or push_allowed):
+            or check_guard or check_cycles or push_allowed):
         return []
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -350,6 +389,7 @@ def check_file(path: Path) -> List[Violation]:
                            check_spray=check_spray,
                            check_cq=check_cq,
                            check_guard=check_guard,
+                           check_cycles=check_cycles,
                            push_allowed=push_allowed)
     visitor.visit(tree)
     return visitor.violations
