@@ -139,7 +139,7 @@ class FuyaoEngine(NetworkEngine):
             message=message,
             expected_owner=f"slots:{self.node.name}",
         )
-        write_proc = self.rnic.post_send(qp, wr)
+        landed = self.rnic.post_send(qp, wr).done
         self.stats.tx_bytes += descriptor.length
         self.stats.tenant_meter(tenant).record(self.env.now)
 
@@ -149,7 +149,7 @@ class FuyaoEngine(NetworkEngine):
         def _notify():
             # Wait for the write to land, then for the receiver's
             # polling loop to notice it (FaRM-style poll interval).
-            yield write_proc
+            yield landed
             yield this.env.timeout(this.cost.onesided_poll_interval_us)
             message.transfer(this.agent, peer.agent)
             peer.inject_event(

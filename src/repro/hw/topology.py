@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..config import ClusterSpec, CostModel, NodeSpec
-from ..sim import Environment, Resource
+from ..sim import Environment, Event
 
 from .cpu import CoreKind, CorePool
 from .dma import SocDmaEngine
@@ -23,9 +23,13 @@ __all__ = ["Link", "Node", "Cluster", "build_cluster"]
 class Link:
     """A half-duplex-per-direction point-to-point link.
 
-    ``send`` serializes the frame at the link rate (contending with
-    other frames in the same direction) and then applies propagation
-    plus fixed per-hop latency.
+    A frame serializes at the link rate behind the frames already
+    queued in its direction, then takes the fixed per-hop latency.
+    The serializer is a busy-until stage: a capacity-1 FIFO whose hold
+    time is known when a frame claims it is fully described by the
+    time it next falls idle, so a frame's arrival time is known the
+    moment it reaches the link (:meth:`claim`), and :meth:`transmit`
+    waits for it with one timer.
     """
 
     def __init__(
@@ -41,7 +45,8 @@ class Link:
         self.bytes_per_us = bytes_per_us
         self.base_latency_us = base_latency_us
         self.name = name
-        self._tx = Resource(env, capacity=1, name=f"{name}-tx")
+        #: when the serializer finishes the last frame claimed so far
+        self._free_at = env.now
         self.frames = 0
         self.bytes_sent = 0
         #: fault state: a downed link stalls frames until recovery (the
@@ -54,9 +59,6 @@ class Link:
         self.downtime_us = 0.0
         self._down_since = 0.0
         self._resume_event = None
-        #: sentinel granted to an uncontended tx stage in place of a
-        #: full Request event (at most one in flight per link direction)
-        self._token = object()
 
     # -- fault injection -------------------------------------------------------
     def fail(self) -> None:
@@ -85,42 +87,33 @@ class Link:
         """Clear any bandwidth degradation."""
         self.degrade_factor = 1.0
 
-    def _wait_up(self):
-        """Generator: block until the link is up again."""
-        while not self.up:
-            if self._resume_event is None or self._resume_event.triggered:
-                self._resume_event = self.env.event()
-            yield self._resume_event
+    def recovered(self) -> Event:
+        """The event the next :meth:`recover` fires (link is down)."""
+        if self._resume_event is None or self._resume_event.triggered:
+            self._resume_event = self.env.event()
+        return self._resume_event
+
+    # -- transfer ----------------------------------------------------------------
+    def claim(self, nbytes: int) -> float:
+        """Queue one frame on the serializer (the link must be up);
+        returns the absolute time it arrives at the far end."""
+        now = self.env._now
+        start = self._free_at if self._free_at > now else now
+        end = start + nbytes * self.degrade_factor / self.bytes_per_us
+        self._free_at = end
+        return end + self.base_latency_us
+
+    def delivered(self, nbytes: int) -> None:
+        """Count a claimed frame once it has arrived."""
+        self.frames += 1
+        self.bytes_sent += nbytes
 
     def transmit(self, nbytes: int):
         """Generator: move one frame of ``nbytes`` across the link."""
-        if not self.up:
-            yield from self._wait_up()
-        env = self.env
-        serialization = nbytes * self.degrade_factor / self.bytes_per_us
-        tx = self._tx
-        if not tx.users and not tx.queue:
-            # Uncontended fast path: grant a bare token instead of a
-            # Request event round-trip (empty user list means no
-            # busy-area accrues over the update, so only the accounting
-            # timestamp moves; ``release`` resumes normal bookkeeping).
-            tx._last_change = env._now
-            token = self._token
-            tx.users.append(token)
-            try:
-                yield env.timeout(serialization)
-            finally:
-                tx.release(token)
-        else:
-            req = tx.request()
-            yield req
-            try:
-                yield env.timeout(serialization)
-            finally:
-                tx.release(req)
-        yield env.timeout(self.base_latency_us)
-        self.frames += 1
-        self.bytes_sent += nbytes
+        while not self.up:
+            yield self.recovered()
+        yield self.env.timeout_at(self.claim(nbytes))
+        self.delivered(nbytes)
 
 
 class Node:

@@ -213,13 +213,15 @@ class SharedReceiveQueue:
         return wr_id
 
     def take(self):
-        """Event yielding the next ``(wr_id, buffer)``; blocks if empty.
+        """The next ``(wr_id, buffer)``, or an event that fires with it.
 
         An empty shared RQ corresponds to an RNR condition on real
         hardware — the sender stalls until the receiver replenishes.
         """
-        if not self._queue.items:
-            self.rnr_stalls += 1
+        posted = self._queue.try_get()
+        if posted is not None:
+            return posted
+        self.rnr_stalls += 1
         return self._queue.get()
 
     def fail_pending(self, exc: BaseException) -> int:

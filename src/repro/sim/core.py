@@ -472,6 +472,15 @@ class Environment:
         callback rides in a dedicated slot of a pooled kernel event —
         no closure, and steady-state no allocation.
         """
+        self.defer_at(self._now + delay, fn)
+
+    def defer_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` at absolute time ``when`` (see :meth:`defer`).
+
+        Raises :class:`ValueError` if ``when`` is in the past.
+        """
+        if when < self._now:
+            raise ValueError(f"defer_at({when}) is in the past (now={self._now})")
         pool = self._defer_pool
         if pool:
             event = pool.pop()
@@ -486,7 +495,7 @@ class Environment:
             event.defused = False
         event.fn = fn
         self._eid += 1
-        self._push((self._now + delay, PRIORITY_NORMAL, self._eid, event))
+        self._push((when, PRIORITY_NORMAL, self._eid, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` time units."""
@@ -505,6 +514,35 @@ class Environment:
             self._push((self._now + delay, PRIORITY_NORMAL, self._eid, event))
             return event
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that fires at absolute time ``when``.
+
+        A chain of stages that knows its end times schedules each one
+        exactly: in floats, ``now + (when - now)`` is not always
+        ``when``.  Raises :class:`ValueError` if ``when`` is in the past.
+        """
+        if when < self._now:
+            raise ValueError(f"timeout_at({when}) is in the past (now={self._now})")
+        pool = self._timeout_pool
+        if pool:
+            event = pool.pop()
+            event.callbacks = []
+            event._processed = False
+            if value is not None:
+                event._value = value
+        else:
+            event = Timeout.__new__(Timeout)
+            event.env = self
+            event.callbacks = []
+            event._value = value
+            event._ok = True
+            event._triggered = True
+            event._processed = False
+            event.defused = False
+        self._eid += 1
+        self._push((when, PRIORITY_NORMAL, self._eid, event))
+        return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""

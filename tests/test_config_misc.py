@@ -141,13 +141,19 @@ def test_link_utilization_accounting():
     env = Environment()
     cluster = build_cluster(env, CostModel())
     link = cluster.fabric_link("worker0", "worker1")
+    arrivals = []
 
     def proc():
         yield from link.transmit(250_000)  # 10 us serialization
+        arrivals.append(env.now)
 
     env.process(proc())
-    env.run(until=20.0)
-    assert link._tx.busy_time() / env.now == pytest.approx(0.5, abs=0.05)
+    env.process(proc())  # back to back: serializes behind the first
+    env.run()
+    ser = 250_000 / link.bytes_per_us
+    assert arrivals == [ser + link.base_latency_us,
+                        2 * ser + link.base_latency_us]
+    assert link.frames == 2 and link.bytes_sent == 500_000
 
 
 def test_invalid_link_rate_rejected():

@@ -370,3 +370,55 @@ def test_hw_and_telemetry_may_charge_the_ledger(tmp_path):
     path = pkg / "engine.py"
     path.write_text("tel.cycles.charge('app', 1.0)\n")
     assert len(check_file(path)) == 1
+
+
+def test_flags_hand_written_resource_grant(tmp_path):
+    source = (
+        "def f(env, tx, token):\n"
+        "    tx._last_change = env._now\n"
+        "    tx.users.append(token)\n"
+    )
+    vs = _violations(tmp_path, source)
+    assert [v[1] for v in vs] == [2, 3]
+    assert "._last_change" in vs[0][3]
+    assert ".users.append()" in vs[1][3]
+    assert all("busy-until" in v[3] for v in vs)
+
+
+def test_flags_grant_through_a_bound_holder_list(tmp_path):
+    source = (
+        "def f(pipe, token):\n"
+        "    users = pipe.users\n"
+        "    if not users:\n"
+        "        users.append(token)\n"
+        "def g(users, item):\n"
+        "    users.append(item)\n"  # not bound to a holder list here
+    )
+    vs = _violations(tmp_path, source)
+    assert [v[1] for v in vs] == [4]
+
+
+def test_resource_claims_and_busy_until_stages_are_legal(tmp_path):
+    source = (
+        "def f(env, res, link):\n"
+        "    yield from res.use(2.0)\n"
+        "    req = res.request()\n"
+        "    yield req\n"
+        "    res.release(req)\n"
+        "    yield env.timeout_at(link.claim(64))\n"
+        "    busy = res.busy_time()\n"
+    )
+    assert _violations(tmp_path, source) == []
+
+
+def test_sim_package_may_grant_resource_slots(tmp_path):
+    pkg = tmp_path / "sim"
+    pkg.mkdir()
+    path = pkg / "resources.py"
+    path.write_text("self._last_change = now\nself.users.append(req)\n")
+    assert check_file(path) == []
+    pkg = tmp_path / "hw"
+    pkg.mkdir()
+    path = pkg / "topology.py"
+    path.write_text("tx._last_change = now\ntx.users.append(token)\n")
+    assert len(check_file(path)) == 2

@@ -646,3 +646,53 @@ def test_cancel_preserves_the_order_of_every_other_event(
     old_fired, old_count, muted = run(cancel=False)
     assert new_fired == old_fired
     assert new_count == old_count - muted
+
+
+def test_timeout_at_fires_at_exactly_the_absolute_time():
+    env = Environment()
+    t1, ser, base = 0.7, 0.2, 2.0
+    arrival = t1 + ser + base
+    # A relative delay taken from t1 lands one ulp late: this is why
+    # busy-until stages schedule at absolute times.
+    assert t1 + (arrival - t1) != arrival
+    log = []
+
+    def proc():
+        yield env.timeout(t1)
+        yield env.timeout_at(arrival)
+        log.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert log == [arrival]
+
+
+def test_timeout_at_and_defer_at_reject_past_times():
+    env = Environment()
+    env.run(until=5.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(4.999)
+    with pytest.raises(ValueError):
+        env.defer_at(4.0, lambda: None)
+    env.timeout_at(5.0)  # now itself is not in the past
+    env.run()
+    assert env.now == 5.0
+
+
+def test_timeout_at_is_counted_and_reuses_the_timer_free_list():
+    env = Environment()
+    env.timeout(1.0)
+    env.run()
+    assert len(env._timeout_pool) == 1
+    pooled = id(env._timeout_pool[0])
+    timer = env.timeout_at(3.0, value="v")
+    assert id(timer) == pooled and not env._timeout_pool
+    seen = []
+    timer.callbacks.append(lambda ev: seen.append((env.now, ev.value)))
+    del timer
+    env.defer_at(4.0, lambda: seen.append((env.now, "deferred")))
+    env.run()
+    assert seen == [(3.0, "v"), (4.0, "deferred")]
+    assert env.events_processed == 3
+    # fired and released: back on the free list for the next timer
+    assert [id(t) for t in env._timeout_pool] == [pooled]
