@@ -119,7 +119,7 @@ class FuyaoEngine(NetworkEngine):
             return
         peer = self.peers.get(dst_node)
         # Interrupt-driven SK_MSG ingest, then the one-sided WR build.
-        yield from self._run(
+        yield self._run(
             ("protocol", cost.sk_msg_interrupt_us),
             ("descriptor", self.channel.ingest_cost_us()),
             ("descriptor", cost.fuyao_tx_us),
@@ -163,7 +163,7 @@ class FuyaoEngine(NetworkEngine):
     # -- CQ: recycle source buffers on write completion -------------------------------------
     def _handle_cqe(self, completion: Completion):
         if completion.opcode == Opcode.WRITE:
-            yield from self._run(("descriptor", self.cost.mempool_op_us))
+            yield self._run(("descriptor", self.cost.mempool_op_us))
             buffer = completion.buffer
             if buffer is not None and buffer.pool is not None:
                 buffer.pool.put(buffer, self.agent)
@@ -188,7 +188,7 @@ class FuyaoEngine(NetworkEngine):
         # Poll detection + the receiver-side copy out of the dedicated
         # RDMA pool into the tenant's local pool (the extra copy of
         # Fig. 2 (2)), executed on the pinned polling core.
-        yield from self._run(
+        yield self._run(
             ("descriptor", cost.fuyao_rx_us),
             ("copy", cost.copy_time(length, cached=self.copy_cached)),
         )

@@ -89,7 +89,7 @@ class SprightEngine(NetworkEngine):
         # Interrupt-driven SK_MSG ingest + socket serialization: one
         # real copy plus kernel protocol processing, all scheduled on
         # shared cores.
-        yield from self._run(
+        yield self._run(
             ("protocol", cost.sk_msg_interrupt_us),
             ("descriptor", self.channel.ingest_cost_us()),
             ("copy", cost.copy_time(descriptor.length)),
@@ -117,7 +117,7 @@ class SprightEngine(NetworkEngine):
             # Receive-side kernel TCP + softirq processing happens in
             # interrupt context on the peer's shared cores, before the
             # engine's event loop ever sees the message.
-            yield from peer.node.cpu.run(
+            yield peer.node.cpu.run(
                 ("protocol", cost.kernel_tcp_us + cost.kernel_irq_us))
             if tel is not None:
                 tel.tracer.end_span(span)
@@ -146,7 +146,7 @@ class SprightEngine(NetworkEngine):
                 tenant=frame.tenant, bytes=frame.length)
         # Socket read + copy into the local pool (the kernel/softirq
         # cost was already paid in interrupt context).
-        yield from self._run(
+        yield self._run(
             ("protocol", cost.sk_msg_interrupt_us),
             ("copy", cost.copy_time(frame.length)),
             ("descriptor", cost.dne_rx_proc_us),

@@ -112,7 +112,7 @@ class DescriptorChannel:
         """Generator: a host function hands a descriptor to the DNE."""
         if fn_id not in self.endpoints:
             raise KeyError(f"function {fn_id!r} is not attached to {self.name!r}")
-        yield from compute.run(("descriptor", self.fn_cpu_us))
+        yield compute.run(("descriptor", self.fn_cpu_us))
         self.post_from_function(fn_id, descriptor)
 
     def post_from_function(self, fn_id: str, descriptor: BufferDescriptor) -> None:

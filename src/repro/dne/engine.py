@@ -365,7 +365,7 @@ class NetworkEngine:
         self._spawn()
 
     def _run(self, *charges: Tuple[str, float]):
-        """Engine work on its core, with busy accounting; ``yield from`` it."""
+        """Engine work on its core, with busy accounting; ``yield`` it."""
         self.busy_us += work_us(charges) * self.core.factor
         return self.core.run(*charges)
 
@@ -518,7 +518,7 @@ class NetworkEngine:
                 bytes=descriptor.length)
             message.trace = span.context
         # Ingest + routing + WR build, all on the engine's core.
-        yield from self._run(*self._tx_charges())
+        yield self._run(*self._tx_charges())
         try:
             dst_node = self.routes.node_for(dst_fn)
         except RouteError:
@@ -548,7 +548,7 @@ class NetworkEngine:
             # loop moves on, but this message cannot hit the wire until
             # its copy lands — the Fig. 11 on-path penalty.
             def _staged_send():
-                yield from self.node.soc_dma.transfer(wr.length)
+                yield self.node.soc_dma.transfer(wr.length)
                 self.rnic.post_send(qp, wr)
             self.env.process(_staged_send(), name=f"{self.name}-onpath-tx")
         else:
@@ -578,7 +578,7 @@ class NetworkEngine:
             yield from self._handle_recv(completion)
         elif completion.opcode == Opcode.SEND:
             # Send completed: tiny poll cost, recycle the source buffer.
-            yield from self._run(("descriptor", cost.mempool_op_us))
+            yield self._run(("descriptor", cost.mempool_op_us))
             if not completion.ok:
                 self.stats.tx_errors += 1
             # Reliability hook: senders running with a retry budget ride
@@ -608,7 +608,7 @@ class NetworkEngine:
                 parent=message.trace if message is not None else None,
                 category="engine", node=self.node.name, actor=self.name,
                 tenant=completion.tenant or "", bytes=completion.length)
-        yield from self._run(*self._rx_charges())
+        yield self._run(*self._rx_charges())
         if (self.qos_credits is not None and message is not None
                 and message.src in self._qos_credit_sources):
             # A credit-holding sender (the ingress) posted this toward
@@ -653,7 +653,7 @@ class NetworkEngine:
             # Data landed in DPU-local memory: it must cross the SoC DMA
             # to the host pool before the function can see it.
             def _staged_deliver():
-                yield from self.node.soc_dma.transfer(descriptor.length)
+                yield self.node.soc_dma.transfer(descriptor.length)
                 self.channel.dne_send(dst_fn, descriptor)
             self.env.process(_staged_deliver(), name=f"{self.name}-onpath-rx")
         else:

@@ -57,7 +57,7 @@ def run_channel(
     def dne_loop():
         while True:
             fn_id, descriptor = yield channel.server_inbox.get()
-            yield from dne_core.run(
+            yield dne_core.run(
                 ("descriptor", channel.ingest_cost_us() * 2))
             channel.dne_send(fn_id, descriptor)
 
@@ -72,7 +72,7 @@ def run_channel(
             t0 = env.now
             yield from channel.function_send(node.cpu, fn_id, descriptor)
             yield endpoint.recv()
-            yield from node.cpu.run(("descriptor", channel.fn_cpu_us))
+            yield node.cpu.run(("descriptor", channel.fn_cpu_us))
             latency.record(env.now - t0)
             completed[0] += 1
 

@@ -111,7 +111,7 @@ def _run_two_sided(cost: CostModel, size: int, concurrency: int,
             for completion in completions:
                 if completion.is_recv:
                     # RX + TX stage of the echo on the wimpy core.
-                    yield from bench.c1.run(
+                    yield bench.c1.run(
                         ("descriptor",
                          cost.dne_rx_proc_us + cost.dne_tx_proc_us))
                     buffer = completion.buffer
@@ -132,7 +132,7 @@ def _run_two_sided(cost: CostModel, size: int, concurrency: int,
             completions = yield cq.poll_batch()
             for completion in completions:
                 if completion.is_recv:
-                    yield from bench.c0.run(
+                    yield bench.c0.run(
                         ("descriptor", cost.dne_rx_proc_us))
                     event = pending.pop(completion.message.rid, None)
                     buffer = completion.buffer
@@ -150,7 +150,7 @@ def _run_two_sided(cost: CostModel, size: int, concurrency: int,
             t0 = env.now
             buffer = yield from bench.p0.get_wait("dne0")
             buffer.write("dne0", "x" * 4, size)
-            yield from bench.c0.run(("descriptor", cost.dne_tx_proc_us))
+            yield bench.c0.run(("descriptor", cost.dne_tx_proc_us))
             rid = next(_rids)
             event = env.event()
             pending[rid] = event
@@ -197,7 +197,7 @@ def _run_onesided(cost: CostModel, size: int, concurrency: int,
             # --- request: client -> server -------------------------------
             buffer = yield from bench.p0.get_wait("dne0")
             buffer.write("dne0", "x" * 4, size)
-            yield from bench.c0.run(("descriptor", cost.dne_tx_proc_us))
+            yield bench.c0.run(("descriptor", cost.dne_tx_proc_us))
             if use_lock:
                 yield from req_lock.acquire(bench.qp, holder)
             wr = WorkRequest(opcode=Opcode.WRITE, buffer=buffer, length=size,
@@ -212,10 +212,10 @@ def _run_onesided(cost: CostModel, size: int, concurrency: int,
             # --- server processing ------------------------------------------
             # One-sided receivers skip CQE/RBR handling: poll-detect (a
             # fraction of the RX stage) plus the TX stage of the echo.
-            yield from bench.c1.run(("descriptor", 0.3 + cost.dne_tx_proc_us))
+            yield bench.c1.run(("descriptor", 0.3 + cost.dne_tx_proc_us))
             if not use_lock:
                 # OWRC: copy out of the dedicated pool into the local pool
-                yield from bench.c1.run(
+                yield bench.c1.run(
                     ("copy", cost.copy_time(size, cached=cached)))
             # --- response: server -> client -----------------------------------
             rbuf = yield from bench.p1.get_wait("dne1")
@@ -230,9 +230,9 @@ def _run_onesided(cost: CostModel, size: int, concurrency: int,
             if use_lock:
                 env.process(resp_release(resp_lock, bench.qp_back, holder), name="rel")
             yield env.timeout(cost.onesided_poll_interval_us)
-            yield from bench.c0.run(("descriptor", 0.3))
+            yield bench.c0.run(("descriptor", 0.3))
             if not use_lock:
-                yield from bench.c0.run(
+                yield bench.c0.run(
                     ("copy", cost.copy_time(size, cached=cached)))
             bench.latency.record(env.now - t0)
             bench.completed += 1

@@ -18,17 +18,23 @@ Two usage patterns appear in the data plane:
   core in a pool for the duration of a piece of work
   (:meth:`CorePool.run`).
 * **Pinned busy-polling** — a run-to-completion loop (DNE worker,
-  ingress worker, FUYAO poller) owns a core outright and reports
-  *useful* vs *occupied* time separately (:meth:`CorePool.allocate_pinned`,
+  ingress worker, FUYAO poller) owns a core outright and reports its
+  *useful* time apart from the occupancy (:meth:`CorePool.allocate_pinned`,
   :meth:`PinnedCore.run`), which is exactly the distinction Palladium's
   ingress autoscaler measures (§3.6) and Fig. 16 (4)-(6) plot.
+
+Since each hold time is known when the work is claimed, a core is a
+busy-until float: a claim starts at ``max(now, the earliest free
+time)`` and ends at ``start + duration``.  ``run`` returns the timeout
+at that end (``env.timeout_at``), which the caller yields.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush, heapreplace
 from typing import List, Tuple
 
-from ..sim import Environment, Resource, UtilizationTracker
+from ..sim import Environment, Timeout
 
 __all__ = ["CoreKind", "CorePool", "PinnedCore", "work_us"]
 
@@ -78,62 +84,63 @@ class PinnedCore:
         self.env = env
         self.pool = pool
         self.name = name or f"{pool.name}-pinned"
-        self.tracker = UtilizationTracker(self.name)
+        #: µs of useful work run here (what the §3.6 autoscaler reads)
+        self.useful = 0.0
         self._pinned = False
-        self._pool_slot = None
-        #: serializes work items: one core executes one thing at a time
-        self._slot = Resource(env, capacity=1, name=f"{self.name}-slot")
+        #: when the core next falls idle: work items run one at a time
+        self._free = env.now
 
     @property
     def factor(self) -> float:
         return self.pool.factor
 
     def pin(self) -> None:
-        """Dedicate the core (counts as fully busy from now on).
-
-        The pinned loop holds one slot of the pool's scheduler outright,
-        so a pool whose every core is pinned admits no scheduled work.
-        """
-        if self._pinned:
-            return
-        self._pool_slot = self.pool.resource.request()
-        if not self._pool_slot.triggered:
-            raise RuntimeError(
-                f"cannot pin {self.name!r}: all cores of {self.pool.name!r} busy"
-            )
-        self.tracker.begin_busy(self.env.now)
-        self._pinned = True
+        """Dedicate an idle core of the pool (fully busy from now on)."""
+        if not self._pinned:
+            self.pool._pin(self.name)
+            self._pinned = True
 
     def unpin(self) -> None:
-        """Release the core back to the pool."""
-        if not self._pinned:
-            return
-        self.pool.resource.release(self._pool_slot)
-        self._pool_slot = None
-        self.tracker.end_busy(self.env.now)
-        self._pinned = False
+        """Return the core to the pool."""
+        if self._pinned:
+            self.pool._unpin()
+            self._pinned = False
 
-    def run(self, *charges: Tuple[str, float]):
-        """Spend the ``(category, host_us)`` charges here; ``yield from`` it.
+    def run(self, *charges: Tuple[str, float]) -> Timeout:
+        """Spend the ``(category, host_us)`` charges here; ``yield`` the
+        returned timeout, which fires when the work is done.
 
         The elapsed simulated time is scaled by the core's speed factor
         and recorded as useful time; work items serialize on the core.
-        The work is accounted when ``run`` is called, and the returned
-        generator holds the core for it.
         """
         if not self._pinned:
             raise RuntimeError(f"core {self.name!r} is not pinned")
         duration = _spend(self.env, self.pool.factor, charges)
-        self.tracker.add_useful(duration)
-        return self._slot.use(duration)
-
-    def useful_utilization(self, since: float = 0.0) -> float:
-        """Fraction of wall time spent on useful work since ``since``."""
-        return self.tracker.useful_fraction(self.env.now, since)
+        self.useful += duration
+        now = self.env._now
+        start = self._free if self._free > now else now
+        self._free = end = start + duration
+        return self.env.timeout_at(end)
 
 
 class CorePool:
-    """A pool of identical cores with shared-queue scheduling."""
+    """A pool of identical cores with one FIFO queue.
+
+    Each unpinned core is the time it next falls idle, kept in a heap.
+    A claim takes the core that frees first, which is the FCFS
+    multi-server recursion: with every hold time known at the claim,
+    it ends each claim at exactly the float a capacity-``cores`` FIFO
+    server would.
+
+    Pinning (:meth:`allocate_pinned`) takes an idle core out of the
+    heap for good, with two rules:
+
+    1. :meth:`run` on a pool whose every core is pinned raises
+       :class:`RuntimeError` naming the pool; no claim waits on an
+       unpin.
+    2. :meth:`PinnedCore.unpin` returns its core at ``now``, to claims
+       made after that.
+    """
 
     def __init__(
         self,
@@ -150,8 +157,45 @@ class CorePool:
         self.factor = factor
         self.name = name
         self.total_cores = cores
-        self.resource = Resource(env, capacity=cores, name=name)
         self.pinned: List[PinnedCore] = []
+        #: per unpinned core, the time it next falls idle (a heap)
+        self._free: List[float] = [env.now] * cores
+        # Busy time is integrated lazily, at the points where a FIFO
+        # server would account it: claims, reads, pins and each hold's
+        # start or end (``_edges``: pending ``(time, +1/-1)``).
+        self._edges: List[Tuple[float, int]] = []
+        self._busy = 0
+        self._last = env.now
+        self._area = 0.0
+
+    def _account(self) -> float:
+        """Integrate busy cores up to now; returns now."""
+        now = self.env._now
+        edges = self._edges
+        busy, last, area = self._busy, self._last, self._area
+        while edges and edges[0][0] <= now:
+            when, step = heappop(edges)
+            area += busy * (when - last)
+            last = when
+            busy += step
+        self._area = area + busy * (now - last)
+        self._busy = busy
+        self._last = now
+        return now
+
+    def _pin(self, name: str) -> None:
+        free = self._free
+        if not free or free[0] > self.env._now:
+            raise RuntimeError(
+                f"cannot pin {name!r}: all cores of {self.name!r} busy"
+            )
+        self._account()
+        heappop(free)
+        self._busy += 1
+
+    def _unpin(self) -> None:
+        heappush(self._free, self._account())
+        self._busy -= 1
 
     def allocate_pinned(self, name: str = "") -> PinnedCore:
         """Create and pin a dedicated core for a busy-poll loop."""
@@ -160,10 +204,25 @@ class CorePool:
         self.pinned.append(core)
         return core
 
-    def run(self, *charges: Tuple[str, float]):
-        """Spend the ``(category, host_us)`` charges on any core; ``yield
-        from`` it (accounted when called, like :meth:`PinnedCore.run`)."""
-        return self.resource.use(_spend(self.env, self.factor, charges))
+    def run(self, *charges: Tuple[str, float]) -> Timeout:
+        """Spend the ``(category, host_us)`` charges on the core that
+        frees first; ``yield`` the returned timeout (see
+        :meth:`PinnedCore.run`)."""
+        free = self._free
+        if not free:
+            raise RuntimeError(f"every core of {self.name!r} is pinned")
+        duration = _spend(self.env, self.factor, charges)
+        now = self._account()
+        start = free[0]
+        if start > now:  # every core busy: wait for the first to free
+            heappush(self._edges, (start, 1))
+        else:
+            start = now
+            self._busy += 1
+        end = start + duration
+        heapreplace(free, end)
+        heappush(self._edges, (end, -1))
+        return self.env.timeout_at(end)
 
     def total_busy_time(self) -> float:
         """Cumulative core-us consumed (scheduled + pinned occupancy).
@@ -171,15 +230,5 @@ class CorePool:
         Take two snapshots and divide the delta by the window length to
         get windowed utilization.
         """
-        return self.resource.busy_time()
-
-    def utilization_pct(self, since: float = 0.0, baseline_busy: float = 0.0) -> float:
-        """Pool usage in percent-of-one-core over ``[since, now]``.
-
-        ``baseline_busy`` must be the :meth:`total_busy_time` snapshot
-        taken at ``since`` (0 when measuring from the start).
-        """
-        elapsed = self.env.now - since
-        if elapsed <= 0:
-            return 0.0
-        return 100.0 * (self.total_busy_time() - baseline_busy) / elapsed
+        self._account()
+        return self._area

@@ -127,7 +127,7 @@ class Autoscaler:
         utils = []
         for worker in workers:
             prev = self._snapshots.get(worker.name, 0.0)
-            current = worker.core.tracker.useful
+            current = worker.core.useful
             utils.append((current - prev) / period_us)
             self._snapshots[worker.name] = current
         return sum(utils) / len(utils)

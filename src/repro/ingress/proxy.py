@@ -155,7 +155,7 @@ class ProxyIngress:
         t0 = self.env.now
         yield from self.stack.rx(request.wire_bytes)
         yield from self.http.parse(request.wire_bytes)
-        yield from self.cpu.run(("protocol", self.cost.proxy_overhead_us))
+        yield self.cpu.run(("protocol", self.cost.proxy_overhead_us))
         yield from self.stack.tx(request.wire_bytes + TCP_FRAME_OVERHEAD)
         self._proxy_to_worker(conn, request, t0)
 
@@ -176,7 +176,7 @@ class ProxyIngress:
                 t0 = self.env.now
                 yield from fstack.rx(request.wire_bytes)
                 yield from http.parse(request.wire_bytes)
-                yield from worker.core.run(
+                yield worker.core.run(
                     ("protocol", self.cost.proxy_overhead_us))
                 yield from fstack.tx(request.wire_bytes + TCP_FRAME_OVERHEAD)
                 self._proxy_to_worker(conn, request, t0)
@@ -184,7 +184,7 @@ class ProxyIngress:
                 conn, response, t0, tenant = payload
                 yield from fstack.rx(response.wire_bytes)
                 yield from http.parse(response.wire_bytes)
-                yield from worker.core.run(
+                yield worker.core.run(
                     ("protocol", self.cost.proxy_overhead_us))
                 yield from fstack.tx(response.wire_bytes)
                 self._finish(conn, response, t0, tenant)
@@ -217,7 +217,7 @@ class ProxyIngress:
         if self.mode == self.KERNEL:
             yield from self.stack.rx(response.wire_bytes)
             yield from self.http.parse(response.wire_bytes)
-            yield from self.cpu.run(("protocol", self.cost.proxy_overhead_us))
+            yield self.cpu.run(("protocol", self.cost.proxy_overhead_us))
             yield from self.stack.tx(response.wire_bytes)
             self._finish(conn, response, t0, tenant)
         else:

@@ -163,13 +163,13 @@ class LiveMigrator:
             cargo_bytes += descriptor.length
         record.messages_checkpointed = len(cargo)
         # CRIU-style dump: page walk + packing the parked payloads ...
-        yield from src_runtime.node.cpu.run(
+        yield src_runtime.node.cpu.run(
             ("copy", cost.checkpoint_base_us + cost.copy_time(cargo_bytes)))
         # ... then the image itself moves through the SoC DMA engine.
         if src_runtime.node.soc_dma is not None:
-            yield from src_runtime.node.soc_dma.transfer(state_bytes)
+            yield src_runtime.node.soc_dma.transfer(state_bytes)
         else:
-            yield from src_runtime.node.cpu.run(
+            yield src_runtime.node.cpu.run(
                 ("copy", cost.copy_time(state_bytes, cached=False)))
         self._end(tel, span)
 
@@ -183,9 +183,9 @@ class LiveMigrator:
 
         # -- phase 4: restore on the target -----------------------------
         span = self._child(tel, root, "migrate.restore", dst_node, fn_id)
-        yield from dst_runtime.node.cpu.run(("copy", cost.restore_base_us))
+        yield dst_runtime.node.cpu.run(("copy", cost.restore_base_us))
         if dst_runtime.node.soc_dma is not None:
-            yield from dst_runtime.node.soc_dma.transfer(state_bytes)
+            yield dst_runtime.node.soc_dma.transfer(state_bytes)
         dst_engine = dst_runtime.engine
         if dst_engine is not None:
             # Re-register the staging image with the target RNIC via
@@ -265,7 +265,7 @@ class LiveMigrator:
         pool = dst_runtime.pool_for(instance.spec.tenant)
         for message, payload, length in cargo:
             buffer = yield from pool.get_wait(agent)
-            yield from dst_runtime.node.cpu.run(
+            yield dst_runtime.node.cpu.run(
                 ("descriptor", cost.mempool_op_us),
                 ("copy", cost.copy_time(length)))
             buffer.write(agent, payload, length)
@@ -299,10 +299,10 @@ class LiveMigrator:
             buffer.transfer(instance.agent, agent)
             payload = buffer.read(agent)
             buffer.pool.put(buffer, agent)
-            yield from src_runtime.node.cpu.run(("copy", cost.copy_time(length)))
+            yield src_runtime.node.cpu.run(("copy", cost.copy_time(length)))
             yield from link.transmit(length + cost.migration_frame_bytes)
             dst_buffer = yield from pool.get_wait(agent)
-            yield from dst_runtime.node.cpu.run(
+            yield dst_runtime.node.cpu.run(
                 ("descriptor", cost.mempool_op_us),
                 ("copy", cost.copy_time(length)))
             dst_buffer.write(agent, payload, length)

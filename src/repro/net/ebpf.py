@@ -86,7 +86,7 @@ class SockMap:
         The SK_MSG program + sockmap lookup run in the sender's
         context; delivery wakes the receiver.
         """
-        yield from sender_compute.run(("descriptor", self.cost.sk_msg_us))
+        yield sender_compute.run(("descriptor", self.cost.sk_msg_us))
         self.redirect(dst_fn, descriptor)
 
     def redirect(self, dst_fn: str, descriptor: BufferDescriptor) -> None:

@@ -65,11 +65,11 @@ class HttpProcessor:
     def parse(self, nbytes: int):
         """Generator: parse one HTTP message."""
         work = self.cost.http_parse_us + nbytes * 0.00002
-        yield from self.core.run(("protocol", work))
+        yield self.core.run(("protocol", work))
         self.parsed += 1
 
     def serialize(self, nbytes: int):
         """Generator: build one HTTP message."""
         work = self.cost.http_parse_us * 0.6 + nbytes * 0.00002
-        yield from self.core.run(("protocol", work))
+        yield self.core.run(("protocol", work))
         self.serialized += 1

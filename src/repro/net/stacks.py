@@ -72,8 +72,8 @@ class KernelTcpStack:
         try:
             irq = self.cost.kernel_irq_us * self._livelock_penalty()
             work = self.cost.kernel_tcp_us + nbytes * 0.00008
-            yield from self._softirq.run(("protocol", irq))
-            yield from self.cpu.run(("protocol", work))
+            yield self._softirq.run(("protocol", irq))
+            yield self.cpu.run(("protocol", work))
             self.stats.rx_messages += 1
         finally:
             self.in_flight -= 1
@@ -81,12 +81,12 @@ class KernelTcpStack:
     def tx(self, nbytes: int):
         """Generator: transmit-path processing of one message."""
         work = self.cost.kernel_tcp_us + nbytes * 0.00008
-        yield from self.cpu.run(("protocol", work))
+        yield self.cpu.run(("protocol", work))
         self.stats.tx_messages += 1
 
     def handshake(self):
         """Generator: TCP three-way-handshake processing."""
-        yield from self.cpu.run(("protocol", self.cost.tcp_handshake_us))
+        yield self.cpu.run(("protocol", self.cost.tcp_handshake_us))
         self.stats.handshakes += 1
 
 
@@ -109,17 +109,17 @@ class FStack:
     def rx(self, nbytes: int):
         """Generator: poll-mode receive processing of one message."""
         work = self.cost.fstack_us + nbytes * 0.00004
-        yield from self.core.run(("protocol", work))
+        yield self.core.run(("protocol", work))
         self.stats.rx_messages += 1
 
     def tx(self, nbytes: int):
         """Generator: poll-mode transmit processing of one message."""
         work = self.cost.fstack_us + nbytes * 0.00004
-        yield from self.core.run(("protocol", work))
+        yield self.core.run(("protocol", work))
         self.stats.tx_messages += 1
 
     def handshake(self):
         """Generator: handshake processing (cheaper, no syscalls)."""
         work = self.cost.tcp_handshake_us * 0.3
-        yield from self.core.run(("protocol", work))
+        yield self.core.run(("protocol", work))
         self.stats.handshakes += 1

@@ -77,7 +77,7 @@ class FunctionContext:
         """Generator: burn application-logic CPU time on the host."""
         work = self.instance.spec.work_us if host_us is None else host_us
         self.instance.app_time_us += work
-        yield from self.instance.cpu.run(("app", work))
+        yield self.instance.cpu.run(("app", work))
 
     def invoke(self, dst_fn: str, payload: Any, size: int):
         """Generator: request/response invocation of another function."""
@@ -250,7 +250,7 @@ class FunctionInstance:
             self._busy += 1
             try:
                 # Wake-up cost depends on how the descriptor arrived.
-                yield from self.cpu.run(self.iolib.recv_charge(descriptor))
+                yield self.cpu.run(self.iolib.recv_charge(descriptor))
                 header = descriptor.message
                 if header.is_response:
                     event = self._pending.pop(header.rid, None)

@@ -257,7 +257,7 @@ class IoLibrary:
                                           message=message)
             buffer.transfer(src_agent, f"fn:{dst_fn}")
             message.transfer(src_agent, f"fn:{dst_fn}")
-            yield from self.cpu.run(
+            yield self.cpu.run(
                 ("descriptor", extra_cpu_us),
                 ("protocol", self.runtime.sidecar_us),
                 ("descriptor", self.cost.sk_msg_us),
@@ -296,7 +296,7 @@ class IoLibrary:
                                           message=message)
             buffer.transfer(src_agent, engine.agent)
             message.transfer(src_agent, engine.agent)
-            yield from self.cpu.run(
+            yield self.cpu.run(
                 ("descriptor", extra_cpu_us),
                 ("protocol", self.runtime.sidecar_us),
                 ("descriptor", engine.channel.fn_cpu_us),
@@ -340,7 +340,7 @@ class IoLibrary:
         if tel is not None:
             span = self._send_span(tel, message, dst_fn, size, "xdomain")
         # The copy itself plus sidecar access control, on the host core.
-        yield from self.cpu.run(
+        yield self.cpu.run(
             ("descriptor", extra_cpu_us),
             ("protocol", self.runtime.sidecar_us),
             ("copy", self.cost.copy_time(size)),
@@ -437,7 +437,7 @@ class KernelTcpFallback:
                 tel.tracer.end_span(span, status="drop")
             return
         # Sender: copy out of the shared pool + protocol processing.
-        yield from runtime.node.cpu.run(
+        yield runtime.node.cpu.run(
             ("protocol", cost.kernel_tcp_us), ("copy", cost.copy_time(size)))
         payload = buffer.payload
         buffer.pool.put(buffer, src_agent)
@@ -464,7 +464,7 @@ class KernelTcpFallback:
                 tel.tracer.end_span(span, status="drop")
             return
         # Receiver: kernel + softirq processing, copy into the pool.
-        yield from dst_runtime.node.cpu.run(
+        yield dst_runtime.node.cpu.run(
             ("protocol", cost.kernel_tcp_us + cost.kernel_irq_us),
             ("copy", cost.copy_time(size)),
         )

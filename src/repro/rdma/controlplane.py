@@ -244,7 +244,7 @@ class RdmaControlPlane:
         yield from self._admit(1)
         register_us = self.cost.mr_register_time(entries)
         if cpu is not None:
-            yield from cpu.run(("descriptor", register_us))
+            yield cpu.run(("descriptor", register_us))
         else:
             yield self.env.timeout(register_us)
         region = self.fabric.rnic(self.node).mrt.register_region(

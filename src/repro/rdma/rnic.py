@@ -23,7 +23,7 @@ pipes and the links are busy-until stages: a capacity-1 FIFO whose
 hold time is known when it is claimed is fully described by the time
 it next falls idle, so a stage starts at ``max(now, free_at)`` and
 ends at ``start + hold``.  Scheduled at those absolute times, every
-stage ends at exactly the float a FIFO ``Resource`` would produce.
+stage ends at exactly the float a FIFO server would produce.
 
 Verbs can be *posted* (``post_send`` — asynchronous, completion
 surfaces on the node's CQ for the polling engine; the steps run as

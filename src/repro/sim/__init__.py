@@ -9,8 +9,8 @@ from .core import (
     SimulationError,
     Timeout,
 )
-from .monitor import LatencyStats, RateMeter, TimeSeries, UtilizationTracker
-from .resources import Request, Resource, Store
+from .monitor import LatencyStats, RateMeter, TimeSeries
+from .resources import Store
 
 __all__ = [
     "AllOf",
@@ -20,11 +20,8 @@ __all__ = [
     "LatencyStats",
     "Process",
     "RateMeter",
-    "Request",
-    "Resource",
     "SimulationError",
     "Store",
     "TimeSeries",
     "Timeout",
-    "UtilizationTracker",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["TimeSeries", "LatencyStats", "RateMeter", "UtilizationTracker", "summarize"]
+__all__ = ["TimeSeries", "LatencyStats", "RateMeter", "summarize"]
 
 
 class TimeSeries:
@@ -140,48 +140,6 @@ class RateMeter:
         for cidx in sorted(coarse):
             ts.record(cidx * self.bucket, coarse[cidx] / self.bucket)
         return ts
-
-
-class UtilizationTracker:
-    """Tracks busy/idle intervals of a logical worker.
-
-    Distinguishes *occupied* time (core held, e.g. a busy-poll loop)
-    from *useful* time (cycles spent on actual data-plane work) — the
-    distinction Palladium's ingress autoscaler measures (§3.6).
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.busy_since: Optional[float] = None
-        self.occupied = 0.0
-        self.useful = 0.0
-
-    def begin_busy(self, time: float) -> None:
-        """Mark the worker as occupying its core starting at ``time``."""
-        if self.busy_since is None:
-            self.busy_since = time
-
-    def end_busy(self, time: float) -> None:
-        """Mark the worker as releasing its core at ``time``."""
-        if self.busy_since is not None:
-            self.occupied += time - self.busy_since
-            self.busy_since = None
-
-    def add_useful(self, duration: float) -> None:
-        """Account ``duration`` of genuinely useful work."""
-        self.useful += duration
-
-    def occupied_time(self, now: float) -> float:
-        """Total core-occupied time up to ``now``."""
-        extra = (now - self.busy_since) if self.busy_since is not None else 0.0
-        return self.occupied + extra
-
-    def useful_fraction(self, now: float, since: float = 0.0) -> float:
-        """Useful work as a fraction of elapsed wall time since ``since``."""
-        elapsed = now - since
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.useful / elapsed)
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:

@@ -1,10 +1,14 @@
 """Tests for processor models (repro.hw.cpu)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw import CoreKind, CorePool
 from repro.sim import Environment
 from repro.telemetry import Telemetry
+
+from .resource_reference import Resource
 
 
 def test_core_pool_requires_cores():
@@ -18,7 +22,7 @@ def test_execute_takes_scaled_time():
     done = []
 
     def worker():
-        yield from pool.run(("app", 10))
+        yield pool.run(("app", 10))
         done.append(env.now)
 
     env.process(worker())
@@ -32,7 +36,7 @@ def test_pool_schedules_across_cores():
     done = []
 
     def worker(i):
-        yield from pool.run(("app", 10))
+        yield pool.run(("app", 10))
         done.append((i, env.now))
 
     for i in range(4):
@@ -41,13 +45,40 @@ def test_pool_schedules_across_cores():
     assert [t for _, t in done] == [10.0, 10.0, 20.0, 20.0]
 
 
-def test_pinned_core_occupies_core():
+def test_run_on_a_fully_pinned_pool_raises():
+    # pin rule 1: no claim waits for an unpin
     env = Environment()
-    pool = CorePool(env, 4)
-    core = pool.allocate_pinned("loop")
-    assert len(pool.resource.users) == 1
-    core.unpin()
-    assert pool.resource.users == []
+    pool = CorePool(env, 2, name="dpu")
+    pool.allocate_pinned("a")
+    pool.allocate_pinned("b")
+    assert len(pool.pinned) == 2
+    with pytest.raises(RuntimeError, match="'dpu'"):
+        pool.run(("app", 1))
+
+
+def test_failed_pin_leaks_no_core():
+    """A pin refused on a busy pool leaves nothing behind: a later
+    claim still gets the core."""
+    env = Environment()
+    pool = CorePool(env, 1)
+    done = []
+
+    def worker(at, us):
+        yield env.timeout(at)
+        yield pool.run(("app", us))
+        done.append(env.now)
+
+    def pinner():
+        yield env.timeout(1)
+        with pytest.raises(RuntimeError, match="busy"):
+            pool.allocate_pinned("late")
+
+    env.process(worker(0, 10))
+    env.process(pinner())
+    env.process(worker(20, 5))
+    env.run()
+    assert done == [10.0, 25.0]
+    assert pool.pinned == []
 
 
 def test_pinned_core_work_scaled_and_serialized():
@@ -57,7 +88,7 @@ def test_pinned_core_work_scaled_and_serialized():
     done = []
 
     def worker(i):
-        yield from core.run(("app", 5))
+        yield core.run(("app", 5))
         done.append((i, env.now))
 
     env.process(worker(0))
@@ -73,7 +104,7 @@ def test_pinned_work_requires_pin():
     core = pool.allocate_pinned("x")
     core.unpin()
     with pytest.raises(RuntimeError):
-        next(core.run(("app", 1)))
+        core.run(("app", 1))
 
 
 def test_pinned_core_tracks_useful_time():
@@ -82,14 +113,13 @@ def test_pinned_core_tracks_useful_time():
     core = pool.allocate_pinned("loop")
 
     def worker():
-        yield from core.run(("app", 25))
+        yield core.run(("app", 25))
 
     env.process(worker())
     env.run(until=100)
-    assert core.tracker.useful == pytest.approx(25.0)
-    assert core.useful_utilization() == pytest.approx(0.25)
+    assert core.useful == 25.0
     # the pinned core is occupied 100% regardless of useful work
-    assert core.tracker.occupied_time(env.now) == pytest.approx(100.0)
+    assert pool.total_busy_time() == 100.0
 
 
 def test_run_advances_clock_by_left_fold_of_charges():
@@ -100,7 +130,7 @@ def test_run_advances_clock_by_left_fold_of_charges():
         core = make(env)
 
         def worker():
-            yield from core.run(("app", 0.1), ("copy", 0.2), ("protocol", 0.3))
+            yield core.run(("app", 0.1), ("copy", 0.2), ("protocol", 0.3))
 
         env.process(worker())
         env.run()
@@ -115,8 +145,8 @@ def test_run_charges_each_part_to_the_cycle_ledger():
     core = pool.allocate_pinned("dne")
 
     def worker():
-        yield from pool.run(("copy", 3.0), ("protocol", 1.0))
-        yield from core.run(("descriptor", 2.0), ("copy", 0.5))
+        yield pool.run(("copy", 3.0), ("protocol", 1.0))
+        yield core.run(("descriptor", 2.0), ("copy", 0.5))
 
     env.process(worker())
     env.run()
@@ -128,18 +158,18 @@ def test_run_charges_each_part_to_the_cycle_ledger():
     assert ledger.total_us() == env.now
 
 
-def test_utilization_pct_includes_pinned_and_scheduled():
+def test_total_busy_time_includes_pinned_and_scheduled():
     env = Environment()
     pool = CorePool(env, 4)
     pool.allocate_pinned("loop")
 
     def worker():
-        yield from pool.run(("app", 50))
+        yield pool.run(("app", 50))
 
     env.process(worker())
     env.run(until=100)
-    # pinned core: 100 us occupied; scheduled: 50 us => 150% of one core
-    assert pool.utilization_pct() == pytest.approx(150.0)
+    # pinned core: 100 us occupied; scheduled: 50 us
+    assert pool.total_busy_time() == 150.0
 
 
 def test_total_busy_time_snapshot_delta():
@@ -147,9 +177,9 @@ def test_total_busy_time_snapshot_delta():
     pool = CorePool(env, 4)
 
     def worker():
-        yield from pool.run(("app", 10))
+        yield pool.run(("app", 10))
         yield env.timeout(10)
-        yield from pool.run(("app", 10))
+        yield pool.run(("app", 10))
 
     env.process(worker())
     env.run(until=10)
@@ -158,21 +188,76 @@ def test_total_busy_time_snapshot_delta():
     assert pool.total_busy_time() - snap == pytest.approx(10.0)
 
 
-def test_pinned_release_unblocks_scheduled_work():
+def test_unpin_returns_the_core_to_later_claims():
+    # pin rule 2: the core is free again from the unpin on
     env = Environment()
     pool = CorePool(env, 1)
     core = pool.allocate_pinned("hog")
     done = []
 
     def worker():
-        yield from pool.run(("app", 5))
-        done.append(env.now)
-
-    def release():
         yield env.timeout(20)
         core.unpin()
+        yield pool.run(("app", 5))
+        done.append(env.now)
 
     env.process(worker())
-    env.process(release())
     env.run()
     assert done == [25.0]
+    assert pool.total_busy_time() == 25.0  # pinned to 20, then the claim
+
+
+# Ties are the interesting case for a FIFO: draw from a few shared
+# values as well as from the continuum.
+_times = st.one_of(st.sampled_from([0.0, 0.3, 0.7, 1.65, 2.0]),
+                   st.floats(min_value=0.0, max_value=50.0))
+_holds = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 2.0]),
+                   st.floats(min_value=0.0, max_value=10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cores=st.integers(min_value=1, max_value=4),
+       pins=st.integers(min_value=0, max_value=3),
+       claims=st.lists(st.tuples(_times, _holds), min_size=1, max_size=12),
+       reads=st.lists(_times, max_size=4))
+def test_core_pool_matches_the_fifo_reference(cores, pins, claims, reads):
+    """Busy-until cores against a capacity-``cores`` FIFO server, with
+    setup-time pins: every end time and every busy-time read agree bit
+    for bit."""
+    pins = min(pins, cores - 1)
+
+    def simulate(claim, busy_time):
+        ends, seen = {}, []
+
+        def claimant(i, at, hold):
+            yield env.timeout(at)
+            yield from claim(hold)
+            ends[i] = env.now
+
+        def reader(at):
+            yield env.timeout(at)
+            seen.append(busy_time())
+
+        for i, (at, hold) in enumerate(claims):
+            env.process(claimant(i, at, hold))
+        for at in reads:
+            env.process(reader(at))
+        env.run()
+        seen.append(busy_time())
+        return ends, seen
+
+    env = Environment()
+    res = Resource(env, capacity=cores)
+    for _ in range(pins):
+        res.request()
+    reference = simulate(res.use, res.busy_time)
+
+    env = Environment()
+    pool = CorePool(env, cores)
+    for k in range(pins):
+        pool.allocate_pinned(f"pin{k}")
+
+    def run(hold):
+        yield pool.run(("app", hold))
+
+    assert simulate(run, pool.total_busy_time) == reference

@@ -160,20 +160,20 @@ def test_kernel_adapter_uses_shared_cores():
     env = Environment()
     plat = ServerlessPlatform(env)
     plat.add_tenant(Tenant(ECHO_TENANT))
-    before = len(plat.cluster.node("worker0").cpu.resource.users)
+    before = len(plat.cluster.node("worker0").cpu.pinned)
     TcpWorkerAdapter(env, plat.runtimes["worker0"], plat.cost,
                      stack_kind=TcpWorkerAdapter.KERNEL)
-    assert len(plat.cluster.node("worker0").cpu.resource.users) == before
+    assert len(plat.cluster.node("worker0").cpu.pinned) == before
 
 
 def test_fstack_adapter_pins_a_core():
     env = Environment()
     plat = ServerlessPlatform(env)
     plat.add_tenant(Tenant(ECHO_TENANT))
-    before = len(plat.cluster.node("worker0").cpu.resource.users)
+    before = len(plat.cluster.node("worker0").cpu.pinned)
     TcpWorkerAdapter(env, plat.runtimes["worker0"], plat.cost,
                      stack_kind=TcpWorkerAdapter.FSTACK)
-    assert len(plat.cluster.node("worker0").cpu.resource.users) == before + 1
+    assert len(plat.cluster.node("worker0").cpu.pinned) == before + 1
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,7 @@ def test_fstack_adapter_pins_a_core():
 # ---------------------------------------------------------------------------
 
 class _FakeCore:
-    def __init__(self):
-        class _Tracker:
-            useful = 0.0
-        self.tracker = _Tracker()
+    useful = 0.0
 
 
 def make_autoscaler(env, cost):
@@ -214,7 +211,7 @@ def test_autoscaler_scales_up_past_threshold():
         while True:
             yield env.timeout(100_000)
             for worker in workers:
-                worker.core.tracker.useful += 80_000  # 80% busy
+                worker.core.useful += 80_000  # 80% busy
 
     env.process(load())
     env.process(scaler.run())
@@ -245,7 +242,7 @@ def test_autoscaler_respects_max():
         while True:
             yield env.timeout(100_000)
             for worker in workers:
-                worker.core.tracker.useful += 95_000
+                worker.core.useful += 95_000
 
     env.process(load())
     env.process(scaler.run())

@@ -23,7 +23,7 @@ def test_soc_dma_service_time():
     done = []
 
     def proc():
-        yield from dma.transfer(3500)
+        yield dma.transfer(3500)
         done.append(env.now)
 
     env.process(proc())
@@ -40,7 +40,7 @@ def test_soc_dma_serializes_transfers():
     done = []
 
     def proc(i):
-        yield from dma.transfer(0)
+        yield dma.transfer(0)
         done.append(env.now)
 
     for i in range(3):
@@ -63,12 +63,18 @@ def test_soc_dma_utilization():
     cost = CostModel()
     dma = SocDmaEngine(env, cost)
 
+    done = []
+
     def proc():
-        yield from dma.transfer(3500)  # ~3.2 us
+        yield dma.transfer(3500)  # ~3.2 us
+        done.append(env.now)
 
     env.process(proc())
     env.run(until=6.4)
-    assert dma._engine.busy_time() / env.now == pytest.approx(0.5, abs=0.05)
+    # busy for the one transfer, then idle: about half the window
+    assert done == [cost.soc_dma_time(3500)]
+    assert done[0] / env.now == pytest.approx(0.5, abs=0.05)
+    assert (dma.transfers, dma.bytes_moved) == (1, 3500)
 
 
 # ---------------------------------------------------------------------------

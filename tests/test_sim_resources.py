@@ -1,12 +1,15 @@
-"""Tests for Resource and Store (repro.sim.resources)."""
+"""Tests for Store (repro.sim.resources) and the reference FIFO server
+(tests/resource_reference.py)."""
 
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError, Store
+from repro.sim import Environment, SimulationError, Store
+
+from .resource_reference import Resource
 
 
 # ---------------------------------------------------------------------------
-# Resource
+# Resource (the reference the busy-until models are checked against)
 # ---------------------------------------------------------------------------
 
 def test_resource_capacity_validation():

@@ -77,16 +77,14 @@ parallel statement of the cost:
   ``c.charge`` where the same function bound ``c = <expr>.cycles``
   (pass the categories to ``run`` instead).
 
-A capacity-1 stage whose hold time is known when it is claimed (a
-NIC pipe, a link serializer) is a busy-until float, and
-:class:`repro.sim.Resource` keeps its own grant bookkeeping.  So
-outside ``src/repro/sim/`` the checker rejects a hand-written grant on
-a resource:
+Every server in the model (a core, the SoC DMA engine, a NIC pipe, a
+link) knows each hold time when it is claimed, so it is a busy-until
+float, and the claim/release FIFO server left the model.  So anywhere
+in the tree the checker rejects:
 
-* attribute access ``<expr>._last_change`` (its busy-time stamp);
-* calls ``<expr>.users.append(...)``, or ``u.append(...)`` where the
-  same function bound ``u = <expr>.users`` (claim a slot with
-  ``request()``/``use()``, or make the stage a busy-until float).
+* calls ``Resource(...)`` / ``<expr>.Resource(...)`` (make the server a
+  busy-until float: start at ``max(now, free_at)``, end at
+  ``start + hold``).
 
 Usage::
 
@@ -136,9 +134,6 @@ GUARD_EXEMPT_PART = "sim"
 SLI_COUNTERS = frozenset({"ingress_requests_total", "ingress_responses_total",
                           "ingress_admission_rejected_total"})
 
-#: path fragment allowed to grant resource slots by hand (the kernel)
-GRANT_EXEMPT_PART = "sim"
-
 #: path fragments allowed to charge the cycle ledger (cores and ledger)
 CYCLES_EXEMPT_PARTS = frozenset({"hw", "telemetry"})
 
@@ -168,11 +163,6 @@ def _is_timer(node: ast.AST) -> bool:
 def _is_registry(node: ast.AST) -> bool:
     """``<expr>.metrics``: a metrics registry."""
     return isinstance(node, ast.Attribute) and node.attr == "metrics"
-
-
-def _is_users(node: ast.AST) -> bool:
-    """``<expr>.users``: a resource's holder list."""
-    return isinstance(node, ast.Attribute) and node.attr == "users"
 
 
 def _is_ledger(node: ast.AST) -> bool:
@@ -212,7 +202,6 @@ class _MetaVisitor(ast.NodeVisitor):
                  check_cq: bool = True,
                  check_guard: bool = True,
                  check_cycles: bool = True,
-                 check_grant: bool = True,
                  push_allowed: Optional[Dict[str, frozenset]] = None):
         self.path = path
         self.check_meta = check_meta
@@ -221,16 +210,14 @@ class _MetaVisitor(ast.NodeVisitor):
         self.check_cq = check_cq
         self.check_guard = check_guard
         self.check_cycles = check_cycles
-        self.check_grant = check_grant
         #: metric kind -> the families a site here may still push
         self.push_allowed = ({kind: frozenset() for kind in PUSH_EXEMPTIONS}
                              if push_allowed is None else push_allowed)
         #: per enclosing scope, the names bound to raw timers, to
-        #: metrics registries, to the cycle ledger and to holder lists
+        #: metrics registries and to the cycle ledger
         self._timers: List[Set[str]] = [set()]
         self._registries: List[Set[str]] = [set()]
         self._ledgers: List[Set[str]] = [set()]
-        self._users: List[Set[str]] = [set()]
         self.violations: List[Violation] = []
 
     def _visit_scope(self, node: ast.AST) -> None:
@@ -240,13 +227,10 @@ class _MetaVisitor(ast.NodeVisitor):
                                 if self.push_allowed else set())
         self._ledgers.append(_bound_names(node, _is_ledger)
                              if self.check_cycles else set())
-        self._users.append(_bound_names(node, _is_users)
-                           if self.check_grant else set())
         self.generic_visit(node)
         self._timers.pop()
         self._registries.pop()
         self._ledgers.pop()
-        self._users.pop()
 
     visit_Module = visit_FunctionDef = visit_AsyncFunctionDef = _visit_scope
 
@@ -273,10 +257,6 @@ class _MetaVisitor(ast.NodeVisitor):
                              "repro.hw and repro.telemetry (name the "
                              "categories in core.run((category, host_us), "
                              "...); the core charges the ledger)")
-        if self.check_grant and node.attr == "_last_change":
-            self._flag(node, "hand-written resource grant '._last_change' "
-                             "outside repro.sim (claim with request()/use(), "
-                             "or make the stage a busy-until float)")
         self.generic_visit(node)
 
     def visit_keyword(self, node: ast.keyword) -> None:
@@ -309,16 +289,10 @@ class _MetaVisitor(ast.NodeVisitor):
                 self._flag(node, "single-CQE 'cq.get()' polling outside "
                                  "repro.rdma (drain bursts with "
                                  "cq.poll_batch())")
-        # x.users.append(...) / u.append(...) with u = x.users: a slot
-        # granted behind the resource's back
-        if self.check_grant and isinstance(func, ast.Attribute) \
-                and func.attr == "append" and (
-                    _is_users(func.value) or (
-                        isinstance(func.value, ast.Name)
-                        and func.value.id in self._users[-1])):
-            self._flag(node, "hand-written resource grant '.users.append()' "
-                             "outside repro.sim (claim with request()/use(), "
-                             "or make the stage a busy-until float)")
+        if _callee(func) == "Resource":
+            self._flag(node, "FIFO server 'Resource(...)' in the model "
+                             "(make the server a busy-until float: start "
+                             "at max(now, free_at), end at start + hold)")
         # AnyOf(env, [event, env.timeout(d)]), or the same race with
         # the timer bound to a name first: an uncancelled guard
         timers = self._timers[-1]
@@ -400,10 +374,6 @@ def _is_guard_exempt(path: Path) -> bool:
     return GUARD_EXEMPT_PART in path.parts
 
 
-def _is_grant_exempt(path: Path) -> bool:
-    return GRANT_EXEMPT_PART in path.parts
-
-
 def _is_cycles_exempt(path: Path) -> bool:
     return bool(CYCLES_EXEMPT_PARTS.intersection(path.parts))
 
@@ -416,13 +386,9 @@ def check_file(path: Path) -> List[Violation]:
     check_cq = not _is_cq_exempt(path)
     check_guard = not _is_guard_exempt(path)
     check_cycles = not _is_cycles_exempt(path)
-    check_grant = not _is_grant_exempt(path)
     push_allowed = {kind: names if part in path.parts else frozenset()
                     for kind, (part, names) in PUSH_EXEMPTIONS.items()
                     if part not in path.parts or names is not None}
-    if not (check_meta or check_controlplane or check_spray or check_cq
-            or check_guard or check_cycles or check_grant or push_allowed):
-        return []
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
     except SyntaxError as exc:  # pragma: no cover - repo should parse
@@ -434,7 +400,6 @@ def check_file(path: Path) -> List[Violation]:
                            check_cq=check_cq,
                            check_guard=check_guard,
                            check_cycles=check_cycles,
-                           check_grant=check_grant,
                            push_allowed=push_allowed)
     visitor.visit(tree)
     return visitor.violations
