@@ -161,7 +161,8 @@ def _deploy(plat: ServerlessPlatform, config: str):
                             "worker0")
         # A relay whose inner invoke was shed must give up at the SLO,
         # or every dropped message permanently strands a handler slot.
-        relay.iolib.invoke_timeout_us = DEADLINE_US
+        # The guard reads the node runtime's timeout.
+        relay.iolib.runtime.invoke_timeout_us = DEADLINE_US
         plat.deploy(FunctionSpec(f"echo-{name}", name, _echo,
                                  work_us=2.0, concurrency=64), "worker1")
 

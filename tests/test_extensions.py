@@ -199,6 +199,34 @@ def test_placement_ablation_shape():
 
 
 # ---------------------------------------------------------------------------
+# Overload extension: the relay's SLO guard
+# ---------------------------------------------------------------------------
+
+def test_overload_relays_give_up_at_the_deadline(monkeypatch):
+    from repro.experiments import ext_overload
+
+    platforms = []
+
+    class Recording(ServerlessPlatform):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            platforms.append(self)
+
+    monkeypatch.setattr(ext_overload, "ServerlessPlatform", Recording)
+    ext_overload.run_overload_point("spright", 2.0, duration_us=20_000.0,
+                                    warmup_us=15_000.0)
+    plat, = platforms
+    assert (plat.runtimes["worker0"].invoke_timeout_us
+            == ext_overload.DEADLINE_US)
+    relays = [fn for name, fn in plat.functions.items()
+              if name.startswith("relay-")]
+    assert len(relays) == len(ext_overload.TENANTS)
+    # At 2x a tail-dropping baseline sheds inner invokes; without the
+    # guard each shed one would strand its relay's handler slot.
+    assert sum(fn.invoke_timeouts for fn in relays) > 0
+
+
+# ---------------------------------------------------------------------------
 # Fig. 14 (compressed) smoke
 # ---------------------------------------------------------------------------
 
