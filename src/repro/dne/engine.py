@@ -287,7 +287,7 @@ class NetworkEngine:
                            reason: str) -> None:
         """A bounded queue shed one of our TX descriptors: clean up.
 
-        The descriptor was enqueued by the channel poller, so the
+        The descriptor was enqueued by the Comch inbox's sink, so the
         buffer and header are engine-owned here.  Mirror the no-route
         drop path: count it, nack any reliability-tracked sender,
         retire the header exactly once, recycle the buffer — and repay
@@ -318,17 +318,29 @@ class NetworkEngine:
         self._spawn()
 
     def _spawn(self) -> None:
-        """Launch the engine's four threads for the current epoch."""
+        """Start the core thread and the worker loop for this epoch.
+
+        The worker takes its inputs through sinks on their stores: each
+        CQE joins its inbox, each Comch descriptor its tenant scheduler.
+        What queued in either store while the engine was down is handed
+        over first, in FIFO order.
+        """
         self._running = True
         epoch = self._epoch
+        self.rnic.cq.set_sink(self._on_cqe)
+        self.channel.server_inbox.set_sink(self._on_descriptor)
         self.env.process(self._core_thread(epoch), name=f"{self.name}-core")
-        self.env.process(self._cq_poller(epoch), name=f"{self.name}-cq")
-        self.env.process(self._channel_poller(epoch), name=f"{self.name}-chan")
         self.env.process(self._worker_loop(epoch), name=f"{self.name}-loop")
+
+    def _unplug(self) -> None:
+        """Leave new CQEs and descriptors queued in their stores."""
+        self.rnic.cq.set_sink(None)
+        self.channel.server_inbox.set_sink(None)
 
     def stop(self) -> None:
         self._running = False
         self._epoch += 1
+        self._unplug()
         self._notify()
 
     def crash(self) -> None:
@@ -336,9 +348,10 @@ class NetworkEngine:
 
         All engine-held RDMA state (the pooled RC connections) dies
         with it — both QP ends flush to the ERROR state, so peers
-        observe failed CQEs.  In-queue descriptors stay queued and are
-        processed after :meth:`restart` (the channel outlives the
-        engine process, like a unix socket outlives a daemon).
+        observe failed CQEs.  CQEs and descriptors that arrive while it
+        is down wait in their stores and are processed after
+        :meth:`restart` (the channel outlives the engine process, like a
+        unix socket outlives a daemon).
         """
         if not self._running:
             return
@@ -346,6 +359,7 @@ class NetworkEngine:
         self.available = False
         self._epoch += 1
         self.crashes += 1
+        self._unplug()
         self._notify()
         self.conn_mgr.fail_all(cause=f"{self.name} crashed")
 
@@ -390,42 +404,16 @@ class NetworkEngine:
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
 
-    # -- background pollers ------------------------------------------------------------
-    def _cq_poller(self, epoch: int):
-        """Moves CQEs into the worker loop's event queue.
+    # -- input sinks ---------------------------------------------------------------
+    def _on_cqe(self, completion: Completion) -> None:
+        self._rx_inbox.append(("cqe", completion))
+        self._notify()
 
-        Batched: one kernel wakeup drains every ready completion on the
-        CQ (``poll_batch``) instead of paying a generator round-trip
-        per CQE.  The per-completion handling — inbox append + worker
-        notify — is unchanged, so the event sequence is identical to
-        the historical one-``get``-per-CQE loop.
-        """
-        inbox = self._rx_inbox
-        cq = self.rnic.cq
-        while self._running and self._epoch == epoch:
-            completions = yield cq.poll_batch()
-            if self._epoch != epoch:
-                # Stale poller from before a crash: requeue for the
-                # restarted engine's poller and exit.
-                for completion in completions:
-                    cq.put_nowait(completion)
-                return
-            for completion in completions:
-                inbox.append(("cqe", completion))
-                self._notify()
-
-    def _channel_poller(self, epoch: int):
-        """Moves function TX descriptors into the tenant scheduler."""
-        while self._running and self._epoch == epoch:
-            fn_id, descriptor = yield self.channel.server_inbox.get()
-            if self._epoch != epoch:
-                self.channel.server_inbox.put_nowait((fn_id, descriptor))
-                return
-            tenant = descriptor.message.tenant or "default"
-            self.scheduler.enqueue(
-                tenant, (fn_id, descriptor), nbytes=max(1, descriptor.length)
-            )
-            self._notify()
+    def _on_descriptor(self, item: Tuple[str, BufferDescriptor]) -> None:
+        descriptor = item[1]
+        self.scheduler.enqueue(descriptor.message.tenant or "default", item,
+                               nbytes=max(1, descriptor.length))
+        self._notify()
 
     def _core_thread(self, epoch: int):
         """Control plane: warm connections, replenish RQs, demote QPs."""

@@ -88,8 +88,9 @@ class Rnic:
         self.node = node
         self.cost = cost
         self.mrt = MemoryRegionTable()
-        #: the node's single completion queue (§3.3); its engine drains
-        #: it in FIFO bursts with ``poll_batch()``.
+        #: the node's single completion queue (§3.3); the node's engine
+        #: takes each CQE through the queue's sink, a bare consumer
+        #: drains it in FIFO bursts with ``poll_batch()``.
         self.cq: Store = Store(env, name=f"cq:{node}")
         #: per-tenant shared receive queues
         self.srqs: Dict[str, SharedReceiveQueue] = {}

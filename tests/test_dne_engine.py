@@ -14,7 +14,7 @@ from repro.memory import (
     OwnershipError,
     create_from_export,
 )
-from repro.rdma import RdmaFabric
+from repro.rdma import Completion, Opcode, RdmaFabric
 from repro.sim import Environment
 
 
@@ -237,3 +237,58 @@ def test_engine_stats_tenant_meter():
     run_echo(env, cost, cluster, engines, pools, channels, n_messages=4)
     meter = engines["worker0"].stats.tenant_meter("t")
     assert meter.count == 4
+
+
+def test_inputs_wait_in_their_stores_while_the_engine_is_down():
+    """CQEs and descriptors that arrive between crash() and restart()
+    stay in the CQ and the Comch server inbox, out of the backlog; the
+    restarted engine handles each exactly once, in FIFO order, RX
+    first.  stop() leaves later arrivals in the stores too."""
+    env, cost, cluster, engines, pools, channels = build_pair()
+    engine = engines["worker1"]
+    handled = []
+
+    def record_cqe(completion):
+        handled.append(completion.wr_id)
+        yield env.timeout(1.0)
+
+    def record_tx(tenant, fn_id, descriptor):
+        handled.append(fn_id)
+        yield env.timeout(1.0)
+
+    engine._handle_cqe = record_cqe
+    engine._handle_tx = record_tx
+    cq, inbox = engine.rnic.cq, engine.channel.server_inbox
+
+    def descriptor():
+        return _request(pools["worker1"].get(engine.agent))
+
+    engine.start()
+    env.run(until=10.0)
+    engine.crash()
+    arrivals = [("cq", Completion(Opcode.SEND, 1)), ("in", ("fn-a", descriptor())),
+                ("cq", Completion(Opcode.SEND, 2)), ("in", ("fn-b", descriptor()))]
+    for store, item in arrivals:
+        (cq if store == "cq" else inbox).put_nowait(item)
+    assert [c.wr_id for c in cq.items] == [1, 2]
+    assert [fn for fn, _ in inbox.items] == ["fn-a", "fn-b"]
+    assert engine.qos_backlog() == 0
+    env.run(until=20.0)
+    assert handled == []
+
+    engine.restart()
+    assert not cq.items and not inbox.items
+    env.run(until=30.0)
+    assert handled == [1, 2, "fn-a", "fn-b"]
+    # Running: a put goes straight to the engine.
+    cq.put_nowait(Completion(Opcode.SEND, 3))
+    assert not cq.items
+    env.run(until=40.0)
+    assert handled == [1, 2, "fn-a", "fn-b", 3]
+
+    engine.stop()
+    cq.put_nowait(Completion(Opcode.SEND, 4))
+    inbox.put_nowait(("fn-c", descriptor()))
+    env.run(until=50.0)
+    assert [c.wr_id for c in cq.items] == [4] and len(inbox.items) == 1
+    assert handled == [1, 2, "fn-a", "fn-b", 3]

@@ -209,6 +209,39 @@ def test_rdma_package_may_pull_single_cqes(tmp_path):
     assert check_file(path) == []
 
 
+def test_flags_engine_input_polling_in_dne(tmp_path):
+    pkg = tmp_path / "dne"
+    pkg.mkdir()
+    path = pkg / "engine.py"
+    path.write_text(
+        "completions = yield self.rnic.cq.poll_batch()\n"
+        "completion = yield cq.get()\n"
+        "fn_id, descriptor = yield self.channel.server_inbox.get()\n"
+    )
+    vs = check_file(path)
+    assert [v[1] for v in vs] == [1, 2, 3]
+    assert all("Store.set_sink" in v[3] for v in vs)
+
+
+def test_engine_sinks_and_polling_outside_dne_are_legal(tmp_path):
+    pkg = tmp_path / "dne"
+    pkg.mkdir()
+    path = pkg / "engine.py"
+    path.write_text(
+        "self.rnic.cq.set_sink(self._on_cqe)\n"
+        "self.channel.server_inbox.set_sink(self._on_descriptor)\n"
+        "item = yield endpoint.inbox.get()\n"
+    )
+    assert check_file(path) == []
+    # fig09's dne_loop and fig12's echo server consume their stores
+    # themselves, with no engine in between
+    source = (
+        "fn_id, descriptor = yield channel.server_inbox.get()\n"
+        "completions = yield bench.rnic1.cq.poll_batch()\n"
+    )
+    assert _violations(tmp_path, source) == []
+
+
 def test_non_cq_get_calls_are_legal(tmp_path):
     # only a receiver *named* cq is the completion-queue idiom; plain
     # store/dict gets stay untouched

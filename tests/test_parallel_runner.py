@@ -15,6 +15,7 @@ from repro.experiments.__main__ import digest
 from repro.experiments.ext_overload import (run_ext_overload,
                                            run_overload_isolation)
 from repro.experiments.fig12_primitives import run_fig12
+from repro.experiments.fig16_boutique import run_boutique_point
 from repro.experiments.parallel import default_jobs, joined, parallel_map
 from repro.experiments.report import to_json
 from repro.sim import Environment
@@ -85,6 +86,18 @@ class TestByteIdentity:
         # cores dropped 4,539 more (102,285 before): the grant events of
         # contended claims on the pinned c0/c1 cores.
         assert events == 97_746
+
+    def test_fig16_dne_point_event_count(self):
+        # The DNE path's pin: one short palladium-dne Fig. 16 point
+        # (ingress, DNE, RDMA and functions), exact like the fig12 one.
+        # Sinks on the CQ and the Comch server inbox replaced the
+        # engines' two poller processes: 53,605 events (53,609 before,
+        # the pollers' start events on the two engines).
+        point, events = _count_events(
+            run_boutique_point, "palladium-dne", "Home Query", 8,
+            duration_us=20_000.0)
+        assert point["rps"] > 0
+        assert events == 53_605
 
     def test_ext_overload_serial_vs_parallel(self, monkeypatch):
         scale = dict(duration_us=20_000.0, warmup_us=15_000.0)

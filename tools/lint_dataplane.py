@@ -37,13 +37,22 @@ rejects direct spray calls:
 * calls to ``rss_queue(...)`` / ``rss_pick(...)`` (gateway/queue
   selection must go through ``IngressLoadBalancer``).
 
-The batched-execution PR moved every CQ consumer to coalesced
+The batched-execution PR moved every polling CQ consumer to coalesced
 draining (``cq.poll_batch()`` — one kernel wakeup per completion
 burst).  Outside ``src/repro/rdma/`` (the device layer that owns the
 CQ) the checker rejects the per-CQE idiom it replaced:
 
 * calls ``cq.get(...)`` / ``<expr>.cq.get(...)`` (drain with
   ``poll_batch()`` so a burst costs one wakeup, not one per CQE).
+
+The network engine polls nothing: its CQ and its Comch server inbox
+hand each item to it when it is put (``Store.set_sink``), with no
+process between a store and the worker loop.  So inside
+``src/repro/dne/`` the checker rejects a consumer process on either:
+
+* calls ``cq.get(...)``, ``cq.poll_batch(...)``,
+  ``server_inbox.get(...)`` or ``server_inbox.poll_batch(...)``, bare
+  or as ``<expr>.cq`` / ``<expr>.server_inbox`` (install a sink).
 
 Guard timers are cancelled when the guarded event wins, so the event
 heap holds only live work.  Outside ``src/repro/sim/`` (the kernel that
@@ -127,6 +136,13 @@ SPRAY_FUNCS = frozenset({"rss_queue", "rss_pick"})
 #: path fragment allowed to pull single CQEs (the device layer)
 CQ_EXEMPT_PART = "rdma"
 
+#: path fragment whose stores hand items to sinks, never to getters
+SINK_PART = "dne"
+
+#: the stores the engine consumes through sinks, and their getters
+SINK_STORES = frozenset({"cq", "server_inbox"})
+SINK_GETTERS = frozenset({"get", "poll_batch"})
+
 #: path fragment allowed to race an event against a raw timer (the kernel)
 GUARD_EXEMPT_PART = "sim"
 
@@ -200,6 +216,7 @@ class _MetaVisitor(ast.NodeVisitor):
                  check_controlplane: bool = True,
                  check_spray: bool = True,
                  check_cq: bool = True,
+                 check_sinks: bool = False,
                  check_guard: bool = True,
                  check_cycles: bool = True,
                  push_allowed: Optional[Dict[str, frozenset]] = None):
@@ -208,6 +225,7 @@ class _MetaVisitor(ast.NodeVisitor):
         self.check_controlplane = check_controlplane
         self.check_spray = check_spray
         self.check_cq = check_cq
+        self.check_sinks = check_sinks
         self.check_guard = check_guard
         self.check_cycles = check_cycles
         #: metric kind -> the families a site here may still push
@@ -276,19 +294,20 @@ class _MetaVisitor(ast.NodeVisitor):
                 self._flag(node, f"direct gateway spray '{callee}()' "
                                  f"outside repro.ingress (route through "
                                  f"IngressLoadBalancer)")
+        base_name = (_callee(func.value) if isinstance(func, ast.Attribute)
+                     else None)
+        # in repro.dne: cq.poll_batch() / x.server_inbox.get() and
+        # friends, a process between a store and the engine
+        if self.check_sinks and base_name in SINK_STORES \
+                and func.attr in SINK_GETTERS:
+            self._flag(node, f"'{base_name}.{func.attr}()' in repro.dne "
+                             f"(the engine takes its inputs through the "
+                             f"store's sink: Store.set_sink)")
         # cq.get(...) / <expr>.cq.get(...): per-CQE polling
-        if self.check_cq and isinstance(func, ast.Attribute) \
-                and func.attr == "get":
-            base = func.value
-            base_name = None
-            if isinstance(base, ast.Name):
-                base_name = base.id
-            elif isinstance(base, ast.Attribute):
-                base_name = base.attr
-            if base_name == "cq":
-                self._flag(node, "single-CQE 'cq.get()' polling outside "
-                                 "repro.rdma (drain bursts with "
-                                 "cq.poll_batch())")
+        elif self.check_cq and base_name == "cq" and func.attr == "get":
+            self._flag(node, "single-CQE 'cq.get()' polling outside "
+                             "repro.rdma (drain bursts with "
+                             "cq.poll_batch())")
         if _callee(func) == "Resource":
             self._flag(node, "FIFO server 'Resource(...)' in the model "
                              "(make the server a busy-until float: start "
@@ -398,6 +417,7 @@ def check_file(path: Path) -> List[Violation]:
                            check_controlplane=check_controlplane,
                            check_spray=check_spray,
                            check_cq=check_cq,
+                           check_sinks=SINK_PART in path.parts,
                            check_guard=check_guard,
                            check_cycles=check_cycles,
                            push_allowed=push_allowed)
