@@ -318,13 +318,9 @@ class NetworkEngine:
         self._spawn()
 
     def _spawn(self) -> None:
-        """Start the core thread and the worker loop for this epoch.
-
-        The worker takes its inputs through sinks on their stores: each
-        CQE joins its inbox, each Comch descriptor its tenant scheduler.
-        What queued in either store while the engine was down is handed
-        over first, in FIFO order.
-        """
+        """Start the core thread and the worker loop for this epoch, and
+        take CQEs and Comch descriptors through their stores' sinks
+        (what queued while the engine was down first, in FIFO order)."""
         self._running = True
         epoch = self._epoch
         self.rnic.cq.set_sink(self._on_cqe)
@@ -332,15 +328,12 @@ class NetworkEngine:
         self.env.process(self._core_thread(epoch), name=f"{self.name}-core")
         self.env.process(self._worker_loop(epoch), name=f"{self.name}-loop")
 
-    def _unplug(self) -> None:
-        """Leave new CQEs and descriptors queued in their stores."""
-        self.rnic.cq.set_sink(None)
-        self.channel.server_inbox.set_sink(None)
-
     def stop(self) -> None:
+        """Halt the loops; arriving CQEs and descriptors stay queued."""
         self._running = False
         self._epoch += 1
-        self._unplug()
+        self.rnic.cq.set_sink(None)
+        self.channel.server_inbox.set_sink(None)
         self._notify()
 
     def crash(self) -> None:
@@ -348,19 +341,15 @@ class NetworkEngine:
 
         All engine-held RDMA state (the pooled RC connections) dies
         with it — both QP ends flush to the ERROR state, so peers
-        observe failed CQEs.  CQEs and descriptors that arrive while it
-        is down wait in their stores and are processed after
-        :meth:`restart` (the channel outlives the engine process, like a
-        unix socket outlives a daemon).
+        observe failed CQEs.  Arriving CQEs and descriptors stay queued
+        and are processed after :meth:`restart` (the channel outlives
+        the engine process, like a unix socket outlives a daemon).
         """
         if not self._running:
             return
-        self._running = False
+        self.stop()
         self.available = False
-        self._epoch += 1
         self.crashes += 1
-        self._unplug()
-        self._notify()
         self.conn_mgr.fail_all(cause=f"{self.name} crashed")
 
     def restart(self, warm_peers: Optional[List[Tuple[str, str]]] = None) -> None:

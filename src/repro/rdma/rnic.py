@@ -89,8 +89,7 @@ class Rnic:
         self.cost = cost
         self.mrt = MemoryRegionTable()
         #: the node's single completion queue (§3.3); the node's engine
-        #: takes each CQE through the queue's sink, a bare consumer
-        #: drains it in FIFO bursts with ``poll_batch()``.
+        #: takes each CQE through its sink (``Store.set_sink``).
         self.cq: Store = Store(env, name=f"cq:{node}")
         #: per-tenant shared receive queues
         self.srqs: Dict[str, SharedReceiveQueue] = {}

@@ -18,12 +18,9 @@ polling loop built on it costs one generator round-trip per *burst*
 instead of one per item.  Batch getters take items in FIFO arrival
 order.
 
-Sinks: a store can have one consumer callback in place of getters
-(:meth:`Store.set_sink`).  A put on a store with a sink counts the put
-and passes the item to the sink, at the same instant, through one
-deferred flush per burst.  Removing the sink leaves later puts queued
-as before; installing one hands the queued items over first, in FIFO
-order.
+Sinks: a store can have one consumer callback (:meth:`Store.set_sink`).
+A put on a store with a sink counts the put and passes the item
+straight to the sink, with no event or consumer process in between.
 """
 
 from __future__ import annotations
@@ -67,39 +64,22 @@ class Store:
         self.get_count = 0
         #: the consumer callback puts go to instead of ``items``
         self._sink: Optional[Callable[[Any], None]] = None
-        self._pending: Deque[Any] = deque()
-        self._flush_scheduled = False
 
     def put_nowait(self, item: Any) -> None:
-        """Insert ``item``, handing it to the oldest waiting getter."""
+        """Hand ``item`` to the sink, or to the oldest waiting getter."""
         self.put_count += 1
         if self._sink is not None:
-            self._pending.append(item)
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                self.env.defer_at(self.env._now, self._flush)
+            self._sink(item)
             return
         self.items.append(item)
         if self._getters:
             self._dispatch()
 
-    def _flush(self) -> None:
-        pending = self._pending
-        while pending and self._sink is not None:
-            self._sink(pending.popleft())
-        self._flush_scheduled = False
-
     def set_sink(self, sink: Optional[Callable[[Any], None]]) -> None:
-        """Hand every later put to ``sink(item)`` instead of queueing it;
-        ``None`` removes the sink.  Items queued now go to the new sink
-        first, in FIFO order."""
-        items = self.items
-        if sink is None:
-            items.extendleft(reversed(self._pending))
-            self._pending.clear()
-        while sink is not None and items:
-            self.get_count += 1
-            sink(items.popleft())
+        """Pass every later put to ``sink`` (``None``: queue them again);
+        items queued now go to the new sink first, in FIFO order."""
+        while sink is not None and self.items:
+            sink(self.items.popleft())
         self._sink = sink
 
     def get(self) -> Event:

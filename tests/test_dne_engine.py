@@ -280,9 +280,9 @@ def test_inputs_wait_in_their_stores_while_the_engine_is_down():
     assert not cq.items and not inbox.items
     env.run(until=30.0)
     assert handled == [1, 2, "fn-a", "fn-b"]
-    # Running: a put goes straight to the engine.
+    # Running: a put hands the CQE to the engine at once.
     cq.put_nowait(Completion(Opcode.SEND, 3))
-    assert not cq.items
+    assert not cq.items and engine.qos_backlog() == 1
     env.run(until=40.0)
     assert handled == [1, 2, "fn-a", "fn-b", 3]
 
