@@ -11,9 +11,9 @@ wash out in the end-to-end workload bench:
 * ``process_ping_pong``— two processes alternating over Stores
                          (``_GetEvent`` pooling + store fast paths)
 * ``condition_fanin``  — AllOf/AnyOf fan-in over timeout batches
-* ``cqe_storm``        — bursty CQE production against a batched
-                         ``poll_batch`` consumer (one wakeup per
-                         burst, sync re-poll drains the rest)
+* ``cqe_storm``        — bursty CQE production into a CQ consumed
+                         through its sink (``Store.set_sink``: each
+                         CQE handed over at the put, no wakeup)
 
 Each runs three times, keeps the fastest pass, and writes
 ``{"kernel": ...}`` to ``BENCH_host_perf.json``.  End-to-end workload
@@ -105,23 +105,21 @@ def _cqe_burster(env: Environment, cq: Store, bursts: int, width: int):
         yield env.timeout(1.0)
 
 
-def _cqe_drainer(env: Environment, cq: Store, drained: list):
-    while True:
-        batch = yield cq.poll_batch()
-        drained[0] += len(batch)
-
-
 def bench_cqe_storm():
-    # A polling engine under completion bursts: the consumer blocks
-    # once per burst and drains the backlog with sync re-polls — the
-    # batched path the RNIC CQ consumers use.  Drained CQEs are model
-    # events serviced without individual kernel wakeups, so they count
-    # alongside the heap events.
+    # A CQ consumer under completion bursts: the CQ's sink takes each
+    # CQE at the put, with no consumer process or wakeup — the path
+    # every RNIC CQ in the model takes.  Sunk CQEs are model events
+    # serviced without kernel events, so they count alongside the heap
+    # events.
     env = Environment()
     cq = Store(env, name="cq")
     drained = [0]
+
+    def sink(_cqe):
+        drained[0] += 1
+
+    cq.set_sink(sink)
     done = env.process(_cqe_burster(env, cq, 2_000, 64), name="burst")
-    env.process(_cqe_drainer(env, cq, drained), name="drain")
     env.run(until=done)
     return env.events_processed + drained[0]
 

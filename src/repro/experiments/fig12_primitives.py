@@ -86,8 +86,8 @@ def _run_two_sided(cost: CostModel, size: int, concurrency: int,
             bench.rnic1.post_recv("bench", bench.p1.get("dne1"), "dne1")
             bench.rnic0.post_recv("bench", bench.p0.get("dne0"), "dne0")
         env.process(_replenisher(), name="replenish")
-        env.process(_server(), name="server")
-        env.process(_client_dispatch(), name="cdisp")
+        bench.rnic1.cq.set_sink(_server_cqe)
+        bench.rnic0.cq.set_sink(_client_cqe)
         for i in range(concurrency):
             env.process(_driver(i), name=f"driver{i}")
 
@@ -103,47 +103,45 @@ def _run_two_sided(cost: CostModel, size: int, concurrency: int,
                         break
                     rnic.post_recv("bench", pool.get(agent), agent)
 
-    def _server():
-        # Batched CQ draining: one wakeup per burst, not per CQE.
-        cq = bench.rnic1.cq
-        while True:
-            completions = yield cq.poll_batch()
-            for completion in completions:
-                if completion.is_recv:
-                    # RX + TX stage of the echo on the wimpy core.
-                    yield bench.c1.run(
-                        ("descriptor",
-                         cost.dne_rx_proc_us + cost.dne_tx_proc_us))
-                    buffer = completion.buffer
-                    buffer.transfer("rnic:worker1", "dne1")
-                    message = completion.message
-                    message.transfer("rnic:worker1", "dne1")
-                    wr = WorkRequest(opcode=Opcode.SEND, buffer=buffer,
-                                     length=completion.length,
-                                     message=message)
-                    message.transfer("dne1", "rnic:worker1")
-                    bench.rnic1.post_send(bench.qp_back, wr)
-                elif completion.opcode == Opcode.SEND:
-                    completion.buffer.pool.put(completion.buffer, "dne1")
+    def _server_cqe(completion):
+        # The echo server is rnic1's CQ sink: a request claims the
+        # pinned core at once and is echoed when that core run ends.
+        if completion.is_recv:
+            # RX + TX stage of the echo on the wimpy core.
+            step = bench.c1.run(
+                ("descriptor", cost.dne_rx_proc_us + cost.dne_tx_proc_us))
+            step.callbacks.append(lambda _: _echo(completion))
+        elif completion.opcode == Opcode.SEND:
+            completion.buffer.pool.put(completion.buffer, "dne1")
 
-    def _client_dispatch():
-        cq = bench.rnic0.cq
-        while True:
-            completions = yield cq.poll_batch()
-            for completion in completions:
-                if completion.is_recv:
-                    yield bench.c0.run(
-                        ("descriptor", cost.dne_rx_proc_us))
-                    event = pending.pop(completion.message.rid, None)
-                    buffer = completion.buffer
-                    buffer.transfer("rnic:worker0", "dne0")
-                    completion.message.transfer("rnic:worker0", "dne0")
-                    completion.message.retire("dne0")
-                    buffer.pool.put(buffer, "dne0")
-                    if event is not None:
-                        event.succeed()
-                elif completion.opcode == Opcode.SEND:
-                    completion.buffer.pool.put(completion.buffer, "dne0")
+    def _echo(completion):
+        buffer = completion.buffer
+        buffer.transfer("rnic:worker1", "dne1")
+        message = completion.message
+        message.transfer("rnic:worker1", "dne1")
+        wr = WorkRequest(opcode=Opcode.SEND, buffer=buffer,
+                         length=completion.length, message=message)
+        message.transfer("dne1", "rnic:worker1")
+        bench.rnic1.post_send(bench.qp_back, wr)
+
+    def _client_cqe(completion):
+        # rnic0's CQ sink: a reply claims the client's core and wakes
+        # its driver when that core run ends.
+        if completion.is_recv:
+            step = bench.c0.run(("descriptor", cost.dne_rx_proc_us))
+            step.callbacks.append(lambda _: _reply(completion))
+        elif completion.opcode == Opcode.SEND:
+            completion.buffer.pool.put(completion.buffer, "dne0")
+
+    def _reply(completion):
+        event = pending.pop(completion.message.rid, None)
+        buffer = completion.buffer
+        buffer.transfer("rnic:worker0", "dne0")
+        completion.message.transfer("rnic:worker0", "dne0")
+        completion.message.retire("dne0")
+        buffer.pool.put(buffer, "dne0")
+        if event is not None:
+            event.succeed()
 
     def _driver(i: int):
         while True:

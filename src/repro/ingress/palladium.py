@@ -13,7 +13,9 @@ External connections are spread over workers with RSS.
 
 The ingress node carries no DPU: its standalone ConnectX-6 talks to the
 worker DNEs as an ordinary fabric peer, with its own per-tenant buffer
-pools posted to shared receive queues for response traffic.
+pools posted to shared receive queues for response traffic.  Its CQ
+feeds a sink (``Store.set_sink``) that hands each response to the
+owning worker's inbox at the put, with no dispatcher process.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ __all__ = ["PalladiumIngress"]
 
 
 def _next_rid(env) -> int:
-    # Request ids can seed the RSS fallback hash in the completion
-    # loop, so like connection ids they are scoped per-environment.
+    # Request ids can seed the RSS fallback hash in the CQ's sink, so
+    # like connection ids they are scoped per-environment.
     n = getattr(env, "_pal_rid_seq", 1_000_000) + 1
     env._pal_rid_seq = n
     return n
@@ -126,7 +128,14 @@ class PalladiumIngress:
         self.rnic.register_pool(pool)
 
     def start(self) -> None:
-        """Bring up workers, CQ dispatch, replenisher, and autoscaler."""
+        """Bring up workers, the CQ sink, replenisher, and autoscaler.
+
+        CQEs reach :meth:`_dispatch_cqe` at the put, as the CQ's sink.
+        Siblings behind an :class:`IngressLoadBalancer` share the node's
+        RNIC and so its one CQ: the sibling started last owns the sink,
+        and it routes every CQE through ``siblings`` to the instance
+        that owns the request id.
+        """
         if self._running:
             raise RuntimeError("ingress already started")
         self._running = True
@@ -134,7 +143,7 @@ class PalladiumIngress:
             self._spawn_worker()
         for tenant in self.pools:
             self._post_recv(tenant, self.recv_buffers)
-        self.env.process(self._cq_dispatch(), name="ingress-cq")
+        self.rnic.cq.set_sink(self._dispatch_cqe)
         self.env.process(self._replenisher(), name="ingress-replenish")
         self.env.process(self._warm_connections(), name="ingress-warm")
         if self.autoscale:
@@ -360,25 +369,14 @@ class PalladiumIngress:
         self.env.process(_transit(), name="ingress-ether-tx")
 
     # -- RDMA receive plumbing ---------------------------------------------------------
-    def _cq_dispatch(self):
-        """Route CQEs: responses to the owning worker, send-completions
-        recycle their buffer.
+    def _dispatch_cqe(self, completion) -> None:
+        """The CQ's sink: a response goes to the owning worker, a send
+        completion recycles its buffer.
 
-        With multiple gateway instances sharing the node's RNIC, the
+        With several gateway instances sharing the node's RNIC, the
         response is handed to whichever *sibling* instance owns the
         request id.
-
-        Batched: one wakeup drains every ready CQE (``poll_batch``)
-        instead of one generator round-trip per completion; the
-        per-CQE routing below is unchanged.
         """
-        cq = self.rnic.cq
-        while self._running:
-            completions = yield cq.poll_batch()
-            for completion in completions:
-                self._dispatch_cqe(completion)
-
-    def _dispatch_cqe(self, completion) -> None:
         if completion.is_recv:
             rid = completion.message.rid
             owner = next(

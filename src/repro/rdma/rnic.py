@@ -88,8 +88,9 @@ class Rnic:
         self.node = node
         self.cost = cost
         self.mrt = MemoryRegionTable()
-        #: the node's single completion queue (§3.3); the node's engine
-        #: takes each CQE through its sink (``Store.set_sink``).
+        #: the node's single completion queue (§3.3); its consumer (the
+        #: node's engine, the ingress gateway, or the Fig. 12 echo)
+        #: takes each CQE at the put, through its sink (``Store.set_sink``)
         self.cq: Store = Store(env, name=f"cq:{node}")
         #: per-tenant shared receive queues
         self.srqs: Dict[str, SharedReceiveQueue] = {}

@@ -12,15 +12,10 @@ waiter lists in :class:`collections.deque` so the FIFO pop is O(1);
 immediately-satisfiable ``get``\\ s reuse pooled ``_GetEvent`` objects
 via :meth:`Environment.completed_event`.
 
-Batched draining: :meth:`Store.poll_batch` (blocking, fires with a
-non-empty list) lets one consumer wakeup take every ready item — a
-polling loop built on it costs one generator round-trip per *burst*
-instead of one per item.  Batch getters take items in FIFO arrival
-order.
-
 Sinks: a store can have one consumer callback (:meth:`Store.set_sink`).
-A put on a store with a sink counts the put and passes the item
-straight to the sink, with no event or consumer process in between.
+A put on a store with a sink passes the item straight to the sink, with
+no event or consumer process in between.  Every completion queue in the
+model is consumed this way.
 """
 
 from __future__ import annotations
@@ -40,16 +35,6 @@ class _GetEvent(Event):
 
     #: fast-path gets are kernel-recycled once their value is delivered
     _poolable = True
-    #: batch getters are dispatched with a list of items, not one item
-    _batch = False
-
-
-class _BatchGetEvent(_GetEvent):
-    """Internal: a pending Store.poll_batch; fires with a list of items."""
-
-    __slots__ = ()
-
-    _batch = True
 
 
 class Store:
@@ -60,14 +45,11 @@ class Store:
         self.name = name
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self.put_count = 0
-        self.get_count = 0
         #: the consumer callback puts go to instead of ``items``
         self._sink: Optional[Callable[[Any], None]] = None
 
     def put_nowait(self, item: Any) -> None:
         """Hand ``item`` to the sink, or to the oldest waiting getter."""
-        self.put_count += 1
         if self._sink is not None:
             self._sink(item)
             return
@@ -87,30 +69,8 @@ class Store:
         items = self.items
         if items and not self._getters:
             # Fast path: satisfy synchronously without the heap.
-            self.get_count += 1
             return self.env.completed_event(items.popleft(), _GetEvent)
         event = _GetEvent(self.env)
-        self._getters.append(event)
-        if items:
-            self._dispatch()
-        return event
-
-    def poll_batch(self) -> Event:
-        """Blocking batch get: fires with the list of all ready items.
-
-        If items are ready now, fires synchronously (completed-event
-        fast path, no heap trip) with every queued item in FIFO order.
-        Otherwise the returned event joins the getter queue and fires
-        as a non-empty list the moment items arrive.  One kernel wakeup
-        per burst instead of one per item.
-        """
-        items = self.items
-        if items and not self._getters:
-            batch = list(items)
-            items.clear()
-            self.get_count += len(batch)
-            return self.env.completed_event(batch, _BatchGetEvent)
-        event = _BatchGetEvent(self.env)
         self._getters.append(event)
         if items:
             self._dispatch()
@@ -120,20 +80,11 @@ class Store:
         getters = self._getters
         items = self.items
         while getters and items:
-            getter = getters.popleft()
-            if getter._batch:
-                batch = list(items)
-                items.clear()
-                self.get_count += len(batch)
-                getter.succeed(batch)
-            else:
-                self.get_count += 1
-                getter.succeed(items.popleft())
+            getters.popleft().succeed(items.popleft())
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking get: pop the oldest item or return ``None``."""
         if self.items and not self._getters:
-            self.get_count += 1
             return self.items.popleft()
         return None
 

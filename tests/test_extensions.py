@@ -9,6 +9,7 @@ import pytest
 from repro.config import CostModel
 from repro.experiments.__main__ import EXPERIMENTS, GATES, main
 from repro.ingress import IngressLoadBalancer, PalladiumIngress
+from repro.net import HttpRequest
 from repro.platform import FunctionSpec, ServerlessPlatform, Tenant
 from repro.sim import Environment
 from repro.workloads import ClientFleet, deploy_http_echo
@@ -169,6 +170,50 @@ def test_balancer_aggregates_stats():
     env.run(until=200_000)
     served = sum(i.stats.completed for i in balancer.instances)
     assert served == fleet.total_completed()
+
+
+def test_siblings_share_one_cq_sink():
+    # Two gateways on one ingress RNIC: the CQ has one sink, the one
+    # the sibling started last installed, and it routes every response
+    # to a worker of the sibling that owns the request id.
+    env, plat, balancer = balanced_setup()
+    first, last = balancer.instances
+    cq = first.rnic.cq
+    assert last.rnic is first.rnic
+    assert cq._sink == last._dispatch_cqe
+
+    routed = []
+    for gw in balancer.instances:
+        def recorder(worker, fstack, http, completion, gw=gw,
+                     handle=gw._handle_response):
+            rid = completion.message.rid
+            routed.append((gw, rid in gw._pending, worker in gw.workers))
+            yield from handle(worker, fstack, http, completion)
+        gw._handle_response = recorder
+
+    def client():
+        conn = balancer.connect()
+        for _ in range(5):
+            balancer.submit(conn, HttpRequest(path="/echo", body="x",
+                                              body_bytes=128))
+            response = yield conn.inbox.get()
+            assert response.status == 200
+
+    def kickoff():
+        yield env.timeout(50_000)
+        for _ in range(8):
+            env.process(client())
+
+    env.process(kickoff())
+    env.run(until=150_000)
+    assert len(routed) == 40
+    assert all(owned and own_worker for _gw, owned, own_worker in routed)
+    # both siblings served, so the one sink routed for both
+    assert {gw for gw, _owned, _own in routed} == {first, last}
+    assert sum(gw.stats.completed for gw in balancer.instances) == 40
+    # quiescent: every CQE went to the sink, none waits in the CQ
+    assert not cq.items
+    assert not cq._getters
 
 
 # ---------------------------------------------------------------------------

@@ -186,15 +186,17 @@ def test_cli_entrypoint_fails_on_violation(tmp_path):
 def test_flags_single_cqe_polling(tmp_path):
     vs = _violations(tmp_path, "completion = yield cq.get()\n")
     assert len(vs) == 1
-    assert "poll_batch" in vs[0][3]
+    assert "Store.set_sink" in vs[0][3]
     vs = _violations(tmp_path, "completion = yield self.rnic.cq.get()\n")
     assert len(vs) == 1
     assert "cq.get()" in vs[0][3]
 
 
 def test_batched_and_nonblocking_cq_access_is_legal(tmp_path):
+    # a sink takes the CQ's items at the put; non-blocking access and
+    # puts are not a consumer process
     source = (
-        "batch = yield cq.poll_batch()\n"
+        "cq.set_sink(on_cqe)\n"
         "maybe = cq.try_get()\n"
         "cq.put_nowait(completion)\n"
     )
@@ -214,7 +216,7 @@ def test_flags_engine_input_polling_in_dne(tmp_path):
     pkg.mkdir()
     path = pkg / "engine.py"
     path.write_text(
-        "completions = yield self.rnic.cq.poll_batch()\n"
+        "completion = yield self.rnic.cq.get()\n"
         "completion = yield cq.get()\n"
         "fn_id, descriptor = yield self.channel.server_inbox.get()\n"
     )
@@ -233,12 +235,9 @@ def test_engine_sinks_and_polling_outside_dne_are_legal(tmp_path):
         "item = yield endpoint.inbox.get()\n"
     )
     assert check_file(path) == []
-    # fig09's dne_loop and fig12's echo server consume their stores
-    # themselves, with no engine in between
-    source = (
-        "fn_id, descriptor = yield channel.server_inbox.get()\n"
-        "completions = yield bench.rnic1.cq.poll_batch()\n"
-    )
+    # fig09's dne_loop consumes the Comch inbox itself, with no engine
+    # in between
+    source = "fn_id, descriptor = yield channel.server_inbox.get()\n"
     assert _violations(tmp_path, source) == []
 
 

@@ -137,17 +137,6 @@ def test_store_try_get():
     assert store.try_get() is None
 
 
-def test_store_counters():
-    env = Environment()
-    store = Store(env)
-    store.put_nowait(1)
-    store.put_nowait(2)
-    store.try_get()
-    assert store.put_count == 2
-    assert store.get_count == 1
-    assert list(store.items) == [2]
-
-
 def test_store_multiple_waiting_getters_fifo():
     env = Environment()
     store = Store(env)

@@ -37,22 +37,17 @@ rejects direct spray calls:
 * calls to ``rss_queue(...)`` / ``rss_pick(...)`` (gateway/queue
   selection must go through ``IngressLoadBalancer``).
 
-The batched-execution PR moved every polling CQ consumer to coalesced
-draining (``cq.poll_batch()`` — one kernel wakeup per completion
-burst).  Outside ``src/repro/rdma/`` (the device layer that owns the
-CQ) the checker rejects the per-CQE idiom it replaced:
+Stores that feed the data plane are consumed through a sink
+(``Store.set_sink``): the store hands each item over when it is put,
+with no consumer process between the store and the code it feeds.
+Every CQ in the model is consumed this way, and so is the network
+engine's Comch server inbox.  So the checker rejects a getter on
+either store where it belongs to a sink:
 
-* calls ``cq.get(...)`` / ``<expr>.cq.get(...)`` (drain with
-  ``poll_batch()`` so a burst costs one wakeup, not one per CQE).
-
-The network engine polls nothing: its CQ and its Comch server inbox
-hand each item to it when it is put (``Store.set_sink``), with no
-process between a store and the worker loop.  So inside
-``src/repro/dne/`` the checker rejects a consumer process on either:
-
-* calls ``cq.get(...)``, ``cq.poll_batch(...)``,
-  ``server_inbox.get(...)`` or ``server_inbox.poll_batch(...)``, bare
-  or as ``<expr>.cq`` / ``<expr>.server_inbox`` (install a sink).
+* calls ``cq.get(...)`` / ``<expr>.cq.get(...)`` outside
+  ``src/repro/rdma/`` (the device layer that owns the CQ), and
+  ``server_inbox.get(...)`` / ``<expr>.server_inbox.get(...)`` inside
+  ``src/repro/dne/`` (install a sink).
 
 Guard timers are cancelled when the guarded event wins, so the event
 heap holds only live work.  Outside ``src/repro/sim/`` (the kernel that
@@ -133,15 +128,11 @@ SPRAY_EXEMPT_PARTS = frozenset({"ingress", "hw"})
 #: the spray/selection primitives reserved to the ingress tier
 SPRAY_FUNCS = frozenset({"rss_queue", "rss_pick"})
 
-#: path fragment allowed to pull single CQEs (the device layer)
+#: path fragment allowed to get CQEs from a CQ (the device layer)
 CQ_EXEMPT_PART = "rdma"
 
-#: path fragment whose stores hand items to sinks, never to getters
-SINK_PART = "dne"
-
-#: the stores the engine consumes through sinks, and their getters
-SINK_STORES = frozenset({"cq", "server_inbox"})
-SINK_GETTERS = frozenset({"get", "poll_batch"})
+#: path fragment whose Comch server inbox feeds a sink (the engine)
+INBOX_SINK_PART = "dne"
 
 #: path fragment allowed to race an event against a raw timer (the kernel)
 GUARD_EXEMPT_PART = "sim"
@@ -215,8 +206,7 @@ class _MetaVisitor(ast.NodeVisitor):
     def __init__(self, path: str, check_meta: bool = True,
                  check_controlplane: bool = True,
                  check_spray: bool = True,
-                 check_cq: bool = True,
-                 check_sinks: bool = False,
+                 sink_stores: frozenset = frozenset({"cq"}),
                  check_guard: bool = True,
                  check_cycles: bool = True,
                  push_allowed: Optional[Dict[str, frozenset]] = None):
@@ -224,8 +214,8 @@ class _MetaVisitor(ast.NodeVisitor):
         self.check_meta = check_meta
         self.check_controlplane = check_controlplane
         self.check_spray = check_spray
-        self.check_cq = check_cq
-        self.check_sinks = check_sinks
+        #: store names whose ``get()`` is rejected here
+        self.sink_stores = sink_stores
         self.check_guard = check_guard
         self.check_cycles = check_cycles
         #: metric kind -> the families a site here may still push
@@ -294,20 +284,13 @@ class _MetaVisitor(ast.NodeVisitor):
                 self._flag(node, f"direct gateway spray '{callee}()' "
                                  f"outside repro.ingress (route through "
                                  f"IngressLoadBalancer)")
-        base_name = (_callee(func.value) if isinstance(func, ast.Attribute)
-                     else None)
-        # in repro.dne: cq.poll_batch() / x.server_inbox.get() and
-        # friends, a process between a store and the engine
-        if self.check_sinks and base_name in SINK_STORES \
-                and func.attr in SINK_GETTERS:
-            self._flag(node, f"'{base_name}.{func.attr}()' in repro.dne "
-                             f"(the engine takes its inputs through the "
+        # cq.get() / x.server_inbox.get(): a consumer process between
+        # a store and the code it feeds
+        if isinstance(func, ast.Attribute) and func.attr == "get" \
+                and _callee(func.value) in self.sink_stores:
+            self._flag(node, f"'{_callee(func.value)}.get()' on a store "
+                             f"that feeds a sink (consume it through the "
                              f"store's sink: Store.set_sink)")
-        # cq.get(...) / <expr>.cq.get(...): per-CQE polling
-        elif self.check_cq and base_name == "cq" and func.attr == "get":
-            self._flag(node, "single-CQE 'cq.get()' polling outside "
-                             "repro.rdma (drain bursts with "
-                             "cq.poll_batch())")
         if _callee(func) == "Resource":
             self._flag(node, "FIFO server 'Resource(...)' in the model "
                              "(make the server a busy-until float: start "
@@ -385,8 +368,14 @@ def _is_spray_exempt(path: Path) -> bool:
     return bool(SPRAY_EXEMPT_PARTS.intersection(path.parts))
 
 
-def _is_cq_exempt(path: Path) -> bool:
-    return CQ_EXEMPT_PART in path.parts
+def _sink_stores(path: Path) -> frozenset:
+    """The stores whose ``get()`` is rejected in ``path``."""
+    stores = set()
+    if CQ_EXEMPT_PART not in path.parts:
+        stores.add("cq")
+    if INBOX_SINK_PART in path.parts:
+        stores.add("server_inbox")
+    return frozenset(stores)
 
 
 def _is_guard_exempt(path: Path) -> bool:
@@ -402,7 +391,6 @@ def check_file(path: Path) -> List[Violation]:
     check_meta = not _is_exempt(path)
     check_controlplane = not _is_controlplane_exempt(path)
     check_spray = not _is_spray_exempt(path)
-    check_cq = not _is_cq_exempt(path)
     check_guard = not _is_guard_exempt(path)
     check_cycles = not _is_cycles_exempt(path)
     push_allowed = {kind: names if part in path.parts else frozenset()
@@ -416,8 +404,7 @@ def check_file(path: Path) -> List[Violation]:
     visitor = _MetaVisitor(str(path), check_meta=check_meta,
                            check_controlplane=check_controlplane,
                            check_spray=check_spray,
-                           check_cq=check_cq,
-                           check_sinks=SINK_PART in path.parts,
+                           sink_stores=_sink_stores(path),
                            check_guard=check_guard,
                            check_cycles=check_cycles,
                            push_allowed=push_allowed)
