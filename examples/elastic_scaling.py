@@ -14,7 +14,7 @@ Run:  python examples/elastic_scaling.py
 
 from repro import Environment, FunctionSpec, Tenant
 from repro.config import SEC
-from repro.platform import ElasticPlatform, FunctionAutoscaler
+from repro.platform import ElasticPlatform
 
 
 def main():
@@ -24,11 +24,9 @@ def main():
     caller = plat.deploy(FunctionSpec("edge", "shop", work_us=0), "worker0")
     spec = FunctionSpec("resizer", "shop", work_us=350, concurrency=1)
     plat.deploy_service(spec, "worker1", replicas=1)
-    scaler = FunctionAutoscaler(
-        plat, spec, nodes=["worker1", "worker0"],
-        min_replicas=1, max_replicas=6,
-        high_watermark=2.0, low_watermark=0.2, period_us=15_000,
-    )
+    scaler = plat.autoscaler(spec, nodes=["worker1", "worker0"],
+                             min_count=1, max_count=6,
+                             low=0.2, high=2.0, period_us=15_000)
     plat.start()
     scaler.start()
 
@@ -48,13 +46,13 @@ def main():
             yield env.timeout(100_000)
             print(f"[{env.now / SEC:5.2f} s] replicas="
                   f"{plat.replica_count('resizer')} "
-                  f"backlog={scaler.mean_backlog():5.1f} "
+                  f"backlog={plat.mean_backlog('resizer'):5.1f} "
                   f"done={len(completed)}")
 
     env.process(reporter())
     env.run(until=1.2 * SEC)
 
-    peak = max(v for _t, v in scaler.replica_series)
+    peak = max(v for _t, v in scaler.count_series)
     print(f"\ncompleted {len(completed)}/192 requests")
     print(f"replicas peaked at {peak:.0f}, settled back to "
           f"{plat.replica_count('resizer')} "

@@ -122,7 +122,7 @@ def _multi_ingress_point(n: int, clients: int, duration_us: float,
         # force a staggered scale-event pause on every instance
         yield env.timeout(150_000)
         for gw in gateways:
-            for worker in gw.workers:
+            for worker in gw.pool.workers:
                 worker.pause(cost.ingress_scale_event_pause_us / 10)
             yield env.timeout(50_000)
 

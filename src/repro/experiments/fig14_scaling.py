@@ -81,7 +81,7 @@ def run_fig14(
                                cores=kernel_cores)
     else:
         ingress = wire_ingress(plat, kind, resolver, tenants, cores=1,
-                               autoscale=True, max_workers=max_workers)
+                               max_workers=max_workers)
     ingress.start()
     plat.start()
     fleet = ClientFleet(env, plat.cluster, ingress, path="/echo",
@@ -128,9 +128,10 @@ def run_fig14(
         )
     result.add_series("cpu", list(cpu_series))
     result.add_series("rps", [(t, v * 1e6) for t, v in rps_series])
-    if getattr(ingress, "autoscaler", None) is not None:
-        result.add_series("workers", list(ingress.autoscaler.worker_series))
-        result.note(f"scale events: {ingress.autoscaler.scale_events}")
+    scaler = ingress.pool.autoscaler if ingress.pool is not None else None
+    if scaler is not None:
+        result.add_series("workers", list(scaler.count_series))
+        result.note(f"scale events: {scaler.scale_events}")
     result.note(f"disconnected clients: {fleet.disconnected_count()}")
     result.note(f"time_scale={time_scale}, cost_scale={cost_scale}")
     return result

@@ -2,7 +2,7 @@
 
 from .adapter import TcpWorkerAdapter
 from .balancer import IngressLoadBalancer
-from .gateway import Autoscaler, ClientConnection, GatewayStats, GatewayWorker
+from .gateway import ClientConnection, GatewayStats, GatewayWorker, WorkerPool
 from .palladium import PalladiumIngress
 from .proxy import FIngress, KIngress, ProxyIngress
 from .tier import (
@@ -13,7 +13,6 @@ from .tier import (
 )
 
 __all__ = [
-    "Autoscaler",
     "ClientConnection",
     "ConsistentHashRing",
     "FIngress",
@@ -27,4 +26,5 @@ __all__ = [
     "PalladiumIngress",
     "ProxyIngress",
     "TcpWorkerAdapter",
+    "WorkerPool",
 ]

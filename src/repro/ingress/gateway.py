@@ -6,10 +6,13 @@ All three evaluated gateways (§4.1.3) share this scaffolding:
   load generator blocks on its ``inbox`` for responses.
 * :class:`GatewayWorker` — one data-plane worker process pinned to a
   CPU core running a run-to-completion loop over an event inbox.
-* :class:`Autoscaler` — the master process' hysteresis policy (§3.6):
-  spawn a worker when mean *useful* utilization exceeds 60 %, reap one
-  when it drops below 30 %.  Scale events briefly pause the data plane
-  (worker restart, visible as the dips in Fig. 14 (2)).
+* :class:`WorkerPool` — the master process (§3.6): it spawns and reaps
+  workers, spreads connections over them by RSS, and, when the pool may
+  grow, runs the one hysteresis
+  :class:`~repro.platform.autoscaling.Autoscaler` on their mean
+  *useful* utilization (spawn above 60 %, reap below 30 %).  Scale
+  events briefly pause the data plane (worker restart, visible as the
+  dips in Fig. 14 (2)).
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from typing import Callable, Dict, List, Optional
 
 from ..config import CostModel
 from ..hw import rss_queue
-from ..sim import Environment, Event, Store, TimeSeries
+from ..platform.autoscaling import Autoscaler
+from ..sim import Environment, Store
 
-__all__ = ["ClientConnection", "GatewayWorker", "Autoscaler", "GatewayStats"]
+__all__ = ["ClientConnection", "GatewayWorker", "WorkerPool", "GatewayStats"]
 
 
 def _next_conn_id(env: Environment) -> int:
@@ -93,70 +97,81 @@ class GatewayWorker:
             yield self.env.timeout(self._pause_until - self.env.now)
 
 
-class Autoscaler:
-    """Hysteresis-based horizontal scaling of gateway workers (§3.6)."""
+class WorkerPool:
+    """The gateway's workers, run by its master process (§3.6).
 
-    def __init__(
-        self,
-        env: Environment,
-        cost: CostModel,
-        spawn: Callable[[], None],
-        reap: Callable[[], None],
-        workers: Callable[[], List[GatewayWorker]],
-        min_workers: int = 1,
-        max_workers: int = 8,
-    ):
+    Each worker pins a core of ``cpu`` as ``<prefix>-w<n>`` and runs
+    ``loop(worker)``, which unpins it on reaching the ``("shutdown",
+    None)`` event :meth:`reap` queues.  When ``max_workers`` exceeds
+    ``min_workers`` the pool carries an
+    :class:`~repro.platform.autoscaling.Autoscaler` on the workers'
+    mean useful utilization, and each scale event pauses every worker.
+    """
+
+    def __init__(self, env: Environment, cost: CostModel, cpu, prefix: str,
+                 loop: Callable[[GatewayWorker], object],
+                 min_workers: int = 1, max_workers: Optional[int] = None):
         self.env = env
         self.cost = cost
-        self._spawn = spawn
-        self._reap = reap
-        self._workers = workers
+        self.cpu = cpu
+        self.prefix = prefix
+        self._loop = loop
         self.min_workers = min_workers
-        self.max_workers = max_workers
-        #: time series of (time, active workers) for Fig. 14
-        self.worker_series = TimeSeries("workers")
-        #: time series of (time, mean useful utilization)
-        self.util_series = TimeSeries("utilization")
-        self.scale_events = 0
-        self._snapshots = {}
+        #: live workers in spawn order; the newest is reaped first
+        self.workers: List[GatewayWorker] = []
+        self._seq = 0
+        #: worker name -> useful µs at the last utilization reading
+        self._useful: Dict[str, float] = {}
+        self.autoscaler: Optional[Autoscaler] = None
+        if max_workers is not None and max_workers > min_workers:
+            self.autoscaler = Autoscaler(
+                env, self.useful_utilization, lambda: len(self.workers),
+                lambda: self._scale_event(self.spawn),
+                lambda: self._scale_event(self.reap),
+                low=cost.ingress_scale_down_threshold,
+                high=cost.ingress_scale_up_threshold,
+                min_count=min_workers, max_count=max_workers,
+                period_us=cost.ingress_autoscale_period_us,
+                name=f"{prefix}-autoscale")
 
-    def _mean_useful_utilization(self, period_us: float) -> float:
-        workers = self._workers()
-        if not workers:
+    def start(self) -> None:
+        for _ in range(self.min_workers):
+            self.spawn()
+
+    def spawn(self) -> GatewayWorker:
+        name = f"{self.prefix}-w{self._seq}"
+        worker = GatewayWorker(self.env, self._seq,
+                               self.cpu.allocate_pinned(name), name=name)
+        self._seq += 1
+        self.workers.append(worker)
+        self.env.process(self._loop(worker), name=name)
+        return worker
+
+    def reap(self) -> None:
+        """Retire the newest worker: it serves what is already queued."""
+        worker = self.workers.pop()
+        worker.active = False
+        worker.inbox.put_nowait(("shutdown", None))
+
+    def pick(self, key: int) -> GatewayWorker:
+        """RSS-style stable assignment of a connection to a live worker."""
+        if not self.workers:
+            raise RuntimeError("gateway has no active workers")
+        return self.workers[rss_queue(key, len(self.workers))]
+
+    def useful_utilization(self) -> float:
+        """Mean useful utilization of the live workers over the last
+        autoscaler period."""
+        if not self.workers:
             return 0.0
-        utils = []
-        for worker in workers:
-            prev = self._snapshots.get(worker.name, 0.0)
-            current = worker.core.useful
-            utils.append((current - prev) / period_us)
-            self._snapshots[worker.name] = current
+        period_us = self.cost.ingress_autoscale_period_us
+        utils = [(w.core.useful - self._useful.get(w.name, 0.0)) / period_us
+                 for w in self.workers]
+        self._useful = {w.name: w.core.useful for w in self.workers}
         return sum(utils) / len(utils)
 
-    def run(self):
-        """Generator: the master process' periodic scaling loop."""
-        period = self.cost.ingress_autoscale_period_us
-        while True:
-            yield self.env.timeout(period)
-            util = self._mean_useful_utilization(period)
-            workers = self._workers()
-            self.util_series.record(self.env.now, util)
-            self.worker_series.record(self.env.now, len(workers))
-            if util > self.cost.ingress_scale_up_threshold and len(workers) < self.max_workers:
-                self._spawn()
-                self.scale_events += 1
-                self._pause_all()
-            elif util < self.cost.ingress_scale_down_threshold and len(workers) > self.min_workers:
-                self._reap()
-                self.scale_events += 1
-                self._pause_all()
-
-    def _pause_all(self) -> None:
-        for worker in self._workers():
+    def _scale_event(self, change: Callable[[], object]) -> None:
+        # a worker restart: visible as the dips in Fig. 14 (2)
+        change()
+        for worker in self.workers:
             worker.pause(self.cost.ingress_scale_event_pause_us)
-
-
-def rss_pick(workers: List[GatewayWorker], conn_id: int) -> GatewayWorker:
-    """RSS-style stable assignment of a connection to a worker."""
-    if not workers:
-        raise RuntimeError("gateway has no active workers")
-    return workers[rss_queue(conn_id, len(workers))]

@@ -31,7 +31,7 @@ from ..net import FStack, HttpProcessor, HttpRequest, HttpResponse
 from ..rdma import ConnectionManager, Opcode, RdmaFabric, WorkRequest
 from ..sim import Environment, LatencyStats, RateMeter
 
-from .gateway import Autoscaler, ClientConnection, GatewayStats, GatewayWorker, rss_pick
+from .gateway import ClientConnection, GatewayStats, GatewayWorker, WorkerPool
 
 __all__ = ["PalladiumIngress"]
 
@@ -60,8 +60,7 @@ class PalladiumIngress:
         cost: CostModel,
         resolver: EntryResolver,
         min_workers: int = 1,
-        max_workers: int = 8,
-        autoscale: bool = False,
+        max_workers: Optional[int] = None,
         recv_buffers: int = 128,
         stats_bucket_us: float = 1_000_000.0,
         service_resolver=None,
@@ -86,8 +85,8 @@ class PalladiumIngress:
         self.recv_buffers = recv_buffers
 
         self.pools: Dict[str, MemoryPool] = {}
-        self.workers: List[GatewayWorker] = []
-        self._worker_seq = 0
+        self.pool = WorkerPool(env, cost, self.node.cpu, "ingress",
+                               self._worker_loop, min_workers, max_workers)
         self.stats = GatewayStats()
         if env.telemetry is not None:
             env.telemetry.metrics.collect(
@@ -98,10 +97,6 @@ class PalladiumIngress:
         #: rid -> (connection, worker, request, accept time, span)
         self._pending: Dict[int, Tuple[ClientConnection, GatewayWorker, HttpRequest, float, object]] = {}
         self._running = False
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.autoscale = autoscale
-        self.autoscaler: Optional[Autoscaler] = None
         #: other gateway instances sharing this node's RNIC (multi-
         #: instance deployments behind a load balancer); completions are
         #: routed to whichever instance owns the request id.
@@ -139,58 +134,33 @@ class PalladiumIngress:
         if self._running:
             raise RuntimeError("ingress already started")
         self._running = True
-        for _ in range(self.min_workers):
-            self._spawn_worker()
+        self.pool.start()
         for tenant in self.pools:
             self._post_recv(tenant, self.recv_buffers)
         self.rnic.cq.set_sink(self._dispatch_cqe)
         self.env.process(self._replenisher(), name="ingress-replenish")
         self.env.process(self._warm_connections(), name="ingress-warm")
-        if self.autoscale:
-            self.autoscaler = Autoscaler(
-                self.env, self.cost,
-                spawn=self._spawn_worker,
-                reap=self._reap_worker,
-                workers=lambda: self.workers,
-                min_workers=self.min_workers,
-                max_workers=self.max_workers,
-            )
-            self.env.process(self.autoscaler.run(), name="ingress-autoscale")
+        if self.pool.autoscaler is not None:
+            self.pool.autoscaler.start()
 
     def _warm_connections(self):
         for worker_node in [n.name for n in self.cluster.workers]:
             for tenant in self.pools:
                 yield from self.conn_mgr.warm_up(worker_node, tenant)
 
-    def _spawn_worker(self) -> None:
-        core = self.node.cpu.allocate_pinned(f"ingress-w{self._worker_seq}")
-        worker = GatewayWorker(self.env, self._worker_seq, core,
-                               name=f"ingress-w{self._worker_seq}")
-        self._worker_seq += 1
-        self.workers.append(worker)
-        self.env.process(self._worker_loop(worker), name=worker.name)
-
-    def _reap_worker(self) -> None:
-        if len(self.workers) <= self.min_workers:
-            return
-        worker = self.workers.pop()
-        worker.active = False
-        worker.inbox.put_nowait(("shutdown", None))
-        worker.core.unpin()
-
     # -- client-facing API -------------------------------------------------------
     def connect(self) -> ClientConnection:
         """Accept a new external TCP connection (handshake is charged
         lazily on the owning worker's first event)."""
         conn = ClientConnection(self.env)
-        worker = rss_pick(self.workers, conn.conn_id)
+        worker = self.pool.pick(conn.conn_id)
         worker.inbox.put_nowait(("handshake", conn))
         return conn
 
     def submit(self, conn: ClientConnection, request: HttpRequest) -> None:
         """A request frame arrived from the Ethernet side."""
         request.connection_id = conn.conn_id
-        worker = rss_pick(self.workers, conn.conn_id)
+        worker = self.pool.pick(conn.conn_id)
         worker.inbox.put_nowait(("request", (conn, request)))
         self.stats.accepted += 1
 
@@ -198,11 +168,12 @@ class PalladiumIngress:
     def _worker_loop(self, worker: GatewayWorker):
         fstack = FStack(self.env, worker.core, self.cost, name=f"{worker.name}-fstack")
         http = HttpProcessor(worker.core, self.cost)
-        while worker.active:
+        while True:
             event = yield worker.inbox.get()
             yield from worker.maybe_pause()
             kind, payload = event
             if kind == "shutdown":
+                worker.core.unpin()
                 break
             if kind == "handshake":
                 yield from fstack.handshake()
@@ -375,7 +346,8 @@ class PalladiumIngress:
 
         With several gateway instances sharing the node's RNIC, the
         response is handed to whichever *sibling* instance owns the
-        request id.
+        request id.  A response whose worker has been reaped since it
+        sent the request goes to a live worker instead.
         """
         if completion.is_recv:
             rid = completion.message.rid
@@ -383,7 +355,9 @@ class PalladiumIngress:
                 (gw for gw in self.siblings if rid in gw._pending), self
             )
             entry = owner._pending.get(rid)
-            worker = entry[1] if entry else rss_pick(owner.workers, rid or 0)
+            worker = entry[1] if entry else None
+            if worker is None or not worker.active:
+                worker = owner.pool.pick(rid or 0)
             worker.inbox.put_nowait(("response", completion))
         elif completion.opcode == Opcode.SEND and completion.buffer is not None:
             completion.buffer.pool.put(completion.buffer, self.AGENT)

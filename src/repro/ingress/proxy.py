@@ -10,22 +10,24 @@ before the payload reaches the function.
   bounded set of shared cores; under overload its IRQ load snowballs
   (receive livelock) — the collapse in Fig. 13/14.
 * **F-Ingress** integrates DPDK F-stack: worker processes pinned to
-  cores with busy-polling loops, optionally autoscaled with the same
-  hysteresis policy as Palladium's gateway (§4.1.3 "we adapt our
-  autoscaler to support the F-Ingress").
+  cores with busy-polling loops, in the same
+  :class:`~repro.ingress.gateway.WorkerPool` as Palladium's gateway, so
+  they autoscale with its hysteresis policy when ``max_workers``
+  exceeds ``cores`` (§4.1.3 "we adapt our autoscaler to support the
+  F-Ingress").
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..config import CostModel
 from ..hw import Cluster, CorePool
 from ..net import FStack, HttpProcessor, HttpRequest, HttpResponse, KernelTcpStack
-from ..sim import Environment, LatencyStats, RateMeter, Store
+from ..sim import Environment, LatencyStats, RateMeter
 
 from .adapter import TcpWorkerAdapter
-from .gateway import Autoscaler, ClientConnection, GatewayStats, GatewayWorker, rss_pick
+from .gateway import ClientConnection, GatewayStats, GatewayWorker, WorkerPool
 
 __all__ = ["ProxyIngress", "KIngress", "FIngress"]
 
@@ -52,8 +54,7 @@ class ProxyIngress:
         entry_node: Callable[[str], str],
         mode: str,
         cores: int = 1,
-        max_workers: int = 8,
-        autoscale: bool = False,
+        max_workers: Optional[int] = None,
         stats_bucket_us: float = 1_000_000.0,
     ):
         if mode not in (self.KERNEL, self.FSTACK):
@@ -70,64 +71,36 @@ class ProxyIngress:
         self.latency = LatencyStats(f"{mode}-ingress-e2e")
         self.throughput = RateMeter(f"{mode}-ingress-rps", bucket=stats_bucket_us)
         self._running = False
-        self.autoscale = autoscale
-        self.autoscaler: Optional[Autoscaler] = None
-        self.max_workers = max_workers
-        self.min_workers = cores if mode == self.FSTACK else 1
 
         if mode == self.KERNEL:
             #: bounded shared cores for the kernel stack + nginx workers
             self.cpu = CorePool(env, cores, name="ingress-kernel")
             self.stack = KernelTcpStack(env, self.cpu, cost, name="ingress-ktcp")
             self.http = HttpProcessor(self.cpu, cost)
-            self.workers: List[GatewayWorker] = []
+            self.pool: Optional[WorkerPool] = None
         else:
             self.cpu = None
-            self.workers = []
-            self._worker_seq = 0
+            self.pool = WorkerPool(env, cost, self.node.cpu, "f-ingress",
+                                   self._fstack_worker_loop, cores,
+                                   max_workers)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         if self._running:
             raise RuntimeError("ingress already started")
         self._running = True
-        if self.mode == self.FSTACK:
-            for _ in range(self.min_workers):
-                self._spawn_worker()
-            if self.autoscale:
-                self.autoscaler = Autoscaler(
-                    self.env, self.cost,
-                    spawn=self._spawn_worker,
-                    reap=self._reap_worker,
-                    workers=lambda: self.workers,
-                    min_workers=self.min_workers,
-                    max_workers=self.max_workers,
-                )
-                self.env.process(self.autoscaler.run(), name="f-ingress-autoscale")
+        if self.pool is not None:
+            self.pool.start()
+            if self.pool.autoscaler is not None:
+                self.pool.autoscaler.start()
         for adapter in self.adapters.values():
             adapter.start()
-
-    def _spawn_worker(self) -> None:
-        core = self.node.cpu.allocate_pinned(f"f-ingress-w{self._worker_seq}")
-        worker = GatewayWorker(self.env, self._worker_seq, core,
-                               name=f"f-ingress-w{self._worker_seq}")
-        self._worker_seq += 1
-        self.workers.append(worker)
-        self.env.process(self._fstack_worker_loop(worker), name=worker.name)
-
-    def _reap_worker(self) -> None:
-        if len(self.workers) <= self.min_workers:
-            return
-        worker = self.workers.pop()
-        worker.active = False
-        worker.inbox.put_nowait(("shutdown", None))
-        worker.core.unpin()
 
     # -- client-facing API ------------------------------------------------------
     def connect(self) -> ClientConnection:
         conn = ClientConnection(self.env)
         if self.mode == self.FSTACK:
-            worker = rss_pick(self.workers, conn.conn_id)
+            worker = self.pool.pick(conn.conn_id)
             worker.inbox.put_nowait(("handshake", conn))
         else:
             self.env.process(self.stack.handshake(), name="ingress-hs")
@@ -143,7 +116,7 @@ class ProxyIngress:
                 "ingress.", labels=("tenant",)).labels(
                     self.resolver(request.path)[0]).inc()
         if self.mode == self.FSTACK:
-            worker = rss_pick(self.workers, conn.conn_id)
+            worker = self.pool.pick(conn.conn_id)
             worker.inbox.put_nowait(("request", (conn, request)))
         else:
             self.env.process(
@@ -163,11 +136,12 @@ class ProxyIngress:
     def _fstack_worker_loop(self, worker: GatewayWorker):
         fstack = FStack(self.env, worker.core, self.cost, name=f"{worker.name}-fstack")
         http = HttpProcessor(worker.core, self.cost)
-        while worker.active:
+        while True:
             event = yield worker.inbox.get()
             yield from worker.maybe_pause()
             kind, payload = event
             if kind == "shutdown":
+                worker.core.unpin()
                 break
             if kind == "handshake":
                 yield from fstack.handshake()
@@ -221,7 +195,7 @@ class ProxyIngress:
             yield from self.stack.tx(response.wire_bytes)
             self._finish(conn, response, t0, tenant)
         else:
-            worker = rss_pick(self.workers, conn.conn_id)
+            worker = self.pool.pick(conn.conn_id)
             worker.inbox.put_nowait(("respond", (conn, response, t0, tenant)))
 
     def _finish(self, conn: ClientConnection, response: HttpResponse,

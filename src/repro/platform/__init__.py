@@ -1,7 +1,7 @@
 """Serverless platform: functions, tenants, I/O library, coordinator, assembly."""
 
 from .cluster import ServerlessPlatform, build_palladium_dne
-from .autoscaling import FunctionAutoscaler
+from .autoscaling import Autoscaler
 from .elasticity import ElasticPlatform, ServiceGroup
 from .coordinator import Coordinator
 from .function import FunctionContext, FunctionInstance, FunctionSpec, Message
@@ -15,10 +15,10 @@ from .iolib import (
 from .tenant import ChainSpec, Tenant
 
 __all__ = [
+    "Autoscaler",
     "ChainSpec",
     "Coordinator",
     "ElasticPlatform",
-    "FunctionAutoscaler",
     "FunctionContext",
     "FunctionInstance",
     "FunctionSpec",

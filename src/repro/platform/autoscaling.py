@@ -1,96 +1,88 @@
-"""Function autoscaling on top of the elastic platform.
+"""The one hysteresis scaling controller.
 
-Serverless platforms scale function replicas with load — the very
-churn the paper says demands flexible network provisioning (§1).  This
-controller watches each service's request backlog and applies the same
-hysteresis discipline as Palladium's ingress autoscaler (§3.6): scale
-out when the mean per-replica backlog exceeds a high watermark, scale
-in below a low watermark.
-
-Every scale event flows through the coordinator, so routing tables —
-intra-node, DNE inter-node, and ingress — stay consistent while
-replicas come and go, exercising exactly the control-plane path of
-§3.5.5.
+Palladium's ingress master process spawns a gateway worker above 60 %
+mean useful utilization and reaps one below 30 % (§3.6), and the paper
+adapts that autoscaler to the F-Ingress (§4.1.3).  :class:`Autoscaler`
+is that loop over any signal: the gateways'
+:class:`~repro.ingress.gateway.WorkerPool` feeds it utilization, and
+:meth:`~repro.platform.elasticity.ElasticPlatform.autoscaler` a
+service's mean per-replica backlog, scaling replicas through the
+coordinator (the provisioning churn of §1).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable
 
 from ..sim import Environment, TimeSeries
 
-from .elasticity import ElasticPlatform
-from .function import FunctionSpec
-
-__all__ = ["FunctionAutoscaler"]
+__all__ = ["Autoscaler"]
 
 
-class FunctionAutoscaler:
-    """Backlog-driven replica controller for one service."""
+class Autoscaler:
+    """Periodic hysteresis control of a count of workers or replicas.
+
+    Every ``period_us`` it reads ``signal()`` and then ``count()`` and
+    records both; it calls ``grow()`` when the signal is above ``high``
+    and the count below ``max_count``, and ``shrink()`` when the signal
+    is below ``low`` and the count above ``min_count``.
+    """
 
     def __init__(
         self,
-        platform: ElasticPlatform,
-        spec: FunctionSpec,
-        nodes: List[str],
-        min_replicas: int = 1,
-        max_replicas: int = 8,
-        high_watermark: float = 4.0,
-        low_watermark: float = 0.5,
+        env: Environment,
+        signal: Callable[[], float],
+        count: Callable[[], int],
+        grow: Callable[[], object],
+        shrink: Callable[[], object],
+        low: float,
+        high: float,
+        min_count: int = 1,
+        max_count: int = 8,
         period_us: float = 20_000.0,
+        name: str = "autoscale",
     ):
-        if min_replicas < 1 or max_replicas < min_replicas:
-            raise ValueError("need 1 <= min_replicas <= max_replicas")
-        if low_watermark >= high_watermark:
+        if min_count < 1 or max_count < min_count:
+            raise ValueError("need 1 <= min_count <= max_count")
+        if low >= high:
             raise ValueError("low watermark must be below high watermark")
-        self.platform = platform
-        self.env: Environment = platform.env
-        self.spec = spec
-        self.nodes = nodes
-        self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
+        self.env = env
+        self.signal = signal
+        self.count = count
+        self.grow = grow
+        self.shrink = shrink
+        self.low = low
+        self.high = high
+        self.min_count = min_count
+        self.max_count = max_count
         self.period_us = period_us
+        self.name = name
+        self.signal_series = TimeSeries(f"{name}:signal")
+        self.count_series = TimeSeries(f"{name}:count")
         self.scale_outs = 0
         self.scale_ins = 0
-        #: (time, replica count) history for inspection
-        self.replica_series = TimeSeries(f"replicas:{spec.name}")
-        self._node_rr = 0
         self._running = False
 
-    # -- observation -----------------------------------------------------------
-    def _live_instances(self):
-        group = self.platform.services[self.spec.name]
-        return [self.platform.functions[rid] for rid in group.replicas]
+    @property
+    def scale_events(self) -> int:
+        return self.scale_outs + self.scale_ins
 
-    def mean_backlog(self) -> float:
-        """Mean queued-requests per live replica."""
-        instances = self._live_instances()
-        if not instances:
-            return 0.0
-        backlog = sum(len(inst._requests.items) + len(inst.inbox.items)
-                      for inst in instances)
-        return backlog / len(instances)
-
-    # -- control loop --------------------------------------------------------------
     def start(self) -> None:
         if self._running:
             raise RuntimeError("autoscaler already started")
         self._running = True
-        self.env.process(self._loop(), name=f"fn-autoscale:{self.spec.name}")
+        self.env.process(self._loop(), name=self.name)
 
     def _loop(self):
         while True:
             yield self.env.timeout(self.period_us)
-            count = self.platform.replica_count(self.spec.name)
-            backlog = self.mean_backlog()
-            self.replica_series.record(self.env.now, count)
-            if backlog > self.high_watermark and count < self.max_replicas:
-                node = self.nodes[self._node_rr % len(self.nodes)]
-                self._node_rr += 1
-                self.platform.scale_out(self.spec, node)
+            signal = self.signal()
+            count = self.count()
+            self.signal_series.record(self.env.now, signal)
+            self.count_series.record(self.env.now, count)
+            if signal > self.high and count < self.max_count:
+                self.grow()
                 self.scale_outs += 1
-            elif backlog < self.low_watermark and count > self.min_replicas:
-                self.platform.scale_in(self.spec.name)
+            elif signal < self.low and count > self.min_count:
+                self.shrink()
                 self.scale_ins += 1

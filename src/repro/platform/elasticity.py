@@ -14,6 +14,9 @@ This module supplies that churn:
   begin flowing to it immediately.
 * :meth:`ElasticPlatform.scale_in` retires a replica: its routes are
   withdrawn first (new requests avoid it), then the instance drains.
+* :meth:`ElasticPlatform.autoscaler` builds the hysteresis
+  :class:`~repro.platform.autoscaling.Autoscaler` that drives both from
+  a service's mean per-replica backlog.
 
 The resolution hook lives in the I/O library, mirroring where the real
 system's intra-node routing table lookup happens.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
+from .autoscaling import Autoscaler
 from .cluster import ServerlessPlatform
 from .function import FunctionInstance, FunctionSpec
 
@@ -121,6 +125,32 @@ class ElasticPlatform(ServerlessPlatform):
 
     def replica_count(self, service: str) -> int:
         return len(self.services[service])
+
+    def mean_backlog(self, service: str) -> float:
+        """Mean queued requests per live replica of ``service``."""
+        replicas = self.services[service].replicas
+        if not replicas:
+            return 0.0
+        backlog = sum(self.functions[rid].backlog() for rid in replicas)
+        return backlog / len(replicas)
+
+    def autoscaler(self, spec: FunctionSpec, nodes: List[str], *,
+                   min_count: int = 1, max_count: int = 8,
+                   low: float = 0.5, high: float = 4.0,
+                   period_us: float = 20_000.0) -> Autoscaler:
+        """A replica controller for one service on its mean backlog;
+        it scales out round-robin over ``nodes``.  Call ``start()``."""
+        service = spec.name
+        placement = itertools.cycle(nodes)
+        return Autoscaler(
+            self.env,
+            signal=lambda: self.mean_backlog(service),
+            count=lambda: self.replica_count(service),
+            grow=lambda: self.scale_out(spec, next(placement)),
+            shrink=lambda: self.scale_in(service),
+            low=low, high=high, min_count=min_count, max_count=max_count,
+            period_us=period_us, name=f"fn-autoscale:{service}",
+        )
 
     # -- failover --------------------------------------------------------------
     def handle_node_failure(self, node_name: str) -> List[str]:

@@ -135,6 +135,10 @@ class FunctionInstance:
             collect("fn_failed_total", "Handler executions abandoned on a downstream "
                     "error.", ("fn",), lambda: {spec.name: self.failed})
 
+    def backlog(self) -> int:
+        """Requests delivered here and not yet taken by a handler."""
+        return len(self._requests.items) + len(self.inbox.items)
+
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         if self._started:

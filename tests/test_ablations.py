@@ -14,8 +14,7 @@ from dataclasses import replace
 from repro.config import CostModel, cost_model_overrides
 from repro.experiments.fig11_offpath import run_echo_point
 from repro.hw import build_cluster
-from repro.platform import (ElasticPlatform, FunctionAutoscaler, FunctionSpec,
-                            Tenant)
+from repro.platform import ElasticPlatform, FunctionSpec, Tenant
 from repro.rdma import ConnectionManager, RdmaFabric
 from repro.sim import Environment
 
@@ -63,9 +62,9 @@ def _burst_mean_latency(autoscale: bool) -> float:
     caller = plat.deploy(FunctionSpec("edge", "t1", work_us=0), "worker0")
     spec = FunctionSpec("svc", "t1", work_us=300, concurrency=1)
     plat.deploy_service(spec, "worker1", replicas=1)
-    scaler = FunctionAutoscaler(plat, spec, nodes=["worker1", "worker0"],
-                                max_replicas=6, high_watermark=2.0,
-                                low_watermark=0.2, period_us=15_000)
+    scaler = plat.autoscaler(spec, nodes=["worker1", "worker0"],
+                             max_count=6, low=0.2, high=2.0,
+                             period_us=15_000)
     plat.start()
     if autoscale:
         scaler.start()

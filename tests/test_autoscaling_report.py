@@ -3,12 +3,12 @@
 import pytest
 
 from repro.experiments import ExperimentResult, from_json, load, save, to_csv, to_json
-from repro.platform import ElasticPlatform, FunctionAutoscaler, FunctionSpec, Tenant
+from repro.platform import ElasticPlatform, FunctionSpec, Tenant
 from repro.sim import Environment
 
 
 # ---------------------------------------------------------------------------
-# FunctionAutoscaler
+# The function autoscaler (ElasticPlatform.autoscaler)
 # ---------------------------------------------------------------------------
 
 def scaled_setup(min_replicas=1, max_replicas=4, work_us=400.0,
@@ -19,11 +19,9 @@ def scaled_setup(min_replicas=1, max_replicas=4, work_us=400.0,
     caller = plat.deploy(FunctionSpec("caller", "t1", work_us=0), "worker0")
     spec = FunctionSpec("svc", "t1", work_us=work_us, concurrency=concurrency)
     plat.deploy_service(spec, "worker1", replicas=min_replicas)
-    scaler = FunctionAutoscaler(plat, spec, nodes=["worker1", "worker0"],
-                                min_replicas=min_replicas,
-                                max_replicas=max_replicas,
-                                high_watermark=2.0, low_watermark=0.2,
-                                period_us=10_000.0)
+    scaler = plat.autoscaler(spec, nodes=["worker1", "worker0"],
+                             min_count=min_replicas, max_count=max_replicas,
+                             low=0.2, high=2.0, period_us=10_000.0)
     plat.start()
     scaler.start()
     return env, plat, caller, scaler
@@ -36,10 +34,9 @@ def test_autoscaler_validation():
     spec = FunctionSpec("svc", "t1")
     plat.deploy_service(spec, "worker0")
     with pytest.raises(ValueError):
-        FunctionAutoscaler(plat, spec, ["worker0"], min_replicas=0)
+        plat.autoscaler(spec, ["worker0"], min_count=0)
     with pytest.raises(ValueError):
-        FunctionAutoscaler(plat, spec, ["worker0"], high_watermark=1.0,
-                           low_watermark=2.0)
+        plat.autoscaler(spec, ["worker0"], low=2.0, high=1.0)
 
 
 def test_autoscaler_scales_out_under_backlog():
@@ -55,7 +52,7 @@ def test_autoscaler_scales_out_under_backlog():
     env.run(until=700_000)
     assert scaler.scale_outs >= 1
     # the replica count peaked above 1 while the burst was in flight
-    assert max(v for _t, v in scaler.replica_series) > 1
+    assert max(v for _t, v in scaler.count_series) > 1
 
 
 def test_autoscaler_scales_back_when_idle():
@@ -78,7 +75,7 @@ def test_autoscaler_scales_back_when_idle():
     env.process(burst())
     env.run(until=2_000_000)
     assert scaler.scale_ins >= 1
-    assert plat.replica_count("svc") == scaler.min_replicas
+    assert plat.replica_count("svc") == scaler.min_count
 
 
 def test_autoscaler_respects_max():
@@ -104,7 +101,7 @@ def test_autoscaler_double_start_rejected():
 def test_autoscaler_records_series():
     env, plat, caller, scaler = scaled_setup()
     env.run(until=100_000)
-    assert len(scaler.replica_series) >= 5
+    assert len(scaler.count_series) >= 5
 
 
 # ---------------------------------------------------------------------------

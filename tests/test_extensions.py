@@ -187,7 +187,7 @@ def test_siblings_share_one_cq_sink():
         def recorder(worker, fstack, http, completion, gw=gw,
                      handle=gw._handle_response):
             rid = completion.message.rid
-            routed.append((gw, rid in gw._pending, worker in gw.workers))
+            routed.append((gw, rid in gw._pending, worker in gw.pool.workers))
             yield from handle(worker, fstack, http, completion)
         gw._handle_response = recorder
 

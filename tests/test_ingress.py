@@ -1,15 +1,19 @@
 """Tests for the cluster ingress gateways (Palladium / K / F) + autoscaler."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import CostModel, SEC
+from repro.experiments.wiring import wire_ingress
 from repro.ingress import (
-    Autoscaler,
+    ClientConnection,
     FIngress,
     GatewayWorker,
     KIngress,
     PalladiumIngress,
     TcpWorkerAdapter,
+    WorkerPool,
 )
 from repro.net import HttpRequest
 from repro.platform import ServerlessPlatform, Tenant
@@ -112,9 +116,7 @@ def test_palladium_rss_spreads_connections():
                                resolver, min_workers=4)
     ingress.add_tenant(ECHO_TENANT)
     ingress.start()
-    workers = {id(ingress.workers[0])}
-    from repro.ingress.gateway import rss_pick
-    picks = {rss_pick(ingress.workers, i).name for i in range(64)}
+    picks = {ingress.pool.pick(i).name for i in range(64)}
     assert len(picks) == 4
 
 
@@ -184,22 +186,21 @@ class _FakeCore:
     useful = 0.0
 
 
-def make_autoscaler(env, cost):
-    workers = []
-    counter = {"n": 0}
+class _FakeCpu:
+    def allocate_pinned(self, name):
+        return _FakeCore()
 
-    def spawn():
-        worker = GatewayWorker(env, counter["n"], _FakeCore())
-        counter["n"] += 1
-        workers.append(worker)
 
-    def reap():
-        workers.pop()
+def _idle_loop(worker):
+    yield worker.inbox.get()
 
-    spawn()
-    scaler = Autoscaler(env, cost, spawn, reap, lambda: workers,
-                        min_workers=1, max_workers=4)
-    return scaler, workers
+
+def make_autoscaler(env, cost, workers=1):
+    pool = WorkerPool(env, cost, _FakeCpu(), "gw", _idle_loop,
+                      min_workers=1, max_workers=4)
+    for _ in range(workers):
+        pool.spawn()
+    return pool.autoscaler, pool.workers
 
 
 def test_autoscaler_scales_up_past_threshold():
@@ -214,7 +215,7 @@ def test_autoscaler_scales_up_past_threshold():
                 worker.core.useful += 80_000  # 80% busy
 
     env.process(load())
-    env.process(scaler.run())
+    scaler.start()
     env.run(until=3.5 * SEC)
     assert len(workers) > 1
     assert scaler.scale_events >= 1
@@ -223,14 +224,11 @@ def test_autoscaler_scales_up_past_threshold():
 def test_autoscaler_scales_down_when_idle():
     env = Environment()
     cost = CostModel()
-    scaler, workers = make_autoscaler(env, cost)
-    workers_ref = workers
     # start with 3 workers, all idle
-    for _ in range(2):
-        workers_ref.append(GatewayWorker(env, 99, _FakeCore()))
-    env.process(scaler.run())
+    scaler, workers = make_autoscaler(env, cost, workers=3)
+    scaler.start()
     env.run(until=3.5 * SEC)
-    assert len(workers_ref) == 1  # reaped down to min
+    assert len(workers) == 1  # reaped down to min
 
 
 def test_autoscaler_respects_max():
@@ -245,7 +243,7 @@ def test_autoscaler_respects_max():
                 worker.core.useful += 95_000
 
     env.process(load())
-    env.process(scaler.run())
+    scaler.start()
     env.run(until=10 * SEC)
     assert len(workers) == 4  # capped at max_workers
 
@@ -264,3 +262,55 @@ def test_scale_event_pauses_workers():
     env.process(proc())
     env.run()
     assert resumed == [1000.0]
+
+
+@pytest.mark.parametrize("kind", ["palladium", "f-ingress"])
+def test_scale_in_loses_no_request(kind):
+    # Three extra workers under light load: the autoscaler reaps them
+    # while requests and responses are queued for them.  A reaped
+    # worker serves its queue before it unpins its core, and a response
+    # whose worker is gone goes to a live one.
+    env = Environment()
+    cost = replace(CostModel(), ingress_autoscale_period_us=20_000,
+                   ingress_scale_event_pause_us=200)
+    plat = ServerlessPlatform(env, cost=cost)
+    resolver = deploy_http_echo(plat)
+    ingress = wire_ingress(plat, kind, resolver, {ECHO_TENANT: 512},
+                           cores=1, max_workers=4)
+    ingress.start()
+    plat.start()
+    for _ in range(3):
+        ingress.pool.spawn()
+    fleet = ClientFleet(env, plat.cluster, ingress, path="/echo",
+                        timeout_us=200_000)
+
+    def kickoff():
+        yield env.timeout(30_000)
+        fleet.spawn(2, connections_per_client=8)
+
+    env.process(kickoff())
+    env.run(until=300_000)
+    assert ingress.pool.autoscaler.scale_ins >= 1
+    assert fleet.total_errors() == 0
+    assert fleet.disconnected_count() == 0
+
+
+def test_reaped_worker_serves_its_queue_before_unpinning():
+    env, plat, ingress = palladium_setup()
+    worker = ingress.pool.spawn()
+    conn = ClientConnection(env)
+    pinned_while_draining = []
+
+    def scenario():
+        yield env.timeout(50_000)
+        for _ in range(3):
+            request = HttpRequest("/echo", body="x", body_bytes=64)
+            worker.inbox.put_nowait(("request", (conn, request)))
+        ingress.pool.reap()
+        pinned_while_draining.append(worker.core._pinned)
+
+    env.process(scenario())
+    env.run(until=300_000)
+    assert pinned_while_draining == [True]
+    assert not worker.core._pinned
+    assert len(conn.inbox.items) == 3  # answered through a live worker

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import CostModel
 from repro.ingress import ClientConnection, GatewayStats, TcpWorkerAdapter
-from repro.ingress.gateway import GatewayWorker, rss_pick
+from repro.ingress.gateway import GatewayWorker, WorkerPool
 from repro.net import HttpRequest
 from repro.platform import FunctionSpec, ServerlessPlatform, Tenant
 from repro.sim import Environment
@@ -88,8 +88,9 @@ def test_gateway_stats_initial():
 
 
 def test_rss_pick_requires_workers():
+    pool = WorkerPool(Environment(), CostModel(), None, "gw", None)
     with pytest.raises(RuntimeError):
-        rss_pick([], 1)
+        pool.pick(1)
 
 
 def test_rss_pick_stable_per_connection():
@@ -99,8 +100,9 @@ def test_rss_pick_stable_per_connection():
         class tracker:
             useful = 0.0
 
-    workers = [GatewayWorker(env, i, _Core()) for i in range(4)]
-    assert rss_pick(workers, 7) is rss_pick(workers, 7)
+    pool = WorkerPool(env, CostModel(), None, "gw", None)
+    pool.workers.extend(GatewayWorker(env, i, _Core()) for i in range(4))
+    assert pool.pick(7) is pool.pick(7)
 
 
 def test_worker_pause_extends_not_shrinks():

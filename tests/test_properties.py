@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dne import DwrrScheduler, FcfsScheduler
 from repro.memory import MemoryPool, OwnershipError, PoolExhausted
+from repro.platform import Autoscaler
 from repro.sim import Environment, Store
 
 from .resource_reference import Resource
@@ -455,3 +456,52 @@ def test_migration_handover_conserves_inflight_messages(n, migrate_at,
         assert engine.stats.dropped == 0
     for node in plat.runtimes:
         assert plat.pool_for("t1", node).free_count == baseline[node]
+
+
+# ---------------------------------------------------------------------------
+# Autoscaler: the one hysteresis loop, over a scripted signal
+# ---------------------------------------------------------------------------
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_autoscaler_acts_exactly_on_its_watermarks(data):
+    min_count = data.draw(st.integers(min_value=1, max_value=4))
+    max_count = data.draw(st.integers(min_value=min_count, max_value=8))
+    initial = data.draw(st.integers(min_value=min_count, max_value=max_count))
+    # the watermarks themselves are drawn often: they must not act
+    level = st.one_of(st.sampled_from([0.3, 0.6]),
+                      st.floats(min_value=0.0, max_value=1.0))
+    signals = data.draw(st.lists(level, max_size=40))
+    env = Environment()
+    script = iter(signals)
+    state = {"count": initial}
+    grown, shrunk = [], []
+
+    def grow():
+        state["count"] += 1
+        grown.append(env.now)
+        assert state["count"] <= max_count
+
+    def shrink():
+        state["count"] -= 1
+        shrunk.append(env.now)
+        assert state["count"] >= min_count
+
+    scaler = Autoscaler(env, lambda: next(script), lambda: state["count"],
+                        grow, shrink, low=0.3, high=0.6,
+                        min_count=min_count, max_count=max_count,
+                        period_us=10.0)
+    scaler.start()
+    env.run(until=10.0 * len(signals) + 5.0)
+
+    assert len(scaler.signal_series) == len(scaler.count_series) == len(signals)
+    assert scaler.signal_series.values == signals
+    for (t, signal), (_t, count) in zip(scaler.signal_series,
+                                        scaler.count_series):
+        assert min_count <= count <= max_count
+        assert (t in grown) == (signal > 0.6 and count < max_count)
+        assert (t in shrunk) == (signal < 0.3 and count > min_count)
+    assert scaler.scale_outs == len(grown)
+    assert scaler.scale_ins == len(shrunk)
+    assert scaler.scale_outs - scaler.scale_ins == state["count"] - initial
+    assert scaler.scale_events == scaler.scale_outs + scaler.scale_ins
